@@ -12,7 +12,6 @@ replay deterministically in seconds.
 from .detector import (
     AlarmTrigger,
     Detector,
-    DetectorDecision,
     DetectorOutcome,
     DetectorSnapshot,
     Phase,
@@ -23,7 +22,6 @@ from .detector import (
 from .engine import (
     HOUR_NS,
     MINUTE_NS,
-    NS_PER_S,
     SessionConfig,
     SessionEvent,
     SessionResult,
@@ -39,17 +37,14 @@ from .errors import (
     InvalidThresholds,
     LightwakeError,
     MalformedLog,
-    OrderError,
     OrderViolation,
     ParseError,
     PhaseViolation,
-    ProtocolError,
-    RangeError,
-    SessionTooShort,
     SourceFailed,
 )
 from .motion import (
     MAX_DELTA,
+    NS_PER_S,
     MotionDelta,
     NormalizedSample,
     RawSample,
@@ -58,10 +53,8 @@ from .motion import (
     normalize,
 )
 from .sinks import (
-    ChartSeries,
     DEFAULT_ALARM_MELODY,
     Melody,
-    build_chart_series,
     export_period_charts,
     melody_to_wav,
     parse_melody,
@@ -82,18 +75,17 @@ from .sources import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlarmTrigger", "Detector", "DetectorDecision", "DetectorOutcome",
+    "AlarmTrigger", "Detector", "DetectorOutcome",
     "DetectorSnapshot", "Phase", "SleepStage", "ThresholdState", "classify",
     "HOUR_NS", "MINUTE_NS", "NS_PER_S", "SessionConfig", "SessionEvent",
     "SessionResult", "VirtualClock", "run_session",
     "BindError", "ConfigInvalid", "DegenerateSample", "InvalidMelody",
     "InvalidParams", "InvalidThresholds", "LightwakeError", "MalformedLog",
-    "OrderError", "OrderViolation", "ParseError", "PhaseViolation",
-    "ProtocolError", "RangeError", "SessionTooShort", "SourceFailed",
+    "OrderViolation", "ParseError", "PhaseViolation", "SourceFailed",
     "MAX_DELTA", "MotionDelta", "NormalizedSample", "RawSample",
     "euclidean_norm", "manhattan_delta", "normalize",
-    "ChartSeries", "DEFAULT_ALARM_MELODY", "Melody", "build_chart_series",
-    "export_period_charts", "melody_to_wav", "parse_melody", "read_event_log",
+    "DEFAULT_ALARM_MELODY", "Melody", "export_period_charts", "melody_to_wav",
+    "parse_melody", "read_event_log",
     "summarize_log", "synthesize_melody", "write_wav",
     "SleepModelParams", "TraceHeader", "generate_trace", "listen_live",
     "read_trace", "write_trace",

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
 from .detector import AlarmTrigger, DetectorOutcome
 from .engine import HOUR_NS, MINUTE_NS, NS_PER_S, SessionConfig, run_session
-from .errors import LightwakeError
+from .errors import ConfigInvalid, InvalidParams, LightwakeError
 from .sinks import DEFAULT_ALARM_MELODY, export_period_charts, melody_to_wav, parse_melody
 from .sources import SleepModelParams, TraceHeader, generate_trace, listen_live, read_trace, write_trace
 
@@ -34,6 +35,15 @@ def _fmt(value: float | None) -> str:
     return "-" if value is None else repr(value)
 
 
+def finite_float(text: str) -> float:
+    """argparse type for every float flag: a number that stays finite in ns."""
+    value = float(text)
+    # Hours are the largest unit a flag is given in.
+    if not math.isfinite(value * HOUR_NS):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number in range")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lightwake",
@@ -44,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="synthesize a seeded accelerometer trace CSV")
     gen.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    gen.add_argument("--hours", type=float, default=8.0, help="trace length in hours (default 8)")
-    gen.add_argument("--rate-hz", type=float, default=4.0, help="sampling rate, 1..250 Hz (default 4)")
-    gen.add_argument("--cycle-min", type=float, default=90.0, help="sleep cycle length in minutes (default 90)")
+    gen.add_argument("--hours", type=finite_float, default=8.0, help="trace length in hours (default 8)")
+    gen.add_argument("--rate-hz", type=finite_float, default=4.0, help="sampling rate, 1..250 Hz (default 4)")
+    gen.add_argument("--cycle-min", type=finite_float, default=90.0, help="sleep cycle length in minutes (default 90)")
     gen.add_argument("--out", required=True, help="output trace CSV path")
     gen.set_defaults(func=cmd_generate)
 
@@ -54,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--trace", help="trace CSV to replay")
     src.add_argument("--listen", metavar="HOST:PORT", help="accept one client on the live line protocol")
-    run.add_argument("--sleep-hours", type=float, default=8.0, help="sleep duration in hours (default 8)")
-    run.add_argument("--period-min", type=float, default=60.0, help="period length in minutes (default 60)")
-    run.add_argument("--speed", type=float, default=0.0,
+    run.add_argument("--sleep-hours", type=finite_float, default=8.0, help="sleep duration in hours (default 8)")
+    run.add_argument("--period-min", type=finite_float, default=60.0, help="period length in minutes (default 60)")
+    run.add_argument("--speed", type=finite_float, default=0.0,
                      help="virtual-to-wall clock ratio; 1=real time, 0=as fast as possible (default 0)")
     run.add_argument("--log", help="write the JSONL event log here")
     run.add_argument("--alarm-wav", help="write the alarm melody WAV here when the alarm fires")
@@ -73,10 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.hours <= 0:
         parser.error(f"--hours must be positive, got {args.hours!r}")
-    if not (1.0 <= args.rate_hz <= 250.0):
-        parser.error(f"--rate-hz must be within 1..250, got {args.rate_hz!r}")
-    if args.cycle_min <= 0:
-        parser.error(f"--cycle-min must be positive, got {args.cycle_min!r}")
     header = TraceHeader(
         sample_rate_hz=args.rate_hz,
         duration_ns=int(round(args.hours * HOUR_NS)),
@@ -86,6 +92,11 @@ def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         cycle_length_ns=int(round(args.cycle_min * MINUTE_NS)),
         rng_seed=args.seed,
     )
+    try:
+        header.validate()
+        params.validate()
+    except InvalidParams as exc:
+        parser.error(str(exc))
     samples = generate_trace(params, header)
     write_trace(args.out, header, samples)
     print(f"trace={args.out} samples={len(samples)} rate_hz={args.rate_hz!r} seed={args.seed}")
@@ -93,17 +104,13 @@ def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    sleep_ns = int(round(args.sleep_hours * HOUR_NS))
-    period_ns = int(round(args.period_min * MINUTE_NS))
-    if sleep_ns <= 0 or period_ns <= 0:
-        parser.error("--sleep-hours and --period-min must be positive")
-    if sleep_ns < 2 * period_ns:
-        parser.error(
-            f"--sleep-hours {args.sleep_hours!r} is too short for --period-min "
-            f"{args.period_min!r}: need at least one learning period plus the final one"
-        )
-    if args.speed < 0:
-        parser.error(f"--speed must be >= 0, got {args.speed!r}")
+    config = SessionConfig(sleep_duration_ns=int(round(args.sleep_hours * HOUR_NS)),
+                           period_length_ns=int(round(args.period_min * MINUTE_NS)),
+                           speed=args.speed)
+    try:
+        config.validate()
+    except ConfigInvalid as exc:
+        parser.error(str(exc))
 
     melody = DEFAULT_ALARM_MELODY
     if args.melody:
@@ -123,8 +130,6 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             melody_to_wav(melody, args.alarm_wav)
             logger.info("alarm melody written to %s", args.alarm_wav)
 
-    config = SessionConfig(sleep_duration_ns=sleep_ns, period_length_ns=period_ns,
-                           speed=args.speed)
     sink = open(args.log, "w", encoding="utf-8", newline="\n") if args.log else None
     try:
         result = run_session(config, source, event_sink=sink, on_alarm=on_alarm)

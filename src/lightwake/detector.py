@@ -22,15 +22,23 @@ Phase transitions are strictly forward:
 
     Learning(0) -> ... -> Learning(k) -> FinalPeriod -> AlarmFired
 
-where AlarmFired is terminal. Period boundaries are timer events: they are
-crossed either by the timestamp of an incoming delta or by an explicit
-advance_to() from the session clock, so a source that goes quiet cannot
-stall the state machine. A learning period that saw no deltas contributes
+where AlarmFired is terminal. Period boundaries are timer events: only
+advance_to() from the session clock crosses them, before the delta at that
+time is ingested, so a source that goes quiet cannot stall the state
+machine. A learning period that saw no deltas contributes
 no entry to the maxima array (it does not drag t_min to zero).
 
+Every transition is written as an event-log record through the emit
+callable the detector is given, emit(t_ns, kind, **fields): PeriodClosed
+and, when the band moved, ThresholdsUpdated at each period boundary;
+ThresholdsUpdated when a delta raises t_max; FinalPeriodEntered;
+StageClassified for each final-period delta; AlarmFired. A detector built
+without emit discards them.
+
 A Detector instance is single-writer: advance_to/ingest/finalize must be
-called from one logical stream in timestamp order. Instances are
-independent, so any number of sessions may run concurrently.
+called from one logical stream in timestamp order, with each delta ingested
+right after advance_to its timestamp. Instances are independent, so any
+number of sessions may run concurrently.
 """
 
 from __future__ import annotations
@@ -38,9 +46,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable
 
-from .errors import InvalidThresholds, OrderViolation, PhaseViolation, SessionTooShort
+from .errors import ConfigInvalid, InvalidThresholds, OrderViolation, PhaseViolation
 from .motion import MotionDelta
+
+PERIOD_CLOSED = "PeriodClosed"
+THRESHOLDS_UPDATED = "ThresholdsUpdated"
+FINAL_PERIOD_ENTERED = "FinalPeriodEntered"
+STAGE_CLASSIFIED = "StageClassified"
+ALARM_FIRED = "AlarmFired"
+
+Emit = Callable[..., None]
+"""Record sink, called as emit(t_ns, kind, **fields) with fields in log order."""
 
 
 class SleepStage(Enum):
@@ -89,43 +107,14 @@ class DetectorOutcome:
 
 
 @dataclass(frozen=True, slots=True)
-class PeriodClose:
-    """A learning period completed at boundary_ns = (index + 1) * P.
-
-    period_max is None when the period contained no deltas. t_min/t_max are
-    the band after the close; thresholds_changed marks whether the close
-    moved it.
-    """
-
-    index: int
-    period_max: float | None
-    boundary_ns: int
-    t_min: float | None
-    t_max: float | None
-    thresholds_changed: bool
-
-
-@dataclass(frozen=True, slots=True)
 class Advance:
-    """Timer transitions performed while moving the detector clock forward."""
+    """Timer transitions performed while moving the detector clock forward.
 
-    closes: tuple[PeriodClose, ...]
-    final_entry_ns: int | None
-
-
-@dataclass(frozen=True, slots=True)
-class DetectorDecision:
-    """Outcome of ingesting one delta: alarm is None to continue, set to stop.
-
-    The remaining fields expose what the ingest did, for event logging:
-    boundary transitions it triggered, whether it raised t_max, and the
-    stage assigned if it was classified in the final period.
+    closes holds the indices of the learning periods closed on the way.
     """
 
-    advance: Advance
-    threshold_raised: bool
-    stage: SleepStage | None
-    alarm: DetectorOutcome | None
+    closes: tuple[int, ...]
+    final_entry_ns: int | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,6 +130,21 @@ class DetectorSnapshot:
 _NO_ADVANCE = Advance(closes=(), final_entry_ns=None)
 
 
+def _discard(t_ns: int, kind: str, **fields: Any) -> None:
+    pass
+
+
+def validate_session_shape(sleep_duration_ns: int, period_length_ns: int) -> None:
+    """Raise ConfigInvalid unless the session holds a learning period plus the final one."""
+    if period_length_ns <= 0:
+        raise ConfigInvalid(f"period length must be positive, got {period_length_ns} ns")
+    if sleep_duration_ns < 2 * period_length_ns:
+        raise ConfigInvalid(
+            f"sleep duration {sleep_duration_ns} ns leaves no room for a learning "
+            f"period plus the final one (need >= {2 * period_length_ns} ns)"
+        )
+
+
 def classify(delta: MotionDelta, t_min: float, t_max: float) -> SleepStage:
     """Binary stage decision: NREM iff t_min <= delta.value <= t_max."""
     if t_min > t_max:
@@ -153,14 +157,10 @@ def classify(delta: MotionDelta, t_min: float, t_max: float) -> SleepStage:
 class Detector:
     """Stateful session detector; see the module docstring for semantics."""
 
-    def __init__(self, sleep_duration_ns: int, period_length_ns: int):
-        if period_length_ns <= 0:
-            raise SessionTooShort(f"period length must be positive, got {period_length_ns} ns")
-        if sleep_duration_ns < 2 * period_length_ns:
-            raise SessionTooShort(
-                f"sleep duration {sleep_duration_ns} ns leaves no room for a learning "
-                f"period plus the final one (need >= {2 * period_length_ns} ns)"
-            )
+    def __init__(self, sleep_duration_ns: int, period_length_ns: int,
+                 emit: Emit | None = None):
+        validate_session_shape(sleep_duration_ns, period_length_ns)
+        self._emit = _discard if emit is None else emit
         self.sleep_duration_ns = sleep_duration_ns
         self.period_length_ns = period_length_ns
         # Index of the last period; it may be shorter than P when the sleep
@@ -198,9 +198,9 @@ class Detector:
     def advance_to(self, t_ns: int) -> Advance:
         """Move the detector clock to t_ns, closing any periods it crosses.
 
-        Idempotent for equal timestamps. Raises OrderViolation when t_ns
-        moves backwards or beyond the sleep duration, PhaseViolation after
-        the alarm has fired.
+        Emits the transitions it performs. Idempotent for equal timestamps.
+        Raises OrderViolation when t_ns moves backwards or beyond the sleep
+        duration, PhaseViolation after the alarm has fired.
         """
         if self._phase is Phase.ALARM_FIRED:
             raise PhaseViolation("cannot advance a detector whose alarm already fired")
@@ -215,49 +215,50 @@ class Detector:
             return _NO_ADVANCE
 
         target_index = min(t_ns // self.period_length_ns, self.final_period_index)
-        closes: list[PeriodClose] = []
-        final_entry_ns: int | None = None
+        if self._period_index == target_index:
+            return _NO_ADVANCE
+        first = self._period_index
         while self._period_index < target_index:
-            closes.append(self._close_current_period())
+            self._close_current_period()
             self._period_index += 1
+        final_entry_ns: int | None = None
         if self._period_index == self.final_period_index:
             self._phase = Phase.FINAL_PERIOD
             self._running_period_max = None
             final_entry_ns = self.final_period_index * self.period_length_ns
-        if not closes and final_entry_ns is None:
-            return _NO_ADVANCE
-        return Advance(closes=tuple(closes), final_entry_ns=final_entry_ns)
+            self._emit(final_entry_ns, FINAL_PERIOD_ENTERED)
+        return Advance(closes=tuple(range(first, target_index)), final_entry_ns=final_entry_ns)
 
-    def _close_current_period(self) -> PeriodClose:
+    def _close_current_period(self) -> None:
         period_max = self._running_period_max
         self._running_period_max = None
-        changed = False
+        boundary_ns = (self._period_index + 1) * self.period_length_ns
+        self._emit(boundary_ns, PERIOD_CLOSED, index=self._period_index, period_max=period_max)
         if period_max is not None:
             self._period_maxima.append(period_max)
             new_t_min = min(self._period_maxima)
-            changed = new_t_min != self._t_min
-            self._t_min = new_t_min
-        return PeriodClose(
-            index=self._period_index,
-            period_max=period_max,
-            boundary_ns=(self._period_index + 1) * self.period_length_ns,
-            t_min=self._t_min,
-            t_max=self._t_max,
-            thresholds_changed=changed,
-        )
+            if new_t_min != self._t_min:
+                self._t_min = new_t_min
+                self._emit(boundary_ns, THRESHOLDS_UPDATED, t_min=self._t_min, t_max=self._t_max)
 
     # -- stream -----------------------------------------------------------
 
-    def ingest(self, delta: MotionDelta) -> DetectorDecision:
-        """Feed one motion delta; returns the alarm decision for it.
+    def ingest(self, delta: MotionDelta) -> DetectorOutcome | None:
+        """Feed one motion delta; returns the outcome if it fired the alarm.
 
+        The delta must sit at the detector clock (advance_to its timestamp
+        first), past the previous delta and inside [0, sleep_duration).
         Learning phase: updates the running period max and raises t_max.
         Final phase: classifies the delta against the frozen band and fires
-        the alarm on the first NREM hit. Timestamps must be strictly
-        increasing and inside [0, sleep_duration).
+        the alarm on the first NREM hit.
         """
         if self._phase is Phase.ALARM_FIRED:
             raise PhaseViolation("detector already fired; no further deltas may be ingested")
+        if delta.t_ns != self._clock_ns:
+            raise OrderViolation(
+                f"delta at t={delta.t_ns} ns is not at the detector clock {self._clock_ns} ns; "
+                f"advance_to it first"
+            )
         if delta.t_ns <= self._last_delta_ns:
             raise OrderViolation(
                 f"delta at t={delta.t_ns} ns does not advance past {self._last_delta_ns} ns"
@@ -267,38 +268,25 @@ class Detector:
                 f"delta at t={delta.t_ns} ns lies beyond the session window "
                 f"[0, {self.sleep_duration_ns}) ns"
             )
-        advance = self.advance_to(delta.t_ns)
         self._last_delta_ns = delta.t_ns
 
         if self._phase is Phase.LEARNING:
-            raised = False
             if self._running_period_max is None or delta.value > self._running_period_max:
                 self._running_period_max = delta.value
             if self._t_max is None or delta.value > self._t_max:
                 self._t_max = delta.value
-                raised = True
-            return DetectorDecision(advance=advance, threshold_raised=raised,
-                                    stage=None, alarm=None)
+                self._emit(delta.t_ns, THRESHOLDS_UPDATED, t_min=self._t_min, t_max=self._t_max)
+            return None
 
         # Final period: thresholds are frozen. With no learning data at all
         # the band is empty and nothing can hit it.
         if self._t_min is None or self._t_max is None:
-            return DetectorDecision(advance=advance, threshold_raised=False,
-                                    stage=None, alarm=None)
+            return None
         stage = classify(delta, self._t_min, self._t_max)
+        self._emit(delta.t_ns, STAGE_CLASSIFIED, stage=stage.value, value=delta.value)
         if stage is SleepStage.REM:
-            return DetectorDecision(advance=advance, threshold_raised=False,
-                                    stage=stage, alarm=None)
-        self._phase = Phase.ALARM_FIRED
-        self._trigger = AlarmTrigger.THRESHOLD_HIT
-        outcome = DetectorOutcome(
-            alarm_time_ns=delta.t_ns,
-            trigger=AlarmTrigger.THRESHOLD_HIT,
-            trigger_delta=delta.value,
-            final_thresholds=self.snapshot().thresholds,
-        )
-        return DetectorDecision(advance=advance, threshold_raised=False,
-                                stage=stage, alarm=outcome)
+            return None
+        return self._fire(delta.t_ns, AlarmTrigger.THRESHOLD_HIT, delta.value)
 
     def finalize(self, session_end_ns: int) -> DetectorOutcome:
         """Fire the fallback alarm at the end of the sleep time.
@@ -319,11 +307,18 @@ class Detector:
                 f"session end {session_end_ns} ns outside [{self._clock_ns}, "
                 f"{self.sleep_duration_ns}] ns"
             )
+        return self._fire(session_end_ns, AlarmTrigger.SESSION_END, None)
+
+    def _fire(self, t_ns: int, trigger: AlarmTrigger, value: float | None) -> DetectorOutcome:
         self._phase = Phase.ALARM_FIRED
-        self._trigger = AlarmTrigger.SESSION_END
+        self._trigger = trigger
+        if value is None:
+            self._emit(t_ns, ALARM_FIRED, trigger=trigger.value)
+        else:
+            self._emit(t_ns, ALARM_FIRED, trigger=trigger.value, value=value)
         return DetectorOutcome(
-            alarm_time_ns=session_end_ns,
-            trigger=AlarmTrigger.SESSION_END,
-            trigger_delta=None,
+            alarm_time_ns=t_ns,
+            trigger=trigger,
+            trigger_delta=value,
             final_thresholds=self.snapshot().thresholds,
         )

@@ -22,13 +22,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, IO, Iterable, Iterator
 
-from .detector import Advance, Detector, DetectorOutcome
+# The detector's transition kinds are part of the log vocabulary too.
+from .detector import (
+    ALARM_FIRED,
+    FINAL_PERIOD_ENTERED,
+    PERIOD_CLOSED,
+    STAGE_CLASSIFIED,
+    THRESHOLDS_UPDATED,
+    Detector,
+    DetectorOutcome,
+    validate_session_shape,
+)
 from .errors import ConfigInvalid, DegenerateSample, LightwakeError, OrderViolation, SourceFailed
-from .motion import NormalizedSample, RawSample, manhattan_delta, normalize
+from .motion import NS_PER_S, NormalizedSample, RawSample, manhattan_delta, normalize
 
 logger = logging.getLogger(__name__)
 
-NS_PER_S = 1_000_000_000
 MINUTE_NS = 60 * NS_PER_S
 HOUR_NS = 3600 * NS_PER_S
 
@@ -37,11 +46,6 @@ LOG_VERSION = 1
 SAMPLE_ACCEPTED = "SampleAccepted"
 SAMPLE_SKIPPED = "SampleSkipped"
 DELTA_COMPUTED = "DeltaComputed"
-PERIOD_CLOSED = "PeriodClosed"
-THRESHOLDS_UPDATED = "ThresholdsUpdated"
-FINAL_PERIOD_ENTERED = "FinalPeriodEntered"
-STAGE_CLASSIFIED = "StageClassified"
-ALARM_FIRED = "AlarmFired"
 SESSION_ENDED = "SessionEnded"
 
 
@@ -54,13 +58,7 @@ class SessionConfig:
     speed: float = 0.0
 
     def validate(self) -> None:
-        if self.period_length_ns <= 0:
-            raise ConfigInvalid("period length must be positive")
-        if self.sleep_duration_ns < 2 * self.period_length_ns:
-            raise ConfigInvalid(
-                "sleep duration must cover at least one learning period plus the "
-                f"final one ({self.sleep_duration_ns} ns < 2 * {self.period_length_ns} ns)"
-            )
+        validate_session_shape(self.sleep_duration_ns, self.period_length_ns)
         if not (self.speed >= 0.0):
             raise ConfigInvalid(f"speed must be >= 0, got {self.speed!r}")
 
@@ -132,17 +130,6 @@ class VirtualClock:
             time.sleep(delay)
 
 
-def _emit_advance(log: EventLog, advance: Advance) -> None:
-    for close in advance.closes:
-        log.emit(close.boundary_ns, PERIOD_CLOSED,
-                 index=close.index, period_max=close.period_max)
-        if close.thresholds_changed:
-            log.emit(close.boundary_ns, THRESHOLDS_UPDATED,
-                     t_min=close.t_min, t_max=close.t_max)
-    if advance.final_entry_ns is not None:
-        log.emit(advance.final_entry_ns, FINAL_PERIOD_ENTERED)
-
-
 def run_session(
     config: SessionConfig,
     source: Iterable[RawSample],
@@ -163,8 +150,8 @@ def run_session(
     errors mid-session (the partial event log is already flushed).
     """
     config.validate()
-    detector = Detector(config.sleep_duration_ns, config.period_length_ns)
     log = EventLog(config, event_sink)
+    detector = Detector(config.sleep_duration_ns, config.period_length_ns, emit=log.emit)
     clock = VirtualClock(config.speed)
     clock.start()
 
@@ -182,7 +169,7 @@ def run_session(
             if sample.t_ns >= config.sleep_duration_ns:
                 break
             clock.wait_until(sample.t_ns)
-            _emit_advance(log, detector.advance_to(sample.t_ns))
+            detector.advance_to(sample.t_ns)
             try:
                 norm = normalize(sample)
             except DegenerateSample as exc:
@@ -196,19 +183,8 @@ def run_session(
                 except OrderViolation as exc:
                     raise SourceFailed(f"source yielded non-monotone timestamps: {exc}") from exc
                 log.emit(delta.t_ns, DELTA_COMPUTED, value=delta.value)
-                decision = detector.ingest(delta)
-                _emit_advance(log, decision.advance)
-                if decision.threshold_raised:
-                    state = detector.snapshot().thresholds
-                    log.emit(delta.t_ns, THRESHOLDS_UPDATED,
-                             t_min=state.t_min, t_max=state.t_max)
-                if decision.stage is not None:
-                    log.emit(delta.t_ns, STAGE_CLASSIFIED,
-                             stage=decision.stage.value, value=delta.value)
-                if decision.alarm is not None:
-                    outcome = decision.alarm
-                    log.emit(delta.t_ns, ALARM_FIRED,
-                             trigger=outcome.trigger.value, value=outcome.trigger_delta)
+                outcome = detector.ingest(delta)
+                if outcome is not None:
                     break
             prev = norm
     finally:
@@ -221,9 +197,8 @@ def run_session(
     if outcome is None:
         # Source exhausted (or session window passed) without a hit: jump the
         # virtual clock to the end of the sleep time and fire the fallback.
-        _emit_advance(log, detector.advance_to(config.sleep_duration_ns))
+        detector.advance_to(config.sleep_duration_ns)
         outcome = detector.finalize(config.sleep_duration_ns)
-        log.emit(config.sleep_duration_ns, ALARM_FIRED, trigger=outcome.trigger.value)
     log.emit(outcome.alarm_time_ns, SESSION_ENDED)
 
     if on_alarm is not None:

@@ -12,14 +12,10 @@ class DegenerateSample(LightwakeError):
 
 
 class OrderViolation(LightwakeError):
-    """Timestamps handed to a stateful consumer went backwards or out of range."""
+    """Timestamps in a source or handed to a stateful consumer went backwards or out of range."""
 
 
 # --- detector ------------------------------------------------------------
-
-class SessionTooShort(LightwakeError):
-    """Sleep duration leaves no room for at least one learning period plus the final one."""
-
 
 class InvalidThresholds(LightwakeError):
     """Threshold band with min above max."""
@@ -32,19 +28,15 @@ class PhaseViolation(LightwakeError):
 # --- sources -------------------------------------------------------------
 
 class ParseError(LightwakeError):
-    """Malformed trace file row; message carries the 1-based line number."""
+    """Malformed or out-of-range trace row or live protocol line.
+
+    For trace files the message and line_number carry the 1-based line
+    number; a live connection that breaks the protocol is dropped.
+    """
 
     def __init__(self, message: str, line_number: int | None = None):
         super().__init__(message)
         self.line_number = line_number
-
-
-class OrderError(LightwakeError):
-    """Sample timestamps in a source are not strictly increasing."""
-
-
-class RangeError(LightwakeError):
-    """Acceleration component outside the sensor's +/-5 g envelope."""
 
 
 class InvalidParams(LightwakeError):
@@ -55,14 +47,10 @@ class BindError(LightwakeError):
     """Live listener could not bind its address."""
 
 
-class ProtocolError(LightwakeError):
-    """Invalid line on the live sample protocol; the connection is dropped."""
-
-
 # --- engine --------------------------------------------------------------
 
 class ConfigInvalid(LightwakeError):
-    """Session configuration violates its invariants."""
+    """Session configuration violates its invariants, such as sleep < 2 * period."""
 
 
 class SourceFailed(LightwakeError):

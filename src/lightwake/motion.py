@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 from .errors import DegenerateSample, OrderViolation
 
+NS_PER_S = 1_000_000_000
+
 # A reading shorter than this (in g) cannot come from a body at rest, which
 # always measures about 1 g of gravity; treat it as a sensor fault.
 DEGENERATE_NORM_EPS = 1e-9

@@ -32,8 +32,6 @@ from .engine import (
 from .errors import InvalidMelody, MalformedLog
 from .sources import format_seconds
 
-NS_PER_S = 1_000_000_000
-
 # 0.8 of full scale: loud but clear of clipping artifacts.
 _AMPLITUDE = 26214
 
@@ -141,14 +139,6 @@ def melody_to_wav(melody: Melody, path: str | Path,
 # -- chart export -------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
-class ChartSeries:
-    """All motion deltas of one period, timestamped in seconds from its start."""
-
-    period_index: int
-    points: tuple[tuple[float, float], ...]  # (t_s within period, delta)
-
-
-@dataclass(frozen=True, slots=True)
 class LogSummary:
     sleep_ns: int
     period_ns: int
@@ -210,33 +200,17 @@ def _group_deltas(header: dict, events: list[SessionEvent]) -> list[list[tuple[i
     return buckets
 
 
-def build_chart_series(header: dict, events: list[SessionEvent]) -> list[ChartSeries]:
-    """Group DeltaComputed events into one series per period (all periods present)."""
-    return [
-        ChartSeries(
-            period_index=k,
-            points=tuple((rel_ns / NS_PER_S, value) for rel_ns, value in bucket),
-        )
-        for k, bucket in enumerate(_group_deltas(header, events))
-    ]
-
-
 def summarize_log(header: dict, events: list[SessionEvent]) -> LogSummary:
-    period_ns = header["period_ns"]
-    sleep_ns = header["sleep_ns"]
-    n_periods = math.ceil(sleep_ns / period_ns)
-    maxima: dict[int, float] = {}
+    """Per-period delta maxima (the final period's too), last band, and the alarm."""
+    buckets = _group_deltas(header, events)
+    maxima = {k: max(value for _, value in bucket)
+              for k, bucket in enumerate(buckets) if bucket}
     t_min = t_max = None
     alarm_trigger = None
     alarm_t_ns = None
     alarm_delta = None
     for event in events:
-        if event.kind == DELTA_COMPUTED:
-            index = min(event.t_ns // period_ns, n_periods - 1)
-            value = event.data["value"]
-            if index not in maxima or value > maxima[index]:
-                maxima[index] = value
-        elif event.kind == THRESHOLDS_UPDATED:
+        if event.kind == THRESHOLDS_UPDATED:
             t_min = event.data.get("t_min")
             t_max = event.data.get("t_max")
         elif event.kind == ALARM_FIRED:
@@ -244,9 +218,9 @@ def summarize_log(header: dict, events: list[SessionEvent]) -> LogSummary:
             alarm_t_ns = event.t_ns
             alarm_delta = event.data.get("value")
     return LogSummary(
-        sleep_ns=sleep_ns,
-        period_ns=period_ns,
-        n_periods=n_periods,
+        sleep_ns=header["sleep_ns"],
+        period_ns=header["period_ns"],
+        n_periods=len(buckets),
         period_maxima=maxima,
         t_min=t_min,
         t_max=t_max,

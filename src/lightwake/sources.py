@@ -44,22 +44,20 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    BindError,
-    InvalidParams,
-    OrderError,
-    ParseError,
-    ProtocolError,
-    RangeError,
-)
-from .motion import RawSample, SENSOR_RANGE_G
+from .errors import BindError, InvalidParams, OrderViolation, ParseError
+from .motion import NS_PER_S, RawSample, SENSOR_RANGE_G
 
 logger = logging.getLogger(__name__)
 
-NS_PER_S = 1_000_000_000
 TRACE_HEADER_LINE = "t_s,ax_g,ay_g,az_g"
 
 _NS_QUANTUM = Decimal(NS_PER_S)
+
+
+def validate_sample_rate(rate_hz: float) -> None:
+    """Raise InvalidParams unless rate_hz lies in the sensor's 1..250 Hz envelope."""
+    if not (1.0 <= rate_hz <= 250.0):
+        raise InvalidParams(f"sample rate {rate_hz!r} Hz outside the sensor's 1..250 Hz envelope")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,10 +69,7 @@ class TraceHeader:
     label: str = ""
 
     def validate(self) -> None:
-        if not (1.0 <= self.sample_rate_hz <= 250.0):
-            raise InvalidParams(
-                f"sample rate {self.sample_rate_hz!r} Hz outside the sensor's 1..250 Hz envelope"
-            )
+        validate_sample_rate(self.sample_rate_hz)
         if self.duration_ns < 0:
             raise InvalidParams("duration must be non-negative")
 
@@ -132,31 +127,23 @@ def seconds_to_ns(token: str) -> int:
     return int((value * _NS_QUANTUM).to_integral_value(rounding=ROUND_HALF_UP))
 
 
-class _FieldError(ValueError):
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind  # "parse" or "range"
-
-
 def _fields_to_sample(t_tok: str, x_tok: str, y_tok: str, z_tok: str) -> RawSample:
     try:
         t_ns = seconds_to_ns(t_tok)
     except ValueError as exc:
-        raise _FieldError("parse", f"bad time field {t_tok!r}: {exc}") from exc
+        raise ParseError(f"bad time field {t_tok!r}: {exc}") from exc
     if t_ns < 0:
-        raise _FieldError("parse", f"negative timestamp {t_tok!r}")
+        raise ParseError(f"negative timestamp {t_tok!r}")
     comps = []
     for tok in (x_tok, y_tok, z_tok):
         try:
             value = float(tok)
         except ValueError as exc:
-            raise _FieldError("parse", f"bad acceleration field {tok!r}") from exc
+            raise ParseError(f"bad acceleration field {tok!r}") from exc
         if not math.isfinite(value):
-            raise _FieldError("parse", f"non-finite acceleration field {tok!r}")
+            raise ParseError(f"non-finite acceleration field {tok!r}")
         if abs(value) > SENSOR_RANGE_G:
-            raise _FieldError(
-                "range", f"acceleration {tok!r} exceeds +/-{SENSOR_RANGE_G:g} g"
-            )
+            raise ParseError(f"acceleration {tok!r} exceeds +/-{SENSOR_RANGE_G:g} g")
         comps.append(value)
     return RawSample(t_ns, comps[0], comps[1], comps[2])
 
@@ -166,8 +153,8 @@ def _fields_to_sample(t_tok: str, x_tok: str, y_tok: str, z_tok: str) -> RawSamp
 def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
     """Parse a trace CSV into its header and time-ordered samples.
 
-    Raises ParseError (with the offending line number), OrderError on
-    non-monotone timestamps, or RangeError on out-of-range accelerations.
+    Raises ParseError (with the offending line number) on malformed or
+    out-of-range rows, or OrderViolation on non-monotone timestamps.
     """
     path = Path(path)
     rate = 4.0
@@ -185,14 +172,11 @@ def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
                     if key == "rate_hz":
                         try:
                             rate = float(value)
-                        except ValueError:
+                            validate_sample_rate(rate)
+                        except (ValueError, InvalidParams) as exc:
                             raise ParseError(
-                                f"line {lineno}: bad rate_hz value {value!r}", lineno
+                                f"line {lineno}: bad rate_hz value {value!r}: {exc}", lineno
                             ) from None
-                        if not (1.0 <= rate <= 250.0):
-                            raise ParseError(
-                                f"line {lineno}: rate_hz {rate!r} outside 1..250", lineno
-                            )
                     elif key == "label":
                         label = value
                     # Unknown keys are ignored for forward compatibility.
@@ -215,12 +199,10 @@ def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
                 )
             try:
                 sample = _fields_to_sample(*fields)
-            except _FieldError as exc:
-                if exc.kind == "range":
-                    raise RangeError(f"line {lineno}: {exc}") from None
+            except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}", lineno) from None
             if prev_t is not None and sample.t_ns <= prev_t:
-                raise OrderError(
+                raise OrderViolation(
                     f"line {lineno}: timestamp {sample.t_ns} ns does not increase "
                     f"past {prev_t} ns"
                 )
@@ -389,7 +371,7 @@ class LiveSource:
         try:
             conn, peer = self._listener.accept()
         except socket.timeout:
-            raise ProtocolError("timed out waiting for a client connection") from None
+            raise ParseError("timed out waiting for a client connection") from None
         finally:
             self._listener.close()
         logger.info("live source: client connected from %s:%s", *peer[:2])
@@ -401,7 +383,7 @@ class LiveSource:
                 try:
                     chunk = conn.recv(65536)
                 except socket.timeout:
-                    raise ProtocolError("timed out waiting for sample data") from None
+                    raise ParseError("timed out waiting for sample data") from None
                 if not chunk:
                     break
                 buffer += chunk
@@ -420,18 +402,15 @@ class LiveSource:
         try:
             text = line.decode("ascii")
         except UnicodeDecodeError:
-            raise ProtocolError(f"non-ASCII bytes on the wire: {line[:40]!r}") from None
+            raise ParseError(f"non-ASCII bytes on the wire: {line[:40]!r}") from None
         tokens = text.split()
         if len(tokens) != 4:
-            raise ProtocolError(
+            raise ParseError(
                 f"expected 4 space-separated fields, got {len(tokens)}: {text!r}"
             )
-        try:
-            sample = _fields_to_sample(*tokens)
-        except _FieldError as exc:
-            raise ProtocolError(str(exc)) from None
+        sample = _fields_to_sample(*tokens)
         if prev_t is not None and sample.t_ns <= prev_t:
-            raise OrderError(
+            raise OrderViolation(
                 f"timestamp {sample.t_ns} ns does not increase past {prev_t} ns"
             )
         self._last_t = sample.t_ns

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,3 +68,27 @@ def paper_case(tmp_path_factory) -> PaperCase:
         result=result,
         elapsed_s=elapsed,
     )
+
+
+@dataclass
+class CliNight:
+    run_stdout: str
+    log_path: Path
+
+
+@pytest.fixture(scope="session")
+def seed42_night(tmp_path_factory) -> CliNight:
+    """The README's CLI example: generate seed 42, then run it with a log."""
+    workdir = tmp_path_factory.mktemp("seed42_night")
+    trace, log = workdir / "night.csv", workdir / "events.jsonl"
+
+    def cli(*args):
+        result = subprocess.run([sys.executable, "-m", "lightwake", *args],
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    cli("generate", "--seed", "42", "--hours", "8", "--rate-hz", "4", "--out", str(trace))
+    stdout = cli("run", "--trace", str(trace), "--sleep-hours", "8", "--period-min", "60",
+                 "--speed", "0", "--log", str(log), "--alarm-wav", str(workdir / "alarm.wav"))
+    return CliNight(run_stdout=stdout, log_path=log)

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import wave
+from pathlib import Path
 
 import pytest
 
@@ -51,15 +52,19 @@ class TestUsage:
 
     def test_generate_rejects_bad_values(self, tmp_path):
         out = str(tmp_path / "t.csv")
-        assert cli("generate", "--hours", "0", "--out", out).returncode == 2
-        assert cli("generate", "--rate-hz", "500", "--out", out).returncode == 2
-        assert cli("generate", "--cycle-min", "-5", "--out", out).returncode == 2
+        for flag, value in (("--hours", "0"), ("--rate-hz", "500"), ("--cycle-min", "-5"),
+                            ("--hours", "inf"), ("--cycle-min", "inf")):
+            result = cli("generate", flag, value, "--out", out)
+            assert result.returncode == 2, (flag, value)
+            assert "Traceback" not in result.stderr
 
     def test_run_rejects_bad_session_shape(self, tiny_trace):
-        result = cli("run", "--trace", str(tiny_trace),
-                     "--sleep-hours", "0.5", "--period-min", "60")
-        assert result.returncode == 2
-        assert cli("run", "--trace", str(tiny_trace), "--speed", "-1").returncode == 2
+        for args in (("--sleep-hours", "0.5", "--period-min", "60"), ("--speed", "-1"),
+                     ("--speed", "nan"), ("--sleep-hours", "inf"),
+                     ("--sleep-hours", "1e300"), ("--period-min", "nan")):
+            result = cli("run", "--trace", str(tiny_trace), *args)
+            assert result.returncode == 2, args
+            assert "Traceback" not in result.stderr
 
     def test_run_requires_exactly_one_source(self, tiny_trace):
         assert cli("run").returncode == 2
@@ -93,6 +98,13 @@ class TestRun:
         assert abs(float(summary["t_min"]) - 0.497) <= 1e-9
         assert abs(float(summary["t_max"]) - 1.662) <= 1e-9
         assert float(summary["t"]) == paper_case.result.outcome.alarm_time_ns / NS_PER_S
+
+    def test_readme_example_line(self, seed42_night):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        line = seed42_night.run_stdout.strip()
+        assert line == ("alarm=SessionEnd t=28800.0 delta=- "
+                        "t_min=0.31794632537232165 t_max=0.4836735335938859")
+        assert f"# -> {line}" in readme
 
     def test_summary_line_shape(self, tiny_trace):
         result = cli("run", "--trace", str(tiny_trace),

@@ -3,32 +3,55 @@ import pytest
 
 from lightwake import (
     AlarmTrigger,
+    ConfigInvalid,
     Detector,
     InvalidThresholds,
     MotionDelta,
     OrderViolation,
     Phase,
     PhaseViolation,
-    SessionTooShort,
     SleepStage,
     classify,
+)
+from lightwake.detector import (
+    ALARM_FIRED,
+    FINAL_PERIOD_ENTERED,
+    PERIOD_CLOSED,
+    STAGE_CLASSIFIED,
+    THRESHOLDS_UPDATED,
 )
 
 NS = 1_000_000_000
 P = 60 * NS  # one-minute periods keep the arithmetic readable
 
 
+class Records(list):
+    """emit target that keeps every record as (t_ns, kind, fields)."""
+
+    def __call__(self, t_ns, kind, **fields):
+        self.append((t_ns, kind, fields))
+
+    def of(self, kind):
+        return [(t_ns, fields) for t_ns, k, fields in self if k == kind]
+
+
 def d(t_s: float, value: float) -> MotionDelta:
     return MotionDelta(int(t_s * NS), value)
 
 
+def step(det: Detector, delta: MotionDelta):
+    """Feed one delta the way run_session does: clock first, then ingest."""
+    det.advance_to(delta.t_ns)
+    return det.ingest(delta)
+
+
 def feed_periods(det: Detector, period_values: list[list[float]], period_ns: int = P):
     """Ingest each period's values at 1 s spacing from its start."""
-    decisions = []
+    outcomes = []
     for k, values in enumerate(period_values):
         for i, value in enumerate(values):
-            decisions.append(det.ingest(MotionDelta(k * period_ns + (i + 1) * NS, value)))
-    return decisions
+            outcomes.append(step(det, MotionDelta(k * period_ns + (i + 1) * NS, value)))
+    return outcomes
 
 
 class TestConstruction:
@@ -46,8 +69,10 @@ class TestConstruction:
         assert det.final_period_index == 1
 
     def test_too_short(self):
-        with pytest.raises(SessionTooShort):
+        with pytest.raises(ConfigInvalid):
             Detector(30 * 60 * NS, 3600 * NS)
+        with pytest.raises(ConfigInvalid):
+            Detector(2 * 3600 * NS, 0)
 
     def test_short_final_period_allowed(self):
         det = Detector(int(2.5 * 3600 * NS), 3600 * NS)
@@ -75,155 +100,236 @@ class TestClassify:
 
 class TestLearning:
     def test_spec_fixture_thresholds(self):
-        det = Detector(8 * P, P)
-        feed_periods(det, [[0.9], [1.1], [0.8], [1.662], [0.497], [1.2], [0.75]])
+        records = Records()
+        det = Detector(8 * P, P, emit=records)
+        maxima = [0.9, 1.1, 0.8, 1.662, 0.497, 1.2, 0.75]
+        feed_periods(det, [[value] for value in maxima])
         det.advance_to(7 * P)
         snap = det.snapshot()
         assert snap.phase is Phase.FINAL_PERIOD
         assert snap.thresholds.t_min == 0.497
         assert snap.thresholds.t_max == 1.662
-        assert snap.thresholds.period_maxima == (0.9, 1.1, 0.8, 1.662, 0.497, 1.2, 0.75)
+        assert snap.thresholds.period_maxima == tuple(maxima)
+        assert records.of(PERIOD_CLOSED) == [
+            ((k + 1) * P, {"index": k, "period_max": value}) for k, value in enumerate(maxima)]
+        assert records.of(THRESHOLDS_UPDATED)[-1] == (5 * P, {"t_min": 0.497, "t_max": 1.662})
+        assert records.of(FINAL_PERIOD_ENTERED) == [(7 * P, {})]
+        assert records[-1][1] == FINAL_PERIOD_ENTERED
 
     def test_single_period_min_equals_max(self):
-        det = Detector(8 * P, P)
-        det.ingest(d(10, 0.9))
+        records = Records()
+        det = Detector(8 * P, P, emit=records)
+        step(det, d(10, 0.9))
         det.advance_to(P)
         snap = det.snapshot()
         assert snap.thresholds.period_maxima == (0.9,)
         assert snap.thresholds.t_min == 0.9
         assert snap.thresholds.t_max == 0.9
+        assert records == [
+            (10 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.9}),
+            (P, PERIOD_CLOSED, {"index": 0, "period_max": 0.9}),
+            (P, THRESHOLDS_UPDATED, {"t_min": 0.9, "t_max": 0.9}),
+        ]
 
     def test_t_max_raised_immediately_not_at_close(self):
-        det = Detector(8 * P, P)
-        first = det.ingest(d(1, 0.4))
-        assert first.threshold_raised
+        records = Records()
+        det = Detector(8 * P, P, emit=records)
+        assert step(det, d(1, 0.4)) is None
+        assert records == [(1 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.4})]
         assert det.snapshot().thresholds.t_max == 0.4
-        second = det.ingest(d(2, 0.2))
-        assert not second.threshold_raised
-        third = det.ingest(d(3, 0.7))
-        assert third.threshold_raised
+        step(det, d(2, 0.2))
+        assert len(records) == 1  # no raise, no record
+        step(det, d(3, 0.7))
+        assert records[-1] == (3 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.7})
         assert det.snapshot().thresholds.t_max == 0.7
         assert det.snapshot().thresholds.t_min is None  # no period closed yet
+        assert records.of(PERIOD_CLOSED) == []
 
     def test_empty_period_contributes_nothing(self):
-        det = Detector(8 * P, P)
-        det.ingest(d(10, 0.5))            # period 0
-        decision = det.ingest(d(2 * 60 + 5, 0.8))  # skips period 1 entirely
-        closes = decision.advance.closes
-        assert [c.index for c in closes] == [0, 1]
-        assert closes[0].period_max == 0.5
-        assert closes[1].period_max is None
+        records = Records()
+        det = Detector(8 * P, P, emit=records)
+        step(det, d(10, 0.5))            # period 0
+        del records[:]
+        advance = det.advance_to(int((2 * 60 + 5) * NS))  # skips period 1 entirely
+        assert advance.closes == (0, 1) and advance.final_entry_ns is None
+        assert records == [
+            (P, PERIOD_CLOSED, {"index": 0, "period_max": 0.5}),
+            (P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.5}),
+            (2 * P, PERIOD_CLOSED, {"index": 1, "period_max": None}),
+        ]
+        det.ingest(d(2 * 60 + 5, 0.8))
         assert det.snapshot().thresholds.period_maxima == (0.5,)
         assert det.snapshot().thresholds.t_min == 0.5
 
     def test_boundary_delta_belongs_to_new_period(self):
-        det = Detector(8 * P, P)
-        det.ingest(d(30, 0.5))
-        decision = det.ingest(MotionDelta(P, 0.9))  # exactly on the boundary
-        assert [c.index for c in decision.advance.closes] == [0]
-        assert decision.advance.closes[0].period_max == 0.5
+        records = Records()
+        det = Detector(8 * P, P, emit=records)
+        step(det, d(30, 0.5))
+        del records[:]
+        step(det, MotionDelta(P, 0.9))  # exactly on the boundary
+        assert records == [
+            (P, PERIOD_CLOSED, {"index": 0, "period_max": 0.5}),
+            (P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.5}),
+            (P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.9}),
+        ]
         assert det.snapshot().thresholds.period_maxima == (0.5,)
         det.advance_to(2 * P)
         assert det.snapshot().thresholds.period_maxima == (0.5, 0.9)
+        assert records[-1] == (2 * P, PERIOD_CLOSED, {"index": 1, "period_max": 0.9})
 
     def test_advance_emits_final_entry_once(self):
-        det = Detector(3 * P, P)
+        records = Records()
+        det = Detector(3 * P, P, emit=records)
         adv = det.advance_to(2 * P)
-        assert [c.index for c in adv.closes] == [0, 1]
+        assert adv.closes == (0, 1)
         assert adv.final_entry_ns == 2 * P
+        assert records == [
+            (P, PERIOD_CLOSED, {"index": 0, "period_max": None}),
+            (2 * P, PERIOD_CLOSED, {"index": 1, "period_max": None}),
+            (2 * P, FINAL_PERIOD_ENTERED, {}),
+        ]
         again = det.advance_to(2 * P + NS)
         assert again.closes == () and again.final_entry_ns is None
+        assert len(records) == 3
 
 
 class TestFinalPeriod:
-    def build(self) -> Detector:
-        det = Detector(8 * P, P)
+    def build(self, records=None) -> Detector:
+        det = Detector(8 * P, P, emit=records)
         feed_periods(det, [[0.9], [1.1], [0.8], [0.75], [1.662], [0.497], [1.2]])
+        det.advance_to(7 * P)
+        if records is not None:
+            assert records[-2:] == [(7 * P, PERIOD_CLOSED, {"index": 6, "period_max": 1.2}),
+                                    (7 * P, FINAL_PERIOD_ENTERED, {})]
+            del records[:]
         return det
 
     def test_first_hit_fires_and_seals(self):
-        det = self.build()
-        assert det.ingest(d(7 * 60 + 1, 0.2)).alarm is None
-        assert det.ingest(d(7 * 60 + 2, 0.31)).alarm is None
-        decision = det.ingest(d(7 * 60 + 3, 1.016))
-        assert decision.stage is SleepStage.NREM
-        outcome = decision.alarm
+        records = Records()
+        det = self.build(records)
+        assert step(det, d(7 * 60 + 1, 0.2)) is None
+        assert step(det, d(7 * 60 + 2, 0.31)) is None
+        outcome = step(det, d(7 * 60 + 3, 1.016))
         assert outcome is not None
         assert outcome.trigger is AlarmTrigger.THRESHOLD_HIT
         assert outcome.alarm_time_ns == (7 * 60 + 3) * NS
         assert outcome.trigger_delta == 1.016
         assert outcome.final_thresholds.t_min == 0.497
         assert outcome.final_thresholds.t_max == 1.662
+        hit_ns = (7 * 60 + 3) * NS
+        assert records[-2:] == [
+            (hit_ns, STAGE_CLASSIFIED, {"stage": "NREM", "value": 1.016}),
+            (hit_ns, ALARM_FIRED, {"trigger": "ThresholdHit", "value": 1.016}),
+        ]
+        assert [f["stage"] for _, f in records.of(STAGE_CLASSIFIED)] == ["REM", "REM", "NREM"]
         with pytest.raises(PhaseViolation):
             det.ingest(d(7 * 60 + 4, 1.0))
+        with pytest.raises(PhaseViolation):
+            det.advance_to((7 * 60 + 4) * NS)
+        assert len(records.of(ALARM_FIRED)) == 1
 
     def test_out_of_band_classified_rem_both_sides(self):
-        det = self.build()
-        low = det.ingest(d(7 * 60 + 1, 0.1))
-        high = det.ingest(d(7 * 60 + 2, 2.5))
-        assert low.stage is SleepStage.REM and low.alarm is None
-        assert high.stage is SleepStage.REM and high.alarm is None
+        records = Records()
+        det = self.build(records)
+        assert step(det, d(7 * 60 + 1, 0.1)) is None
+        assert step(det, d(7 * 60 + 2, 2.5)) is None
+        assert records == [
+            ((7 * 60 + 1) * NS, STAGE_CLASSIFIED, {"stage": "REM", "value": 0.1}),
+            ((7 * 60 + 2) * NS, STAGE_CLASSIFIED, {"stage": "REM", "value": 2.5}),
+        ]
 
     def test_session_end_fallback(self):
-        det = self.build()
-        det.ingest(d(7 * 60 + 1, 0.1))
+        records = Records()
+        det = self.build(records)
+        step(det, d(7 * 60 + 1, 0.1))
         det.advance_to(8 * P)
         outcome = det.finalize(8 * P)
         assert outcome.trigger is AlarmTrigger.SESSION_END
         assert outcome.alarm_time_ns == 8 * P
         assert outcome.trigger_delta is None
+        assert records[-1] == (8 * P, ALARM_FIRED, {"trigger": "SessionEnd"})
 
     def test_empty_final_period(self):
-        det = Detector(8 * P, P)
-        det.ingest(d(10, 0.5))  # learning data only
+        records = Records()
+        det = Detector(8 * P, P, emit=records)
+        step(det, d(10, 0.5))  # learning data only
         det.advance_to(8 * P)   # source exhausted; clock jumps to session end
         outcome = det.finalize(8 * P)
         assert outcome.trigger is AlarmTrigger.SESSION_END
         assert outcome.final_thresholds.t_min == 0.5
+        assert [f["index"] for _, f in records.of(PERIOD_CLOSED)] == list(range(7))
+        assert records[-2:] == [(7 * P, FINAL_PERIOD_ENTERED, {}),
+                                (8 * P, ALARM_FIRED, {"trigger": "SessionEnd"})]
+        assert records.of(STAGE_CLASSIFIED) == []
 
     def test_finalize_during_learning_is_phase_violation(self):
-        det = Detector(8 * P, P)
-        det.ingest(d(2 * 60 + 1, 0.5))  # Learning(2)
+        records = Records()
+        det = Detector(8 * P, P, emit=records)
+        step(det, d(2 * 60 + 1, 0.5))  # Learning(2)
         with pytest.raises(PhaseViolation):
             det.finalize(8 * P)
+        assert records.of(ALARM_FIRED) == []
 
     def test_finalize_twice_is_phase_violation(self):
-        det = self.build()
+        records = Records()
+        det = self.build(records)
         det.advance_to(8 * P)
         det.finalize(8 * P)
         with pytest.raises(PhaseViolation):
             det.finalize(8 * P)
+        assert len(records.of(ALARM_FIRED)) == 1
 
     def test_no_learning_data_never_hits(self):
-        det = Detector(3 * P, P)
+        records = Records()
+        det = Detector(3 * P, P, emit=records)
         det.advance_to(2 * P)
-        decision = det.ingest(d(2 * 60 + 1, 0.0))
-        assert decision.stage is None and decision.alarm is None
+        assert step(det, d(2 * 60 + 1, 0.0)) is None
+        assert records.of(STAGE_CLASSIFIED) == []
         outcome = det.finalize(3 * P)
         assert outcome.trigger is AlarmTrigger.SESSION_END
         assert outcome.final_thresholds.t_min is None
+        assert records.of(THRESHOLDS_UPDATED) == []
+        assert records[-1] == (3 * P, ALARM_FIRED, {"trigger": "SessionEnd"})
 
     def test_degenerate_band_exact_match_only(self):
-        det = Detector(2 * P, P)
-        det.ingest(d(10, 0.6))
-        miss = det.ingest(d(60 + 1, 0.59))
-        assert miss.alarm is None
-        hit = det.ingest(d(60 + 2, 0.6))
-        assert hit.alarm is not None
-        assert hit.alarm.trigger is AlarmTrigger.THRESHOLD_HIT
+        records = Records()
+        det = Detector(2 * P, P, emit=records)
+        step(det, d(10, 0.6))
+        assert step(det, d(60 + 1, 0.59)) is None
+        assert records[-1] == ((60 + 1) * NS, STAGE_CLASSIFIED, {"stage": "REM", "value": 0.59})
+        hit = step(det, d(60 + 2, 0.6))
+        assert hit is not None
+        assert hit.trigger is AlarmTrigger.THRESHOLD_HIT
+        assert records[-1] == ((60 + 2) * NS, ALARM_FIRED, {"trigger": "ThresholdHit", "value": 0.6})
 
 
 class TestOrdering:
     def test_non_monotone_delta_rejected(self):
         det = Detector(8 * P, P)
-        det.ingest(d(10, 0.5))
+        step(det, d(10, 0.5))
         with pytest.raises(OrderViolation):
             det.ingest(d(10, 0.6))
         with pytest.raises(OrderViolation):
             det.ingest(d(5, 0.6))
+        with pytest.raises(OrderViolation):
+            step(det, d(5, 0.6))
+
+    def test_ingest_requires_clock_at_delta(self):
+        records = Records()
+        det = Detector(8 * P, P, emit=records)
+        with pytest.raises(OrderViolation):
+            det.ingest(d(10, 0.5))  # clock still at 0: ingest never moves it
+        det.advance_to(20 * NS)
+        with pytest.raises(OrderViolation):
+            det.ingest(d(10, 0.5))
+        assert records == []
+        assert det.ingest(d(20, 0.5)) is None
 
     def test_delta_beyond_session_rejected(self):
         det = Detector(2 * P, P)
+        with pytest.raises(OrderViolation):
+            det.ingest(MotionDelta(2 * P, 0.5))
+        det.advance_to(2 * P)
         with pytest.raises(OrderViolation):
             det.ingest(MotionDelta(2 * P, 0.5))
 
@@ -237,7 +343,7 @@ class TestOrdering:
 
     def test_snapshot_does_not_mutate(self):
         det = Detector(8 * P, P)
-        det.ingest(d(10, 0.5))
+        step(det, d(10, 0.5))
         before = det.snapshot()
         for _ in range(3):
             det.snapshot()
@@ -262,9 +368,10 @@ class TestRandomizedProperties:
         rng = np.random.default_rng(21)
         for _ in range(60):
             deltas, per_period = self.random_stream(rng)
-            det = Detector(6 * P, P)
+            records = Records()
+            det = Detector(6 * P, P, emit=records)
             for delta in deltas:
-                if det.ingest(delta).alarm is not None:
+                if step(det, delta) is not None:
                     break
             else:
                 det.advance_to(6 * P)
@@ -274,19 +381,29 @@ class TestRandomizedProperties:
             snap = det.snapshot()
             assert snap.thresholds.t_min == expected_t_min
             assert snap.thresholds.t_max == expected_t_max
+            closed = {f["index"]: f["period_max"] for _, f in records.of(PERIOD_CLOSED)}
+            assert closed == {k: max(learning[k]) if k in learning else None for k in range(5)}
+            updates = records.of(THRESHOLDS_UPDATED)
+            if learning:
+                assert updates[-1][1] == {"t_min": expected_t_min, "t_max": expected_t_max}
+            else:
+                assert updates == []
 
     def test_t_max_monotone_during_learning(self):
         rng = np.random.default_rng(22)
         deltas, _ = self.random_stream(rng)
-        det = Detector(6 * P, P)
+        records = Records()
+        det = Detector(6 * P, P, emit=records)
         last = -1.0
         for delta in deltas:
             if delta.t_ns >= 5 * P:
                 break
-            det.ingest(delta)
+            step(det, delta)
             current = det.snapshot().thresholds.t_max
             assert current is not None and current >= last
             last = current
+        logged = [f["t_max"] for _, f in records.of(THRESHOLDS_UPDATED)]
+        assert logged == sorted(logged) and logged[-1] == last
 
     def test_within_period_permutation_leaves_period_max(self):
         rng = np.random.default_rng(23)
@@ -294,10 +411,12 @@ class TestRandomizedProperties:
         times = [(i + 1) * NS for i in range(10)]
 
         def run(order):
-            det = Detector(3 * P, P)
+            records = Records()
+            det = Detector(3 * P, P, emit=records)
             for t_ns, value in zip(times, order):
-                det.ingest(MotionDelta(t_ns, value))
+                step(det, MotionDelta(t_ns, value))
             det.advance_to(P)
+            assert records.of(PERIOD_CLOSED) == [(P, {"index": 0, "period_max": max(values)})]
             return det.snapshot().thresholds.period_maxima
 
         baseline = run(values)
@@ -310,20 +429,22 @@ class TestRandomizedProperties:
         rng = np.random.default_rng(24)
         deltas, _ = self.random_stream(rng)
 
-        def run():
-            det = Detector(6 * P, P)
+        def run(emit):
+            det = Detector(6 * P, P, emit=emit)
             outcome = None
             for delta in deltas:
-                decision = det.ingest(delta)
-                if decision.alarm is not None:
-                    outcome = decision.alarm
+                outcome = step(det, delta)
+                if outcome is not None:
                     break
             if outcome is None:
                 det.advance_to(6 * P)
                 outcome = det.finalize(6 * P)
             return outcome
 
-        assert run() == run()
+        first, second = Records(), Records()
+        assert run(first) == run(second) == run(None)
+        assert first == second
+        assert first[-1][1] == ALARM_FIRED
 
     def test_first_hit_matches_brute_scan(self):
         rng = np.random.default_rng(25)
@@ -338,16 +459,19 @@ class TestRandomizedProperties:
                     if delta.t_ns >= 5 * P and t_min <= delta.value <= t_max:
                         expected = delta
                         break
-            det = Detector(6 * P, P)
+            records = Records()
+            det = Detector(6 * P, P, emit=records)
             fired = None
             for delta in deltas:
-                decision = det.ingest(delta)
-                if decision.alarm is not None:
-                    fired = decision.alarm
+                fired = step(det, delta)
+                if fired is not None:
                     break
             if expected is None:
                 assert fired is None
+                assert records.of(ALARM_FIRED) == []
             else:
                 assert fired is not None
                 assert fired.alarm_time_ns == expected.t_ns
                 assert fired.trigger_delta == expected.value
+                assert records.of(ALARM_FIRED) == [
+                    (expected.t_ns, {"trigger": "ThresholdHit", "value": expected.value})]

@@ -8,7 +8,7 @@ from lightwake import (
     AlarmTrigger,
     ConfigInvalid,
     NS_PER_S,
-    OrderError,
+    OrderViolation,
     RawSample,
     SessionConfig,
     SleepModelParams,
@@ -153,7 +153,7 @@ class TestSourceFailures:
         def broken():
             yield RawSample(0, 0.0, 0.0, 1.0)
             yield RawSample(250_000_000, 0.0, 0.0, 1.0)
-            raise OrderError("line 3: timestamps went backwards")
+            raise OrderViolation("line 3: timestamps went backwards")
 
         buf = io.StringIO()
         with pytest.raises(SourceFailed):

@@ -9,10 +9,8 @@ from lightwake import (
     HOUR_NS,
     InvalidParams,
     NS_PER_S,
-    OrderError,
+    OrderViolation,
     ParseError,
-    ProtocolError,
-    RangeError,
     RawSample,
     SleepModelParams,
     TraceHeader,
@@ -61,13 +59,13 @@ class TestTraceFiles:
 
     def test_non_monotone_timestamps(self, tmp_path):
         bad = "t_s,ax_g,ay_g,az_g\n2.0,0,0,1\n1.5,0,0,1\n"
-        with pytest.raises(OrderError) as err:
+        with pytest.raises(OrderViolation) as err:
             read_trace(write_text(tmp_path, bad))
         assert "line 3" in str(err.value)
 
     def test_out_of_range_component(self, tmp_path):
         bad = "t_s,ax_g,ay_g,az_g\n0.0,6.2,0,0\n"
-        with pytest.raises(RangeError):
+        with pytest.raises(ParseError):
             read_trace(write_text(tmp_path, bad))
 
     def test_missing_header(self, tmp_path):
@@ -226,15 +224,15 @@ class TestLiveSource:
         assert len(samples) == 2
 
     def test_out_of_range_is_protocol_error(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ParseError):
             collect_live(b"0.5 6.2 0 0\n")
 
     def test_malformed_line_is_protocol_error(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ParseError):
             collect_live(b"0.5 1.0 junk\n")
 
     def test_non_monotone_is_order_error(self):
-        with pytest.raises(OrderError):
+        with pytest.raises(OrderViolation):
             collect_live(b"0.5 0 0 1\n0.25 0 0 1\n")
 
     def test_error_closes_connection(self):
@@ -251,7 +249,7 @@ class TestLiveSource:
         thread = threading.Thread(target=client)
         thread.start()
         try:
-            with pytest.raises(ProtocolError):
+            with pytest.raises(ParseError):
                 list(source)
         finally:
             thread.join(timeout=10)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 
-from lightwake.motion import RawSample
+from lightwake.motion import NS_PER_S, RawSample
 from lightwake.sources import TraceHeader
-
-NS_PER_S = 1_000_000_000
 
 BASELINE = (0.0, 0.0, 1.0)
 
