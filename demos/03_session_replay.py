@@ -3,8 +3,9 @@ Replaying a full session on the virtual clock
 =============================================
 
 An 8-hour session runs in well under a second at speed 0; all logged
-timestamps are virtual, so the event log is identical at any speed. The
-log then feeds the chart exporter.
+timestamps are virtual, so the event log is identical at any speed. With
+a sink, the events go to the log file only; reading it back gives them as
+records again. The log then feeds the chart exporter.
 """
 
 from pathlib import Path
@@ -16,6 +17,7 @@ from lightwake import (
     TraceHeader,
     export_period_charts,
     generate_trace,
+    read_event_log,
     run_session,
 )
 
@@ -39,10 +41,11 @@ print(f"alarm time   {outcome.alarm_time_ns / 3.6e12:.3f} h into the night")
 print(f"band         [{bands.t_min:.4f}, {bands.t_max:.4f}]")
 if outcome.trigger_delta is not None:
     print(f"firing delta {outcome.trigger_delta:.4f}")
-print(f"events       {len(result.events)} (log: {log_path})")
+_, events = read_event_log(log_path)
+print(f"events       {len(events)} (log: {log_path})")
 
 print("\nlast moments of the session:")
-for event in result.events[-6:]:
+for event in events[-6:]:
     print(f"  t={event.t_ns / 1e9:10.2f}s  {event.kind:18s} {event.data}")
 
 for path in export_period_charts(log_path, out / "charts"):

@@ -59,7 +59,6 @@ from .sinks import (
     melody_to_wav,
     parse_melody,
     read_event_log,
-    summarize_log,
     synthesize_melody,
     write_wav,
 )
@@ -85,8 +84,7 @@ __all__ = [
     "MAX_DELTA", "MotionDelta", "NormalizedSample", "RawSample",
     "euclidean_norm", "manhattan_delta", "normalize",
     "DEFAULT_ALARM_MELODY", "Melody", "export_period_charts", "melody_to_wav",
-    "parse_melody", "read_event_log",
-    "summarize_log", "synthesize_melody", "write_wav",
+    "parse_melody", "read_event_log", "synthesize_melody", "write_wav",
     "SleepModelParams", "TraceHeader", "generate_trace", "listen_live",
     "read_trace", "write_trace",
 ]

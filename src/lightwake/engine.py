@@ -9,9 +9,10 @@ across speeds.
 
 The event log is JSON Lines: a version header record first
 (``{"v":1,"sleep_ns":...,"period_ns":...}``), then one event per line with
-``t_ns`` (int), ``kind`` (str), and kind-specific fields. Events are
-flushed line by line, so a truncated log is always a prefix of the full
-one.
+``t_ns`` (int), ``kind`` (str), and kind-specific fields. Each record goes
+to exactly one place: with a sink it is written and flushed line by line,
+so a truncated log is always a prefix of the full one, and nothing is kept
+in memory; without one it is appended to ``SessionResult.events``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .detector import (
     DetectorOutcome,
     validate_session_shape,
 )
-from .errors import ConfigInvalid, DegenerateSample, LightwakeError, OrderViolation, SourceFailed
+from .errors import ConfigInvalid, DegenerateSample, LightwakeError, SourceFailed
 from .motion import NS_PER_S, NormalizedSample, RawSample, manhattan_delta, normalize
 
 logger = logging.getLogger(__name__)
@@ -83,7 +84,7 @@ class SessionResult:
 
 
 class EventLog:
-    """Collects SessionEvents and, when given a sink, flushes each line eagerly."""
+    """Writes each SessionEvent to the sink, flushed eagerly, or else keeps it in `events`."""
 
     def __init__(self, config: SessionConfig, sink: IO[str] | None = None):
         self.events: list[SessionEvent] = []
@@ -99,8 +100,9 @@ class EventLog:
 
     def emit(self, t_ns: int, kind: str, **data: Any) -> None:
         event = SessionEvent(t_ns, kind, data)
-        self.events.append(event)
-        if self._sink is not None:
+        if self._sink is None:
+            self.events.append(event)
+        else:
             self._sink.write(event.to_json() + "\n")
             self._sink.flush()
 
@@ -144,10 +146,12 @@ def run_session(
     the source is stopped immediately; if the stream or the session ends
     without one, the virtual clock fast-forwards and the fallback alarm
     fires at exactly the configured sleep duration. The alarm callback is
-    invoked exactly once per session.
+    invoked exactly once per session. Event records go to `event_sink` when
+    one is given, else to `SessionResult.events`; never to both.
 
     Raises ConfigInvalid before any work, and SourceFailed if the source
-    errors mid-session (the partial event log is already flushed).
+    errors mid-session or yields a negative or non-increasing timestamp
+    (the partial event log is already flushed).
     """
     config.validate()
     log = EventLog(config, event_sink)
@@ -157,6 +161,7 @@ def run_session(
 
     outcome: DetectorOutcome | None = None
     prev: NormalizedSample | None = None
+    last_t_ns = -1
     iterator: Iterator[RawSample] = iter(source)
     try:
         while True:
@@ -166,6 +171,10 @@ def run_session(
                 break
             except (LightwakeError, OSError) as exc:
                 raise SourceFailed(f"sample source failed: {exc}") from exc
+            if sample.t_ns <= last_t_ns:
+                raise SourceFailed(f"source timestamps must be non-negative and strictly "
+                                   f"increasing: {sample.t_ns} ns after {last_t_ns} ns")
+            last_t_ns = sample.t_ns
             if sample.t_ns >= config.sleep_duration_ns:
                 break
             clock.wait_until(sample.t_ns)
@@ -178,10 +187,7 @@ def run_session(
                 continue
             log.emit(sample.t_ns, SAMPLE_ACCEPTED)
             if prev is not None:
-                try:
-                    delta = manhattan_delta(prev, norm)
-                except OrderViolation as exc:
-                    raise SourceFailed(f"source yielded non-monotone timestamps: {exc}") from exc
+                delta = manhattan_delta(prev, norm)
                 log.emit(delta.t_ns, DELTA_COMPUTED, value=delta.value)
                 outcome = detector.ingest(delta)
                 if outcome is not None:
@@ -209,8 +215,7 @@ def run_session(
 def parse_event_line(line: str) -> SessionEvent:
     """Decode one event-log line back into a SessionEvent (not the header)."""
     record = json.loads(line)
-    t_ns = record.pop("t_ns")
-    kind = record.pop("kind")
-    if not isinstance(t_ns, int) or not isinstance(kind, str):
+    if (not isinstance(record, dict) or type(record.get("t_ns")) is not int
+            or not isinstance(record.get("kind"), str)):
         raise ValueError(f"not an event record: {line!r}")
-    return SessionEvent(t_ns=t_ns, kind=kind, data=record)
+    return SessionEvent(t_ns=record.pop("t_ns"), kind=record.pop("kind"), data=record)

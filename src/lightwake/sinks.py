@@ -22,14 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .detector import validate_session_shape
 from .engine import (
     ALARM_FIRED,
     DELTA_COMPUTED,
+    LOG_VERSION,
     SessionEvent,
     THRESHOLDS_UPDATED,
     parse_event_line,
 )
-from .errors import InvalidMelody, MalformedLog
+from .errors import ConfigInvalid, InvalidMelody, MalformedLog
 from .sources import format_seconds
 
 # 0.8 of full scale: loud but clear of clipping artifacts.
@@ -138,133 +140,107 @@ def melody_to_wav(melody: Melody, path: str | Path,
 
 # -- chart export -------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class LogSummary:
-    sleep_ns: int
-    period_ns: int
-    n_periods: int
-    period_maxima: dict[int, float]
-    t_min: float | None
-    t_max: float | None
-    alarm_trigger: str | None
-    alarm_t_ns: int | None
-    alarm_delta: float | None
-
-
 def read_event_log(path: str | Path) -> tuple[dict, list[SessionEvent]]:
-    """Load a JSONL event log: (header record, events).
+    """Load and validate a JSONL event log: (header record, events).
 
     A log cut off after any complete line is still readable (the events are
-    simply a prefix); only syntactic corruption raises MalformedLog.
+    simply a prefix). Whatever the engine could not have written raises
+    MalformedLog: a bad header, a line that is no event record, an event
+    outside 0..sleep_ns, or a DeltaComputed at sleep_ns or without a float.
     """
     path = Path(path)
     events: list[SessionEvent] = []
     header: dict | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if header is None:
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                if header is None:
+                    header = _parse_header(path, line)
+                    continue
                 try:
-                    header = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedLog(f"{path}: line 1 is not JSON: {exc}") from None
-                if not isinstance(header, dict) or "v" not in header:
-                    raise MalformedLog(f"{path}: first record is not a version header")
-                if header.get("v") != 1:
-                    raise MalformedLog(f"{path}: unsupported log version {header.get('v')!r}")
-                if "sleep_ns" not in header or "period_ns" not in header:
-                    raise MalformedLog(f"{path}: header lacks sleep_ns/period_ns")
-                continue
-            try:
-                events.append(parse_event_line(line))
-            except (json.JSONDecodeError, ValueError, KeyError) as exc:
-                raise MalformedLog(f"{path}: line {lineno}: {exc}") from None
+                    event = parse_event_line(line)
+                except (ValueError, RecursionError) as exc:
+                    raise MalformedLog(f"{path}: line {lineno}: {exc}") from None
+                if not 0 <= event.t_ns <= header["sleep_ns"]:
+                    raise MalformedLog(f"{path}: line {lineno}: t_ns {event.t_ns} outside the session")
+                if event.kind == DELTA_COMPUTED and (
+                        event.t_ns == header["sleep_ns"] or type(event.data.get("value")) is not float):
+                    raise MalformedLog(f"{path}: line {lineno}: not a delta record: {line!r}")
+                events.append(event)
+    except UnicodeDecodeError as exc:
+        raise MalformedLog(f"{path}: not UTF-8: {exc}") from None
     if header is None:
         raise MalformedLog(f"{path}: empty log (no version header)")
     return header, events
 
 
-def _group_deltas(header: dict, events: list[SessionEvent]) -> list[list[tuple[int, float]]]:
-    """Per-period buckets of (offset_ns within period, delta value)."""
-    period_ns = header["period_ns"]
-    sleep_ns = header["sleep_ns"]
-    n_periods = math.ceil(sleep_ns / period_ns)
-    buckets: list[list[tuple[int, float]]] = [[] for _ in range(n_periods)]
-    for event in events:
-        if event.kind != DELTA_COMPUTED:
-            continue
-        index = min(event.t_ns // period_ns, n_periods - 1)
-        buckets[index].append((event.t_ns - index * period_ns, event.data["value"]))
-    return buckets
+def _parse_header(path: Path, line: str) -> dict:
+    try:
+        header = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedLog(f"{path}: line 1 is not JSON: {exc}") from None
+    if not isinstance(header, dict) or "v" not in header:
+        raise MalformedLog(f"{path}: first record is not a version header")
+    if header["v"] != LOG_VERSION:
+        raise MalformedLog(f"{path}: unsupported log version {header['v']!r}")
+    sleep_ns, period_ns = header.get("sleep_ns"), header.get("period_ns")
+    if type(sleep_ns) is not int or type(period_ns) is not int:
+        raise MalformedLog(f"{path}: header lacks integer sleep_ns/period_ns")
+    try:
+        validate_session_shape(sleep_ns, period_ns)
+    except ConfigInvalid as exc:
+        raise MalformedLog(f"{path}: header: {exc}") from None
+    return header
 
 
-def summarize_log(header: dict, events: list[SessionEvent]) -> LogSummary:
-    """Per-period delta maxima (the final period's too), last band, and the alarm."""
-    buckets = _group_deltas(header, events)
-    maxima = {k: max(value for _, value in bucket)
-              for k, bucket in enumerate(buckets) if bucket}
-    t_min = t_max = None
-    alarm_trigger = None
-    alarm_t_ns = None
-    alarm_delta = None
-    for event in events:
-        if event.kind == THRESHOLDS_UPDATED:
-            t_min = event.data.get("t_min")
-            t_max = event.data.get("t_max")
-        elif event.kind == ALARM_FIRED:
-            alarm_trigger = event.data.get("trigger")
-            alarm_t_ns = event.t_ns
-            alarm_delta = event.data.get("value")
-    return LogSummary(
-        sleep_ns=header["sleep_ns"],
-        period_ns=header["period_ns"],
-        n_periods=len(buckets),
-        period_maxima=maxima,
-        t_min=t_min,
-        t_max=t_max,
-        alarm_trigger=alarm_trigger,
-        alarm_t_ns=alarm_t_ns,
-        alarm_delta=alarm_delta,
-    )
+def _cell(value: object) -> str:
+    return "" if value is None else repr(value)
 
 
 def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path]:
     """Write period_<k>.csv for every period plus summary.csv; returns the paths.
 
     Chart rows are a lossless projection of the log's DeltaComputed events.
+    The summary holds each period's maximum delta (the final period's too),
+    the last logged band, and the alarm.
     """
     header, events = read_event_log(log_path)
+    period_ns = header["period_ns"]
+    n_periods = -(-header["sleep_ns"] // period_ns)
+    buckets: list[list[tuple[int, float]]] = [[] for _ in range(n_periods)]
+    t_min = t_max = alarm_t_ns = None
+    alarm_fields: dict = {}
+    for event in events:
+        if event.kind == DELTA_COMPUTED:
+            index = event.t_ns // period_ns
+            buckets[index].append((event.t_ns - index * period_ns, event.data["value"]))
+        elif event.kind == THRESHOLDS_UPDATED:
+            t_min, t_max = event.data.get("t_min"), event.data.get("t_max")
+        elif event.kind == ALARM_FIRED:
+            alarm_t_ns, alarm_fields = event.t_ns, event.data
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    for index, bucket in enumerate(_group_deltas(header, events)):
+    for index, bucket in enumerate(buckets):
         path = out_dir / f"period_{index}.csv"
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write("t_s,delta\n")
-            for rel_ns, value in bucket:
-                fh.write(f"{format_seconds(rel_ns)},{value!r}\n")
+            fh.writelines(f"{format_seconds(rel_ns)},{value!r}\n" for rel_ns, value in bucket)
         written.append(path)
 
-    summary = summarize_log(header, events)
     path = out_dir / "summary.csv"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("key,value\n")
-        for k in range(summary.n_periods):
-            value = summary.period_maxima.get(k)
-            fh.write(f"period_{k}_max,{'' if value is None else repr(value)}\n")
-        fh.write(f"t_min,{'' if summary.t_min is None else repr(summary.t_min)}\n")
-        fh.write(f"t_max,{'' if summary.t_max is None else repr(summary.t_max)}\n")
-        fh.write(f"alarm_trigger,{summary.alarm_trigger or ''}\n")
-        fh.write(
-            "alarm_t_s,"
-            f"{'' if summary.alarm_t_ns is None else format_seconds(summary.alarm_t_ns)}\n"
-        )
-        fh.write(
-            "alarm_delta,"
-            f"{'' if summary.alarm_delta is None else repr(summary.alarm_delta)}\n"
-        )
+        for index, bucket in enumerate(buckets):
+            fh.write(f"period_{index}_max,{_cell(max((v for _, v in bucket), default=None))}\n")
+        fh.write(f"t_min,{_cell(t_min)}\n")
+        fh.write(f"t_max,{_cell(t_max)}\n")
+        fh.write(f"alarm_trigger,{alarm_fields.get('trigger') or ''}\n")
+        fh.write(f"alarm_t_s,{'' if alarm_t_ns is None else format_seconds(alarm_t_ns)}\n")
+        fh.write(f"alarm_delta,{_cell(alarm_fields.get('value'))}\n")
     written.append(path)
     return written

@@ -29,6 +29,7 @@ from lightwake import (
     manhattan_delta,
     melody_to_wav,
     normalize,
+    read_event_log,
     run_session,
 )
 from lightwake.engine import ALARM_FIRED, DELTA_COMPUTED
@@ -240,8 +241,8 @@ def test_criterion_7_source_equivalence_over_tcp(paper_case):
     assert live.outcome == paper_case.result.outcome
     live_deltas = [(e.t_ns, e.data["value"]) for e in live.events
                    if e.kind == DELTA_COMPUTED]
-    file_deltas = [(e.t_ns, e.data["value"]) for e in paper_case.result.events
-                   if e.kind == DELTA_COMPUTED]
+    _, logged = read_event_log(paper_case.log_path)
+    file_deltas = [(e.t_ns, e.data["value"]) for e in logged if e.kind == DELTA_COMPUTED]
     assert live_deltas == file_deltas
     announce(7, "TCP source equivalence on the fixture trace")
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from lightwake import NS_PER_S, write_trace
+from test_sinks import BAD_HEADER_LINES, BAD_RECORD_LINES
 from trace_builders import scripted_trace
 
 
@@ -160,6 +161,16 @@ class TestEndToEnd:
         result = cli("charts", "--log", str(missing), "--out-dir", str(tmp_path / "c"))
         assert result.returncode == 1
         assert "absent.jsonl" in result.stderr
+
+    def test_charts_malformed_log_exits_1(self, tmp_path):
+        header = b'{"v":1,"sleep_ns":240000000000,"period_ns":60000000000}\n'
+        log = tmp_path / "bad.jsonl"
+        for data in BAD_HEADER_LINES + [header + line for line in BAD_RECORD_LINES]:
+            log.write_bytes(data)
+            result = cli("charts", "--log", str(log), "--out-dir", str(tmp_path / "c"))
+            assert result.returncode == 1, data
+            assert result.stderr.startswith(f"lightwake: {log}: "), result.stderr
+            assert len(result.stderr.splitlines()) == 1, result.stderr
 
     def test_speed_invariance_through_cli(self, tmp_path):
         trace = tmp_path / "t.csv"

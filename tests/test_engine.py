@@ -164,9 +164,10 @@ class TestSourceFailures:
             parse_event_line(line)  # every flushed line is complete JSON
 
     def test_non_monotone_custom_source_detected(self):
-        samples = [RawSample(0, 0.0, 0.0, 1.0), RawSample(0, 0.0, 0.0, 1.0)]
-        with pytest.raises(SourceFailed):
-            run_session(SessionConfig(3 * P, P), samples)
+        for times in ([0, 0], [0, 2 * NS, 1 * NS], [-1]):
+            samples = [RawSample(t, 0.0, 0.0, 1.0) for t in times]
+            with pytest.raises(SourceFailed, match="strictly increasing"):
+                run_session(SessionConfig(3 * P, P), samples)
 
     def test_source_closed_on_alarm(self):
         closed = []
@@ -215,7 +216,10 @@ class TestEventLogShape:
     def test_paper_fixture_log_grammar_and_memory_events_match(self, paper_case):
         text = paper_case.log_path.read_text(encoding="utf-8")
         _, events = check_log_grammar(text)
-        assert events == paper_case.result.events
+        assert paper_case.result.events == []  # the sink took every record
+        in_memory = run_session(SessionConfig(8 * 3600 * NS, 3600 * NS), paper_case.samples)
+        assert in_memory.outcome == paper_case.result.outcome
+        assert in_memory.events == events
 
     def test_truncated_log_is_a_prefix(self, paper_case):
         lines = paper_case.log_path.read_text(encoding="utf-8").splitlines()

@@ -15,7 +15,6 @@ from lightwake import (
     parse_melody,
     read_event_log,
     run_session,
-    summarize_log,
     synthesize_melody,
 )
 from lightwake.engine import DELTA_COMPUTED
@@ -24,6 +23,21 @@ from reference import per_period_maxima
 from trace_builders import scripted_trace
 
 P = 60 * NS_PER_S
+
+# Logs the engine could not have written; each must be a MalformedLog.
+BAD_HEADER_LINES = [
+    b'{"v":1,"sleep_ns":28800000000000,"period_ns":0}\n',
+    b'{"v":1,"sleep_ns":"28800000000000","period_ns":3600000000000}\n',
+    b"[" * 100_000 + b"\n",
+]
+BAD_RECORD_LINES = [
+    b'{"t_ns":5,"kind":"DeltaComputed"}\n',
+    b'[5,"DeltaComputed",0.5]\n',
+    b'{"t_ns":5,"kind":"SampleSkipped","reason":"\xff"}\n',
+    b'{"t_ns":-5,"kind":"DeltaComputed","value":0.5}\n',
+    b'{"t_ns":240000000000,"kind":"DeltaComputed","value":0.5}\n',
+    b"[" * 100_000 + b"\n",
+]
 
 
 class TestMelody:
@@ -131,20 +145,26 @@ class TestCharts:
             for row in lines[1:]:
                 t_s, value = row.split(",")
                 reconstructed.append((k * P + seconds_to_ns(t_s), float(value)))
-        logged = [(e.t_ns, e.data["value"]) for e in result.events
-                  if e.kind == DELTA_COMPUTED]
-        assert reconstructed == logged
+        _, events = read_event_log(log_path)
+        logged = [(e.t_ns, e.data["value"]) for e in events if e.kind == DELTA_COMPUTED]
+        assert logged and reconstructed == logged
 
     def test_summary_matches_brute_force(self, tmp_path):
         samples, log_path, result = self.small_case(tmp_path)
-        header, events = read_event_log(log_path)
-        summary = summarize_log(header, events)
-        assert summary.period_maxima == per_period_maxima(samples, 4 * P, P)
-        assert summary.t_min == result.outcome.final_thresholds.t_min
-        assert summary.t_max == result.outcome.final_thresholds.t_max
-        assert summary.alarm_trigger == result.outcome.trigger.value
-        assert summary.alarm_t_ns == result.outcome.alarm_time_ns
-        assert summary.alarm_delta == result.outcome.trigger_delta
+        out = tmp_path / "charts"
+        export_period_charts(log_path, out)
+        rows = (out / "summary.csv").read_text(encoding="utf-8").splitlines()[1:]
+        summary = dict(row.split(",", 1) for row in rows)
+        maxima = per_period_maxima(samples, 4 * P, P)
+        assert sorted(maxima) == [0, 1, 2, 3]
+        for k, value in maxima.items():
+            assert float(summary[f"period_{k}_max"]) == value
+        outcome = result.outcome
+        assert float(summary["t_min"]) == outcome.final_thresholds.t_min
+        assert float(summary["t_max"]) == outcome.final_thresholds.t_max
+        assert summary["alarm_trigger"] == outcome.trigger.value
+        assert seconds_to_ns(summary["alarm_t_s"]) == outcome.alarm_time_ns
+        assert float(summary["alarm_delta"]) == outcome.trigger_delta
 
     def test_empty_final_period_writes_header_only(self, tmp_path):
         samples = [s for _, s in [scripted_trace([0.5, 0.6], [], period_s=60)]][0]
@@ -171,6 +191,11 @@ class TestCharts:
                            encoding="utf-8")
         with pytest.raises(MalformedLog):
             export_period_charts(corrupt, tmp_path / "charts")
+        prefix = ("\n".join(lines[:10]) + "\n").encode("utf-8")
+        for line in BAD_RECORD_LINES:
+            corrupt.write_bytes(prefix + line)
+            with pytest.raises(MalformedLog):
+                export_period_charts(corrupt, tmp_path / "charts")
 
     def test_missing_or_bad_header_raises(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -181,6 +206,11 @@ class TestCharts:
         bad_version.write_text('{"v":2,"sleep_ns":1,"period_ns":1}\n', encoding="utf-8")
         with pytest.raises(MalformedLog):
             read_event_log(bad_version)
+        bad_header = tmp_path / "bad_header.jsonl"
+        for line in BAD_HEADER_LINES:
+            bad_header.write_bytes(line)
+            with pytest.raises(MalformedLog):
+                export_period_charts(bad_header, tmp_path / "charts")
 
     def test_chart_series_points_are_in_period_and_ordered(self, tmp_path):
         _, log_path, _ = self.small_case(tmp_path)
