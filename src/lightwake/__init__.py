@@ -25,7 +25,6 @@ from .engine import (
     SessionConfig,
     SessionEvent,
     SessionResult,
-    VirtualClock,
     run_session,
 )
 from .errors import (
@@ -77,7 +76,7 @@ __all__ = [
     "AlarmTrigger", "Detector", "DetectorOutcome",
     "DetectorSnapshot", "Phase", "SleepStage", "ThresholdState", "classify",
     "HOUR_NS", "MINUTE_NS", "NS_PER_S", "SessionConfig", "SessionEvent",
-    "SessionResult", "VirtualClock", "run_session",
+    "SessionResult", "run_session",
     "BindError", "ConfigInvalid", "DegenerateSample", "InvalidMelody",
     "InvalidParams", "InvalidThresholds", "LightwakeError", "MalformedLog",
     "OrderViolation", "ParseError", "PhaseViolation", "SourceFailed",

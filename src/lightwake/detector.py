@@ -43,7 +43,6 @@ number of sessions may run concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
@@ -56,6 +55,10 @@ THRESHOLDS_UPDATED = "ThresholdsUpdated"
 FINAL_PERIOD_ENTERED = "FinalPeriodEntered"
 STAGE_CLASSIFIED = "StageClassified"
 ALARM_FIRED = "AlarmFired"
+
+# Every period costs a PeriodClosed record, a maxima entry and a chart file;
+# an 8 h night of one-minute periods has 480.
+MAX_PERIODS = 10_000
 
 Emit = Callable[..., None]
 """Record sink, called as emit(t_ns, kind, **fields) with fields in log order."""
@@ -134,8 +137,9 @@ def _discard(t_ns: int, kind: str, **fields: Any) -> None:
     pass
 
 
-def validate_session_shape(sleep_duration_ns: int, period_length_ns: int) -> None:
-    """Raise ConfigInvalid unless the session holds a learning period plus the final one."""
+def validate_session_shape(sleep_duration_ns: int, period_length_ns: int) -> int:
+    """Return the period count (the last may be short); raise ConfigInvalid unless the
+    session holds a learning period plus the final one, and at most MAX_PERIODS in all."""
     if period_length_ns <= 0:
         raise ConfigInvalid(f"period length must be positive, got {period_length_ns} ns")
     if sleep_duration_ns < 2 * period_length_ns:
@@ -143,6 +147,10 @@ def validate_session_shape(sleep_duration_ns: int, period_length_ns: int) -> Non
             f"sleep duration {sleep_duration_ns} ns leaves no room for a learning "
             f"period plus the final one (need >= {2 * period_length_ns} ns)"
         )
+    n_periods = -(-sleep_duration_ns // period_length_ns)
+    if n_periods > MAX_PERIODS:
+        raise ConfigInvalid(f"session of {n_periods} periods exceeds the limit of {MAX_PERIODS}")
+    return n_periods
 
 
 def classify(delta: MotionDelta, t_min: float, t_max: float) -> SleepStage:
@@ -159,13 +167,12 @@ class Detector:
 
     def __init__(self, sleep_duration_ns: int, period_length_ns: int,
                  emit: Emit | None = None):
-        validate_session_shape(sleep_duration_ns, period_length_ns)
+        # Index of the last period; it may be shorter than P when the sleep
+        # duration is not an exact multiple.
+        self.final_period_index = validate_session_shape(sleep_duration_ns, period_length_ns) - 1
         self._emit = _discard if emit is None else emit
         self.sleep_duration_ns = sleep_duration_ns
         self.period_length_ns = period_length_ns
-        # Index of the last period; it may be shorter than P when the sleep
-        # duration is not an exact multiple.
-        self.final_period_index = math.ceil(sleep_duration_ns / period_length_ns) - 1
 
         self._phase = Phase.LEARNING
         self._period_index = 0

@@ -107,31 +107,6 @@ class EventLog:
             self._sink.flush()
 
 
-class VirtualClock:
-    """Maps virtual session time onto wall time at a fixed speed ratio.
-
-    speed 0 never sleeps; speed s > 0 holds delivery of the event at
-    virtual time t until wall time start + t/s.
-    """
-
-    def __init__(self, speed: float):
-        self.speed = speed
-        self._wall_start: float | None = None
-
-    def start(self) -> None:
-        self._wall_start = time.monotonic()
-
-    def wait_until(self, t_ns: int) -> None:
-        if self.speed <= 0.0:
-            return
-        if self._wall_start is None:
-            self.start()
-        target = self._wall_start + (t_ns / NS_PER_S) / self.speed
-        delay = target - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-
-
 def run_session(
     config: SessionConfig,
     source: Iterable[RawSample],
@@ -156,8 +131,7 @@ def run_session(
     config.validate()
     log = EventLog(config, event_sink)
     detector = Detector(config.sleep_duration_ns, config.period_length_ns, emit=log.emit)
-    clock = VirtualClock(config.speed)
-    clock.start()
+    wall_start = time.monotonic()
 
     outcome: DetectorOutcome | None = None
     prev: NormalizedSample | None = None
@@ -177,7 +151,10 @@ def run_session(
             last_t_ns = sample.t_ns
             if sample.t_ns >= config.sleep_duration_ns:
                 break
-            clock.wait_until(sample.t_ns)
+            if config.speed > 0.0:
+                delay = wall_start + (sample.t_ns / NS_PER_S) / config.speed - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
             detector.advance_to(sample.t_ns)
             try:
                 norm = normalize(sample)

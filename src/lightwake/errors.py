@@ -30,8 +30,8 @@ class PhaseViolation(LightwakeError):
 class ParseError(LightwakeError):
     """Malformed or out-of-range trace row or live protocol line.
 
-    For trace files the message and line_number carry the 1-based line
-    number; a live connection that breaks the protocol is dropped.
+    The message and line_number carry the 1-based number of the offending
+    trace or wire line; a live connection that breaks the protocol is dropped.
     """
 
     def __init__(self, message: str, line_number: int | None = None):

@@ -209,7 +209,7 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
     """
     header, events = read_event_log(log_path)
     period_ns = header["period_ns"]
-    n_periods = -(-header["sleep_ns"] // period_ns)
+    n_periods = validate_session_shape(header["sleep_ns"], period_ns)
     buckets: list[list[tuple[int, float]]] = [[] for _ in range(n_periods)]
     t_min = t_max = alarm_t_ns = None
     alarm_fields: dict = {}

@@ -14,15 +14,17 @@ Trace file format (UTF-8 CSV):
 
 Optional ``#``-prefixed ``key=value`` comment lines may precede the header;
 ``rate_hz`` and ``label`` are recognized. ``t_s`` is seconds from session
-start and is converted to integer nanoseconds by rounding half-up (decimal
-arithmetic, so the text value is authoritative). Timestamps must be
-strictly increasing and every component must stay within the sensor's
-+/-5 g range.
+start, below 1e12, and is converted to integer nanoseconds by rounding
+half-up (decimal arithmetic, so the text value is authoritative).
+Timestamps must be strictly increasing and every component must stay
+within the sensor's +/-5 g range.
 
-Live line protocol (TCP): newline-delimited ASCII, one sample per line as
-four space-separated decimal fields ``t_s ax ay az``. The server accepts a
-single client, replies nothing, and drops the connection on the first
-invalid line. Closing the connection ends the stream.
+Live line protocol (TCP): newline-delimited ASCII, one sample per line of
+at most MAX_LINE_BYTES (1024) bytes, as four whitespace-separated decimal
+fields ``t_s ax ay az``, validated like trace rows: blank lines are skipped
+and an error names its line. The server accepts a single client, replies
+nothing, and drops the connection on the first invalid line. Closing the
+connection ends the stream.
 
 The synthetic generator is a fixture factory, not a physiological model:
 a gravity baseline plus Gaussian noise, with randomized movement bursts
@@ -40,7 +42,7 @@ import socket
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -50,6 +52,7 @@ from .motion import NS_PER_S, RawSample, SENSOR_RANGE_G
 logger = logging.getLogger(__name__)
 
 TRACE_HEADER_LINE = "t_s,ax_g,ay_g,az_g"
+MAX_LINE_BYTES = 1024
 
 _NS_QUANTUM = Decimal(NS_PER_S)
 
@@ -116,7 +119,7 @@ def seconds_to_ns(token: str) -> int:
     """Convert a decimal seconds field to integer nanoseconds, rounding half-up.
 
     Decimal arithmetic on the text keeps the conversion exact and
-    platform-independent; raises ValueError on anything non-finite.
+    platform-independent; raises ValueError on anything non-finite or >= 1e12 s.
     """
     try:
         value = Decimal(token)
@@ -124,10 +127,14 @@ def seconds_to_ns(token: str) -> int:
         raise ValueError(f"not a decimal number: {token!r}") from exc
     if not value.is_finite():
         raise ValueError(f"non-finite time value: {token!r}")
+    # Larger values overflow Decimal or make int() take seconds; no night lasts 1e12 s.
+    if value.adjusted() >= 12:
+        raise ValueError(f"time value {token!r} out of range")
     return int((value * _NS_QUANTUM).to_integral_value(rounding=ROUND_HALF_UP))
 
 
 def _fields_to_sample(t_tok: str, x_tok: str, y_tok: str, z_tok: str) -> RawSample:
+    # Decimal and float ignore surrounding whitespace, so tokens need no strip.
     try:
         t_ns = seconds_to_ns(t_tok)
     except ValueError as exc:
@@ -148,68 +155,73 @@ def _fields_to_sample(t_tok: str, x_tok: str, y_tok: str, z_tok: str) -> RawSamp
     return RawSample(t_ns, comps[0], comps[1], comps[2])
 
 
+def _samples(numbered_lines: Iterable[tuple[int, str]], sep: str | None) -> Iterator[RawSample]:
+    """Parse ``t_s ax ay az`` rows, split on sep, into strictly time-ordered samples.
+
+    The one row reader for trace files and the live wire: blank rows are
+    skipped, and a ParseError or OrderViolation names its 1-based line.
+    """
+    prev_t = -1  # timestamps are non-negative, so the first row always passes
+    for lineno, line in numbered_lines:
+        fields = line.split(sep)
+        try:
+            if len(fields) != 4:
+                if not line.strip():
+                    continue
+                raise ParseError(f"expected 4 fields (t_s ax ay az), got {len(fields)}")
+            sample = _fields_to_sample(*fields)
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}", lineno) from None
+        if sample.t_ns <= prev_t:
+            raise OrderViolation(
+                f"line {lineno}: timestamp {sample.t_ns} ns does not increase past {prev_t} ns"
+            )
+        prev_t = sample.t_ns
+        yield sample
+
+
 # -- trace files ------------------------------------------------------------
 
 def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
     """Parse a trace CSV into its header and time-ordered samples.
 
     Raises ParseError (with the offending line number) on malformed or
-    out-of-range rows, or OrderViolation on non-monotone timestamps.
+    out-of-range rows or on bytes that are not UTF-8, or OrderViolation on
+    non-monotone timestamps.
     """
     path = Path(path)
     rate = 4.0
     label = ""
-    samples: list[RawSample] = []
-    prev_t: int | None = None
-    seen_header = False
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.rstrip("\n").rstrip("\r")
-            if not seen_header:
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    key = key.strip()
-                    if key == "rate_hz":
-                        try:
-                            rate = float(value)
-                            validate_sample_rate(rate)
-                        except (ValueError, InvalidParams) as exc:
-                            raise ParseError(
-                                f"line {lineno}: bad rate_hz value {value!r}: {exc}", lineno
-                            ) from None
-                    elif key == "label":
-                        label = value
-                    # Unknown keys are ignored for forward compatibility.
-                    continue
-                if line.strip() != TRACE_HEADER_LINE:
-                    raise ParseError(
-                        f"line {lineno}: expected header {TRACE_HEADER_LINE!r}, "
-                        f"got {line!r}",
-                        lineno,
-                    )
-                seen_header = True
-                continue
-            if not line.strip():
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) != 4:
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            lines = enumerate(fh, start=1)
+            for lineno, line in lines:
+                line = line.rstrip("\r\n")
+                if not line.startswith("#"):
+                    break
+                key, _, value = line[1:].strip().partition("=")
+                key = key.strip()
+                if key == "rate_hz":
+                    try:
+                        rate = float(value)
+                        validate_sample_rate(rate)
+                    except (ValueError, InvalidParams) as exc:
+                        raise ParseError(
+                            f"line {lineno}: bad rate_hz value {value!r}: {exc}", lineno
+                        ) from None
+                elif key == "label":
+                    label = value
+                # Unknown keys are ignored for forward compatibility.
+            else:
+                raise ParseError(f"{path}: missing {TRACE_HEADER_LINE!r} header line", None)
+            if line.strip() != TRACE_HEADER_LINE:
                 raise ParseError(
-                    f"line {lineno}: expected 4 comma-separated fields, got {len(fields)}",
+                    f"line {lineno}: expected header {TRACE_HEADER_LINE!r}, got {line!r}",
                     lineno,
                 )
-            try:
-                sample = _fields_to_sample(*fields)
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}", lineno) from None
-            if prev_t is not None and sample.t_ns <= prev_t:
-                raise OrderViolation(
-                    f"line {lineno}: timestamp {sample.t_ns} ns does not increase "
-                    f"past {prev_t} ns"
-                )
-            prev_t = sample.t_ns
-            samples.append(sample)
-    if not seen_header:
-        raise ParseError(f"{path}: missing {TRACE_HEADER_LINE!r} header line", None)
+            samples = list(_samples(lines, ","))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}", None) from None
     header = TraceHeader(
         sample_rate_hz=rate,
         duration_ns=samples[-1].t_ns if samples else 0,
@@ -334,6 +346,17 @@ def _parse_bind_address(address: str | tuple[str, int]) -> tuple[str, int]:
         raise BindError(f"bind address {address!r} has a non-numeric port") from None
 
 
+def _wire_lines(wire: BinaryIO) -> Iterator[tuple[int, str]]:
+    """Number the lines of a connection, refusing one longer than MAX_LINE_BYTES.
+
+    Non-ASCII bytes decode to U+FFFD, which no field accepts.
+    """
+    for lineno, line in enumerate(iter(lambda: wire.readline(MAX_LINE_BYTES + 1), b""), start=1):
+        if len(line) > MAX_LINE_BYTES:
+            raise ParseError(f"line {lineno}: longer than {MAX_LINE_BYTES} bytes", lineno)
+        yield lineno, line.decode("ascii", "replace")
+
+
 class LiveSource:
     """Iterator of RawSamples read from a single TCP client.
 
@@ -375,46 +398,14 @@ class LiveSource:
         finally:
             self._listener.close()
         logger.info("live source: client connected from %s:%s", *peer[:2])
-        prev_t: int | None = None
-        buffer = b""
-        with conn:
-            conn.settimeout(self._timeout)
-            while True:
-                try:
-                    chunk = conn.recv(65536)
-                except socket.timeout:
-                    raise ParseError("timed out waiting for sample data") from None
-                if not chunk:
-                    break
-                buffer += chunk
-                while True:
-                    line, sep, buffer = buffer.partition(b"\n")
-                    if not sep:
-                        buffer = line
-                        break
-                    yield self._parse_line(line, prev_t)
-                    prev_t = self._last_t
-            if buffer.strip():
-                yield self._parse_line(buffer, prev_t)
+        conn.settimeout(self._timeout)
+        # A timeout leaves the file object unusable, but it also ends the stream.
+        with conn, conn.makefile("rb") as wire:
+            try:
+                yield from _samples(_wire_lines(wire), None)
+            except socket.timeout:
+                raise ParseError("timed out waiting for sample data") from None
         logger.info("live source: connection closed, stream ends")
-
-    def _parse_line(self, line: bytes, prev_t: int | None) -> RawSample:
-        try:
-            text = line.decode("ascii")
-        except UnicodeDecodeError:
-            raise ParseError(f"non-ASCII bytes on the wire: {line[:40]!r}") from None
-        tokens = text.split()
-        if len(tokens) != 4:
-            raise ParseError(
-                f"expected 4 space-separated fields, got {len(tokens)}: {text!r}"
-            )
-        sample = _fields_to_sample(*tokens)
-        if prev_t is not None and sample.t_ns <= prev_t:
-            raise OrderViolation(
-                f"timestamp {sample.t_ns} ns does not increase past {prev_t} ns"
-            )
-        self._last_t = sample.t_ns
-        return sample
 
     def close(self) -> None:
         self._listener.close()

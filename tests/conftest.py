@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import time
@@ -76,6 +77,14 @@ class CliNight:
     log_path: Path
 
 
+def child_env(**extra: str) -> dict[str, str]:
+    """Environment for a child interpreter that imports lightwake from src/, uninstalled."""
+    env = dict(os.environ, **extra)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.fixture(scope="session")
 def seed42_night(tmp_path_factory) -> CliNight:
     """The README's CLI example: generate seed 42, then run it with a log."""
@@ -84,7 +93,7 @@ def seed42_night(tmp_path_factory) -> CliNight:
 
     def cli(*args):
         result = subprocess.run([sys.executable, "-m", "lightwake", *args],
-                                capture_output=True, text=True, timeout=300)
+                                capture_output=True, text=True, timeout=300, env=child_env())
         assert result.returncode == 0, result.stderr
         return result.stdout
 

@@ -8,19 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from lightwake import NS_PER_S, write_trace
 from test_sinks import BAD_HEADER_LINES, BAD_RECORD_LINES
 from trace_builders import scripted_trace
 
 
 def cli(*args, timeout=120, env_extra=None):
-    import os
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "lightwake", *args],
-        capture_output=True, text=True, timeout=timeout, env=env,
+        capture_output=True, text=True, timeout=timeout, env=child_env(**(env_extra or {})),
     )
 
 
@@ -62,7 +59,8 @@ class TestUsage:
     def test_run_rejects_bad_session_shape(self, tiny_trace):
         for args in (("--sleep-hours", "0.5", "--period-min", "60"), ("--speed", "-1"),
                      ("--speed", "nan"), ("--sleep-hours", "inf"),
-                     ("--sleep-hours", "1e300"), ("--period-min", "nan")):
+                     ("--sleep-hours", "1e300"), ("--period-min", "nan"),
+                     ("--sleep-hours", "100000")):
             result = cli("run", "--trace", str(tiny_trace), *args)
             assert result.returncode == 2, args
             assert "Traceback" not in result.stderr
@@ -120,6 +118,14 @@ class TestRun:
         result = cli("run", "--trace", "/nonexistent/trace.csv")
         assert result.returncode == 1
         assert "trace.csv" in result.stderr
+
+    def test_non_utf8_trace_exits_1(self, tmp_path):
+        trace = tmp_path / "latin1.csv"
+        trace.write_bytes(b"t_s,ax_g,ay_g,az_g\n0.0,0,0,1\n0.25,\xff,0,1\n")
+        result = cli("run", "--trace", str(trace), "--sleep-hours", "0.05", "--period-min", "1")
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"lightwake: {trace}: not UTF-8"), result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
 
     def test_alarm_wav_and_custom_melody(self, tiny_trace, tmp_path):
         melody_file = tmp_path / "tune.txt"
@@ -227,7 +233,7 @@ class TestListen:
         proc = subprocess.Popen(
             [sys.executable, "-m", "lightwake", "run",
              "--listen", f"127.0.0.1:{port}", *session],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
         )
         feeder = threading.Thread(target=send_trace_lines, args=(port, trace))
         feeder.start()

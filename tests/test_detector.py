@@ -73,6 +73,9 @@ class TestConstruction:
             Detector(30 * 60 * NS, 3600 * NS)
         with pytest.raises(ConfigInvalid):
             Detector(2 * 3600 * NS, 0)
+        with pytest.raises(ConfigInvalid):
+            Detector(10_001 * P, P)
+        assert Detector(10_000 * P, P).final_period_index == 9_999
 
     def test_short_final_period_allowed(self):
         det = Detector(int(2.5 * 3600 * NS), 3600 * NS)

@@ -29,6 +29,7 @@ BAD_HEADER_LINES = [
     b'{"v":1,"sleep_ns":28800000000000,"period_ns":0}\n',
     b'{"v":1,"sleep_ns":"28800000000000","period_ns":3600000000000}\n',
     b"[" * 100_000 + b"\n",
+    b'{"v":1,"sleep_ns":20000,"period_ns":1}\n',
 ]
 BAD_RECORD_LINES = [
     b'{"t_ns":5,"kind":"DeltaComputed"}\n',

@@ -1,13 +1,17 @@
+import re
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightwake import (
     BindError,
     HOUR_NS,
     InvalidParams,
+    LightwakeError,
     NS_PER_S,
     OrderViolation,
     ParseError,
@@ -19,7 +23,7 @@ from lightwake import (
     read_trace,
     write_trace,
 )
-from lightwake.sources import seconds_to_ns, stage_schedule
+from lightwake.sources import MAX_LINE_BYTES, TRACE_HEADER_LINE, seconds_to_ns, stage_schedule
 from reference import delta_sequence, per_period_maxima
 
 
@@ -77,10 +81,13 @@ class TestTraceFiles:
             read_trace(write_text(tmp_path, "t_s,ax_g,ay_g,az_g\n0.0,0,1\n"))
 
     def test_negative_or_non_finite_values(self, tmp_path):
+        for body in ("-1.0,0,0,1", "0.0,nan,0,1", "1e999999999,0,0,1", "1e999990,0,0,1"):
+            with pytest.raises(ParseError):
+                read_trace(write_text(tmp_path, f"t_s,ax_g,ay_g,az_g\n{body}\n"))
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"t_s,ax_g,ay_g,az_g\n0.0,\xff,0,1\n")
         with pytest.raises(ParseError):
-            read_trace(write_text(tmp_path, "t_s,ax_g,ay_g,az_g\n-1.0,0,0,1\n"))
-        with pytest.raises(ParseError):
-            read_trace(write_text(tmp_path, "t_s,ax_g,ay_g,az_g\n0.0,nan,0,1\n"))
+            read_trace(path)
 
     def test_bad_rate_metadata(self, tmp_path):
         with pytest.raises(ParseError):
@@ -213,15 +220,16 @@ def collect_live(payload: bytes, timeout: float = 10.0):
 
 class TestLiveSource:
     def test_direct_parse(self):
-        samples = collect_live(b"0.000 0.01 0.02 0.99\n0.25 0.0 0.0 1.0\n")
+        samples = collect_live(b"0.000 0.01 0.02 0.99\n\n0.25 0.0 0.0 1.0\n")
         assert samples == [
             RawSample(0, 0.01, 0.02, 0.99),
             RawSample(250_000_000, 0.0, 0.0, 1.0),
         ]
 
     def test_final_partial_line_still_parsed(self):
-        samples = collect_live(b"0.0 0 0 1\n0.25 0 0 1")
-        assert len(samples) == 2
+        for payload in (b"0.0 0 0 1\n0.25 0 0 1", b"0.0 0 0 1\n0.25 0 0 1\n \t "):
+            samples = collect_live(payload)
+            assert len(samples) == 2
 
     def test_out_of_range_is_protocol_error(self):
         with pytest.raises(ParseError):
@@ -232,29 +240,38 @@ class TestLiveSource:
             collect_live(b"0.5 1.0 junk\n")
 
     def test_non_monotone_is_order_error(self):
-        with pytest.raises(OrderViolation):
+        with pytest.raises(OrderViolation) as err:
             collect_live(b"0.5 0 0 1\n0.25 0 0 1\n")
+        assert "line 2" in str(err.value)
 
     def test_error_closes_connection(self):
-        source = listen_live(("127.0.0.1", 0), timeout=10)
-        received = []
+        for payload, message in (
+            (b"0.0 0 0 1\nnot a sample\n", "line 2"),
+            # No newline ever: the source must neither wait for one nor buffer on.
+            (b"0" * (MAX_LINE_BYTES + 1), f"line 1: longer than {MAX_LINE_BYTES} bytes"),
+        ):
+            source = listen_live(("127.0.0.1", 0), timeout=10)
+            received = []
 
-        def client():
-            with socket.create_connection(source.address, timeout=10) as conn:
-                conn.sendall(b"0.0 0 0 1\nnot a sample\n")
-                # A closed peer surfaces as EOF on the next read.
-                conn.settimeout(10)
-                received.append(conn.recv(1))
+            def client():
+                with socket.create_connection(source.address, timeout=10) as conn:
+                    conn.sendall(payload)
+                    # A closed peer surfaces as EOF on the next read.
+                    conn.settimeout(10)
+                    received.append(conn.recv(1))
 
-        thread = threading.Thread(target=client)
-        thread.start()
-        try:
-            with pytest.raises(ParseError):
-                list(source)
-        finally:
-            thread.join(timeout=10)
-            source.close()
-        assert received == [b""]
+            thread = threading.Thread(target=client)
+            thread.start()
+            start = time.monotonic()
+            try:
+                with pytest.raises(ParseError) as err:
+                    list(source)
+                assert time.monotonic() - start < 5.0  # well before the 10 s timeout
+            finally:
+                thread.join(timeout=10)
+                source.close()
+            assert message in str(err.value)
+            assert received == [b""]
 
     def test_bind_error_on_taken_port(self):
         blocker = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -271,3 +288,75 @@ class TestLiveSource:
             listen_live("localhost")
         with pytest.raises(BindError):
             listen_live("localhost:notaport")
+
+
+# -- one row grammar for both sources ------------------------------------------
+
+_ODD_TOKENS = st.sampled_from(["5.5", "-6", "nan", "-inf", "1e400", "1e999999999", "-1",
+                               "0x1", "1_0", "+.5", "abc", "#"])
+_PAD = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def sample_rows(draw):
+    """Rows as token lists (an empty list is a blank row), padded on both sides.
+
+    Most rows are valid, so that whole streams parse; some repeat or step
+    back in time, and a few carry an odd token or a wrong field count.
+    """
+    def rarely(usual):
+        return draw(_ODD_TOKENS if draw(st.integers(0, 24)) == 0 else usual)
+
+    rows = []
+    t = draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append([])
+            continue
+        t += draw(st.sampled_from([1, 1, 2, 5, 0, -1]) if draw(st.booleans()) else st.just(1))
+        tokens = [rarely(st.just(str(t / 4)))]
+        n_comps = draw(st.sampled_from([3] * 14 + [2, 4]))
+        tokens += [rarely(st.floats(-5.0, 5.0).map(repr)) for _ in range(n_comps)]
+        rows.append([draw(_PAD) + tok + draw(_PAD) for tok in tokens])
+    return rows
+
+
+def outcome(read):
+    try:
+        return read(), None
+    except LightwakeError as exc:
+        return None, exc
+
+
+def error_line(exc) -> int:
+    return int(re.match(r"line (\d+): ", str(exc)).group(1))
+
+
+@pytest.fixture(scope="module")
+def scratch_trace(tmp_path_factory):
+    return tmp_path_factory.mktemp("rows") / "rows.csv"
+
+
+class TestOneRowGrammar:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(rows=sample_rows())
+    def test_trace_and_wire_agree(self, scratch_trace, rows):
+        scratch_trace.write_text(
+            "".join([TRACE_HEADER_LINE + "\n"] + [",".join(r) + "\n" for r in rows]),
+            encoding="utf-8")
+        from_trace, trace_err = outcome(lambda: read_trace(scratch_trace)[1])
+        wire = "".join(" ".join(r) + "\n" for r in rows).encode("ascii")
+        from_wire, wire_err = outcome(lambda: collect_live(wire))
+        assert from_trace == from_wire
+        assert type(trace_err) is type(wire_err)
+        if wire_err is not None:
+            # The trace's header line comes before its rows.
+            assert error_line(trace_err) == error_line(wire_err) + 1
+        if isinstance(wire_err, ParseError):
+            assert trace_err.line_number == wire_err.line_number + 1
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(body=st.binary(max_size=200))
+    def test_any_bytes_give_samples_or_a_lightwake_error(self, scratch_trace, body):
+        scratch_trace.write_bytes(TRACE_HEADER_LINE.encode() + b"\n" + body)
+        outcome(lambda: read_trace(scratch_trace))
