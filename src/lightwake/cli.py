@@ -16,7 +16,7 @@ import sys
 
 from .detector import AlarmTrigger, DetectorOutcome
 from .engine import HOUR_NS, MINUTE_NS, NS_PER_S, SessionConfig, run_session
-from .errors import ConfigInvalid, InvalidParams, LightwakeError
+from .errors import ConfigInvalid, InvalidMelody, InvalidParams, LightwakeError
 from .sinks import DEFAULT_ALARM_MELODY, export_period_charts, melody_to_wav, parse_melody
 from .sources import SleepModelParams, TraceHeader, generate_trace, listen_live, read_trace, write_trace
 
@@ -114,8 +114,12 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     melody = DEFAULT_ALARM_MELODY
     if args.melody:
-        with open(args.melody, "r", encoding="utf-8") as fh:
-            melody = parse_melody(fh.read(), name=os.path.basename(args.melody))
+        try:
+            with open(args.melody, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidMelody(f"{args.melody}: not UTF-8: {exc}") from None
+        melody = parse_melody(text, name=os.path.basename(args.melody))
 
     if args.trace:
         _, samples = read_trace(args.trace)
@@ -163,8 +167,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except FileNotFoundError as exc:
-        print(f"lightwake: file not found: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"lightwake: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
     except LightwakeError as exc:
         print(f"lightwake: {exc}", file=sys.stderr)

@@ -15,18 +15,21 @@ delta A is classified
     NREM  if t_min <= A <= t_max   (bounds inclusive)
     REM   otherwise
 
-and the first NREM delta fires the alarm; if none arrives, the caller fires
-it at the end of the sleep time via finalize().
+and the first NREM delta fires the alarm; if none arrives, finalize() fires
+it at the end of the sleep time.
 
-Phase transitions are strictly forward:
+The phase is not stored: it follows from the period index and the outcome.
+The detector is learning while the index is below the final period's, in
+the final period once it reaches it, and done once it holds an outcome.
+Transitions are strictly forward:
 
     Learning(0) -> ... -> Learning(k) -> FinalPeriod -> AlarmFired
 
-where AlarmFired is terminal. Period boundaries are timer events: only
-advance_to() from the session clock crosses them, before the delta at that
-time is ingested, so a source that goes quiet cannot stall the state
-machine. A learning period that saw no deltas contributes
-no entry to the maxima array (it does not drag t_min to zero).
+Period boundaries are timer events: only advance_to() from the session
+clock crosses them, before the delta at that time is ingested, so a source
+that goes quiet cannot stall the state machine. A learning period that saw
+no deltas contributes no entry to the maxima array (it does not drag t_min
+to zero).
 
 Every transition is written as an event-log record through the emit
 callable the detector is given, emit(t_ns, kind, **fields): PeriodClosed
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
-from .errors import ConfigInvalid, InvalidThresholds, OrderViolation, PhaseViolation
+from .errors import ConfigInvalid, OrderViolation, PhaseViolation
 from .motion import MotionDelta
 
 PERIOD_CLOSED = "PeriodClosed"
@@ -64,20 +67,9 @@ Emit = Callable[..., None]
 """Record sink, called as emit(t_ns, kind, **fields) with fields in log order."""
 
 
-class SleepStage(Enum):
-    NREM = "NREM"
-    REM = "REM"
-
-
 class AlarmTrigger(Enum):
     THRESHOLD_HIT = "ThresholdHit"
     SESSION_END = "SessionEnd"
-
-
-class Phase(Enum):
-    LEARNING = "Learning"
-    FINAL_PERIOD = "FinalPeriod"
-    ALARM_FIRED = "AlarmFired"
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +82,6 @@ class ThresholdState:
     """
 
     period_maxima: tuple[float, ...]
-    running_period_max: float | None
     t_min: float | None
     t_max: float | None
 
@@ -120,16 +111,6 @@ class Advance:
     final_entry_ns: int | None
 
 
-@dataclass(frozen=True, slots=True)
-class DetectorSnapshot:
-    """Read-only view of the detector: phase plus a ThresholdState copy."""
-
-    phase: Phase
-    period_index: int | None
-    trigger: AlarmTrigger | None
-    thresholds: ThresholdState
-
-
 _NO_ADVANCE = Advance(closes=(), final_entry_ns=None)
 
 
@@ -153,15 +134,6 @@ def validate_session_shape(sleep_duration_ns: int, period_length_ns: int) -> int
     return n_periods
 
 
-def classify(delta: MotionDelta, t_min: float, t_max: float) -> SleepStage:
-    """Binary stage decision: NREM iff t_min <= delta.value <= t_max."""
-    if t_min > t_max:
-        raise InvalidThresholds(f"t_min {t_min!r} exceeds t_max {t_max!r}")
-    if t_min <= delta.value <= t_max:
-        return SleepStage.NREM
-    return SleepStage.REM
-
-
 class Detector:
     """Stateful session detector; see the module docstring for semantics."""
 
@@ -174,31 +146,14 @@ class Detector:
         self.sleep_duration_ns = sleep_duration_ns
         self.period_length_ns = period_length_ns
 
-        self._phase = Phase.LEARNING
         self._period_index = 0
-        self._trigger: AlarmTrigger | None = None
+        self._outcome: DetectorOutcome | None = None
         self._period_maxima: list[float] = []
-        self._running_period_max: float | None = None
+        self._period_max: float | None = None  # of the current learning period
         self._t_min: float | None = None
         self._t_max: float | None = None
         self._clock_ns = 0
         self._last_delta_ns = -1
-
-    # -- observability ----------------------------------------------------
-
-    def snapshot(self) -> DetectorSnapshot:
-        """Copy of the current thresholds and phase; never mutates."""
-        return DetectorSnapshot(
-            phase=self._phase,
-            period_index=self._period_index if self._phase is Phase.LEARNING else None,
-            trigger=self._trigger,
-            thresholds=ThresholdState(
-                period_maxima=tuple(self._period_maxima),
-                running_period_max=self._running_period_max,
-                t_min=self._t_min,
-                t_max=self._t_max,
-            ),
-        )
 
     # -- timer ------------------------------------------------------------
 
@@ -209,7 +164,7 @@ class Detector:
         Raises OrderViolation when t_ns moves backwards or beyond the sleep
         duration, PhaseViolation after the alarm has fired.
         """
-        if self._phase is Phase.ALARM_FIRED:
+        if self._outcome is not None:
             raise PhaseViolation("cannot advance a detector whose alarm already fired")
         if t_ns < self._clock_ns:
             raise OrderViolation(f"clock moved backwards: {t_ns} ns < {self._clock_ns} ns")
@@ -218,9 +173,6 @@ class Detector:
                 f"t={t_ns} ns is beyond the session end at {self.sleep_duration_ns} ns"
             )
         self._clock_ns = t_ns
-        if self._phase is Phase.FINAL_PERIOD:
-            return _NO_ADVANCE
-
         target_index = min(t_ns // self.period_length_ns, self.final_period_index)
         if self._period_index == target_index:
             return _NO_ADVANCE
@@ -229,16 +181,14 @@ class Detector:
             self._close_current_period()
             self._period_index += 1
         final_entry_ns: int | None = None
-        if self._period_index == self.final_period_index:
-            self._phase = Phase.FINAL_PERIOD
-            self._running_period_max = None
-            final_entry_ns = self.final_period_index * self.period_length_ns
+        if target_index == self.final_period_index:
+            final_entry_ns = target_index * self.period_length_ns
             self._emit(final_entry_ns, FINAL_PERIOD_ENTERED)
         return Advance(closes=tuple(range(first, target_index)), final_entry_ns=final_entry_ns)
 
     def _close_current_period(self) -> None:
-        period_max = self._running_period_max
-        self._running_period_max = None
+        period_max = self._period_max
+        self._period_max = None
         boundary_ns = (self._period_index + 1) * self.period_length_ns
         self._emit(boundary_ns, PERIOD_CLOSED, index=self._period_index, period_max=period_max)
         if period_max is not None:
@@ -259,7 +209,7 @@ class Detector:
         Final phase: classifies the delta against the frozen band and fires
         the alarm on the first NREM hit.
         """
-        if self._phase is Phase.ALARM_FIRED:
+        if self._outcome is not None:
             raise PhaseViolation("detector already fired; no further deltas may be ingested")
         if delta.t_ns != self._clock_ns:
             raise OrderViolation(
@@ -276,56 +226,46 @@ class Detector:
                 f"[0, {self.sleep_duration_ns}) ns"
             )
         self._last_delta_ns = delta.t_ns
+        value = delta.value
 
-        if self._phase is Phase.LEARNING:
-            if self._running_period_max is None or delta.value > self._running_period_max:
-                self._running_period_max = delta.value
-            if self._t_max is None or delta.value > self._t_max:
-                self._t_max = delta.value
+        if self._period_index < self.final_period_index:
+            if self._period_max is None or value > self._period_max:
+                self._period_max = value
+            if self._t_max is None or value > self._t_max:
+                self._t_max = value
                 self._emit(delta.t_ns, THRESHOLDS_UPDATED, t_min=self._t_min, t_max=self._t_max)
             return None
 
-        # Final period: thresholds are frozen. With no learning data at all
-        # the band is empty and nothing can hit it.
+        # Final period: the band is frozen. Every learning period is closed,
+        # so t_min and t_max are both set or, with no learning data at all,
+        # both None: an empty band that nothing can hit.
         if self._t_min is None or self._t_max is None:
             return None
-        stage = classify(delta, self._t_min, self._t_max)
-        self._emit(delta.t_ns, STAGE_CLASSIFIED, stage=stage.value, value=delta.value)
-        if stage is SleepStage.REM:
+        if not self._t_min <= value <= self._t_max:
+            self._emit(delta.t_ns, STAGE_CLASSIFIED, stage="REM", value=value)
             return None
-        return self._fire(delta.t_ns, AlarmTrigger.THRESHOLD_HIT, delta.value)
+        self._emit(delta.t_ns, STAGE_CLASSIFIED, stage="NREM", value=value)
+        return self._fire(delta.t_ns, AlarmTrigger.THRESHOLD_HIT, value)
 
-    def finalize(self, session_end_ns: int) -> DetectorOutcome:
+    def finalize(self) -> DetectorOutcome:
         """Fire the fallback alarm at the end of the sleep time.
 
-        Only valid in the final period (advance_to the session end first if
-        the source dried up early); raises PhaseViolation during learning or
+        Moves the clock to the session end first, so any learning periods
+        left are closed and the final one is entered; raises PhaseViolation
         after the alarm fired.
         """
-        if self._phase is Phase.LEARNING:
-            raise PhaseViolation(
-                f"cannot finalize while still learning (period {self._period_index}); "
-                f"advance_to the session end first"
-            )
-        if self._phase is Phase.ALARM_FIRED:
-            raise PhaseViolation("alarm already fired; finalize is not applicable")
-        if session_end_ns > self.sleep_duration_ns or session_end_ns < self._clock_ns:
-            raise OrderViolation(
-                f"session end {session_end_ns} ns outside [{self._clock_ns}, "
-                f"{self.sleep_duration_ns}] ns"
-            )
-        return self._fire(session_end_ns, AlarmTrigger.SESSION_END, None)
+        self.advance_to(self.sleep_duration_ns)
+        return self._fire(self.sleep_duration_ns, AlarmTrigger.SESSION_END, None)
 
     def _fire(self, t_ns: int, trigger: AlarmTrigger, value: float | None) -> DetectorOutcome:
-        self._phase = Phase.ALARM_FIRED
-        self._trigger = trigger
         if value is None:
             self._emit(t_ns, ALARM_FIRED, trigger=trigger.value)
         else:
             self._emit(t_ns, ALARM_FIRED, trigger=trigger.value, value=value)
-        return DetectorOutcome(
+        self._outcome = DetectorOutcome(
             alarm_time_ns=t_ns,
             trigger=trigger,
             trigger_delta=value,
-            final_thresholds=self.snapshot().thresholds,
+            final_thresholds=ThresholdState(tuple(self._period_maxima), self._t_min, self._t_max),
         )
+        return self._outcome

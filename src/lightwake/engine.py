@@ -178,10 +178,9 @@ def run_session(
             closer()
 
     if outcome is None:
-        # Source exhausted (or session window passed) without a hit: jump the
-        # virtual clock to the end of the sleep time and fire the fallback.
-        detector.advance_to(config.sleep_duration_ns)
-        outcome = detector.finalize(config.sleep_duration_ns)
+        # Source exhausted (or session window passed) without a hit: the
+        # fallback alarm jumps the virtual clock to the end of the sleep time.
+        outcome = detector.finalize()
     log.emit(outcome.alarm_time_ns, SESSION_ENDED)
 
     if on_alarm is not None:

@@ -17,10 +17,6 @@ class OrderViolation(LightwakeError):
 
 # --- detector ------------------------------------------------------------
 
-class InvalidThresholds(LightwakeError):
-    """Threshold band with min above max."""
-
-
 class PhaseViolation(LightwakeError):
     """Detector operation called in a phase that does not allow it."""
 

@@ -19,6 +19,7 @@ import math
 import wave
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -148,8 +149,14 @@ def read_event_log(path: str | Path) -> tuple[dict, list[SessionEvent]]:
     MalformedLog: a bad header, a line that is no event record, an event
     outside 0..sleep_ns, or a DeltaComputed at sleep_ns or without a float.
     """
-    path = Path(path)
-    events: list[SessionEvent] = []
+    records = _log_records(Path(path))
+    header = next(records)
+    return header, list(records)
+
+
+def _log_records(path: Path) -> Iterator[dict | SessionEvent]:
+    """Yield a log's validated header record, then each validated event, one
+    line at a time; see read_event_log for what is rejected."""
     header: dict | None = None
     try:
         with path.open("r", encoding="utf-8") as fh:
@@ -159,6 +166,7 @@ def read_event_log(path: str | Path) -> tuple[dict, list[SessionEvent]]:
                     continue
                 if header is None:
                     header = _parse_header(path, line)
+                    yield header
                     continue
                 try:
                     event = parse_event_line(line)
@@ -169,12 +177,11 @@ def read_event_log(path: str | Path) -> tuple[dict, list[SessionEvent]]:
                 if event.kind == DELTA_COMPUTED and (
                         event.t_ns == header["sleep_ns"] or type(event.data.get("value")) is not float):
                     raise MalformedLog(f"{path}: line {lineno}: not a delta record: {line!r}")
-                events.append(event)
+                yield event
     except UnicodeDecodeError as exc:
         raise MalformedLog(f"{path}: not UTF-8: {exc}") from None
     if header is None:
         raise MalformedLog(f"{path}: empty log (no version header)")
-    return header, events
 
 
 def _parse_header(path: Path, line: str) -> dict:
@@ -205,15 +212,17 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
 
     Chart rows are a lossless projection of the log's DeltaComputed events.
     The summary holds each period's maximum delta (the final period's too),
-    the last logged band, and the alarm.
+    the last logged band, and the alarm. The log is read one record at a
+    time, so only the chart rows are held, not its events.
     """
-    header, events = read_event_log(log_path)
+    records = _log_records(Path(log_path))
+    header = next(records)
     period_ns = header["period_ns"]
     n_periods = validate_session_shape(header["sleep_ns"], period_ns)
     buckets: list[list[tuple[int, float]]] = [[] for _ in range(n_periods)]
     t_min = t_max = alarm_t_ns = None
     alarm_fields: dict = {}
-    for event in events:
+    for event in records:
         if event.kind == DELTA_COMPUTED:
             index = event.t_ns // period_ns
             buckets[index].append((event.t_ns - index * period_ns, event.data["value"]))

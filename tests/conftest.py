@@ -7,17 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from lightwake import (
-    HOUR_NS,
-    NS_PER_S,
-    SessionConfig,
-    SessionResult,
-    TraceHeader,
-    RawSample,
-    read_trace,
-    run_session,
-    write_trace,
-)
+from lightwake import HOUR_NS, NS_PER_S, RawSample, SessionConfig, TraceHeader, run_session
+from lightwake.engine import SessionResult
+from lightwake.sources import read_trace, write_trace
 from trace_builders import scripted_trace
 
 # Learning-period maxima chosen so the 5th period (hours 4-5) carries the

@@ -15,24 +15,24 @@ import wave
 import numpy as np
 
 from lightwake import (
-    AlarmTrigger,
     DEFAULT_ALARM_MELODY,
-    DegenerateSample,
-    MAX_DELTA,
     NS_PER_S,
     RawSample,
     SessionConfig,
     SleepModelParams,
     TraceHeader,
     generate_trace,
-    listen_live,
     manhattan_delta,
     melody_to_wav,
     normalize,
     read_event_log,
     run_session,
 )
+from lightwake.detector import AlarmTrigger
 from lightwake.engine import ALARM_FIRED, DELTA_COMPUTED
+from lightwake.errors import DegenerateSample
+from lightwake.motion import MAX_DELTA
+from lightwake.sources import listen_live
 from conftest import (
     PAPER_ALARM_DELTA,
     PAPER_ALARM_NS,

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from conftest import child_env
-from lightwake import NS_PER_S, write_trace
+from lightwake import NS_PER_S
+from lightwake.sources import write_trace
 from test_sinks import BAD_HEADER_LINES, BAD_RECORD_LINES
 from trace_builders import scripted_trace
 
@@ -114,18 +115,28 @@ class TestRun:
         assert set(summary) == {"alarm", "t", "delta", "t_min", "t_max"}
         assert float(summary["t"]) <= 0.05 * 3600
 
-    def test_missing_trace_exits_1(self):
-        result = cli("run", "--trace", "/nonexistent/trace.csv")
-        assert result.returncode == 1
-        assert "trace.csv" in result.stderr
+    def test_missing_trace_exits_1(self, tiny_trace, tmp_path):
+        run = ("run", "--trace", str(tiny_trace), "--sleep-hours", "0.05", "--period-min", "1")
+        for args, path in ((("run", "--trace", "/nonexistent/trace.csv"), "/nonexistent/trace.csv"),
+                           (("generate", "--out", str(tmp_path)), str(tmp_path)),
+                           ((*run, "--log", str(tmp_path)), str(tmp_path))):
+            result = cli(*args)
+            assert result.returncode == 1, args
+            assert result.stderr.startswith(f"lightwake: {path}: "), result.stderr
+            assert len(result.stderr.splitlines()) == 1, result.stderr
 
-    def test_non_utf8_trace_exits_1(self, tmp_path):
+    def test_non_utf8_trace_exits_1(self, tiny_trace, tmp_path):
         trace = tmp_path / "latin1.csv"
         trace.write_bytes(b"t_s,ax_g,ay_g,az_g\n0.0,0,0,1\n0.25,\xff,0,1\n")
-        result = cli("run", "--trace", str(trace), "--sleep-hours", "0.05", "--period-min", "1")
-        assert result.returncode == 1
-        assert result.stderr.startswith(f"lightwake: {trace}: not UTF-8"), result.stderr
-        assert len(result.stderr.splitlines()) == 1, result.stderr
+        melody = tmp_path / "latin1.txt"
+        melody.write_bytes(b"880:100\n\xff:50\n")
+        shape = ("--sleep-hours", "0.05", "--period-min", "1")
+        for args, path in ((("--trace", str(trace)), trace),
+                           (("--trace", str(tiny_trace), "--melody", str(melody)), melody)):
+            result = cli("run", *args, *shape)
+            assert result.returncode == 1, args
+            assert result.stderr.startswith(f"lightwake: {path}: not UTF-8"), result.stderr
+            assert len(result.stderr.splitlines()) == 1, result.stderr
 
     def test_alarm_wav_and_custom_melody(self, tiny_trace, tmp_path):
         melody_file = tmp_path / "tune.txt"
@@ -162,11 +173,17 @@ class TestEndToEnd:
         assert (charts / "summary.csv").exists()
         assert (charts / "period_0.csv").exists()
 
-    def test_charts_missing_log_exits_1(self, tmp_path):
+    def test_charts_missing_log_exits_1(self, tmp_path, paper_case):
         missing = tmp_path / "absent.jsonl"
         result = cli("charts", "--log", str(missing), "--out-dir", str(tmp_path / "c"))
         assert result.returncode == 1
         assert "absent.jsonl" in result.stderr
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("", encoding="utf-8")
+        result = cli("charts", "--log", str(paper_case.log_path), "--out-dir", str(not_a_dir))
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"lightwake: {not_a_dir}: "), result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
 
     def test_charts_malformed_log_exits_1(self, tmp_path):
         header = b'{"v":1,"sleep_ns":240000000000,"period_ns":60000000000}\n'

@@ -1,25 +1,18 @@
 import numpy as np
 import pytest
 
-from lightwake import (
-    AlarmTrigger,
-    ConfigInvalid,
-    Detector,
-    InvalidThresholds,
-    MotionDelta,
-    OrderViolation,
-    Phase,
-    PhaseViolation,
-    SleepStage,
-    classify,
-)
+from lightwake import Detector
 from lightwake.detector import (
     ALARM_FIRED,
     FINAL_PERIOD_ENTERED,
     PERIOD_CLOSED,
     STAGE_CLASSIFIED,
     THRESHOLDS_UPDATED,
+    AlarmTrigger,
+    ThresholdState,
 )
+from lightwake.errors import ConfigInvalid, OrderViolation, PhaseViolation
+from lightwake.motion import MotionDelta
 
 NS = 1_000_000_000
 P = 60 * NS  # one-minute periods keep the arithmetic readable
@@ -56,13 +49,13 @@ def feed_periods(det: Detector, period_values: list[list[float]], period_ns: int
 
 class TestConstruction:
     def test_eight_hour_session(self):
-        det = Detector(8 * 3600 * NS, 3600 * NS)
-        snap = det.snapshot()
-        assert snap.phase is Phase.LEARNING
-        assert snap.period_index == 0
+        records = Records()
+        det = Detector(8 * 3600 * NS, 3600 * NS, emit=records)
         assert det.final_period_index == 7  # 7 learning periods + 1 final
-        assert snap.thresholds.period_maxima == ()
-        assert snap.thresholds.t_min is None and snap.thresholds.t_max is None
+        assert records == []
+        outcome = det.finalize()
+        assert outcome.final_thresholds == ThresholdState(period_maxima=(), t_min=None, t_max=None)
+        assert [f["index"] for _, f in records.of(PERIOD_CLOSED)] == list(range(7))
 
     def test_minimum_legal_session(self):
         det = Detector(2 * 3600 * NS, 3600 * NS)
@@ -83,22 +76,31 @@ class TestConstruction:
 
 
 class TestClassify:
+    """Band edges, as the StageClassified record of one final-period delta."""
+
+    def classify(self, value: float) -> str:
+        records = Records()
+        det = Detector(3 * P, P, emit=records)
+        feed_periods(det, [[1.662], [0.497]])  # band [0.497, 1.662]
+        t_ns = 2 * P + NS
+        outcome = step(det, MotionDelta(t_ns, value))
+        (t, fields), = records.of(STAGE_CLASSIFIED)
+        assert t == t_ns and fields["value"] == value
+        assert (outcome is not None) == (fields["stage"] == "NREM")
+        return fields["stage"]
+
     def test_paper_alarm_value(self):
-        assert classify(d(1, 1.016), 0.497, 1.662) is SleepStage.NREM
+        assert self.classify(1.016) == "NREM"
 
     def test_below_band(self):
-        assert classify(d(1, 0.3), 0.497, 1.662) is SleepStage.REM
+        assert self.classify(0.3) == "REM"
 
     def test_bounds_inclusive(self):
-        assert classify(d(1, 0.497), 0.497, 1.662) is SleepStage.NREM
-        assert classify(d(1, 1.662), 0.497, 1.662) is SleepStage.NREM
+        assert self.classify(0.497) == "NREM"
+        assert self.classify(1.662) == "NREM"
 
     def test_above_band(self):
-        assert classify(d(1, 1.9), 0.497, 1.662) is SleepStage.REM
-
-    def test_invalid_thresholds(self):
-        with pytest.raises(InvalidThresholds):
-            classify(d(1, 1.0), 2.0, 1.0)
+        assert self.classify(1.9) == "REM"
 
 
 class TestLearning:
@@ -108,45 +110,35 @@ class TestLearning:
         maxima = [0.9, 1.1, 0.8, 1.662, 0.497, 1.2, 0.75]
         feed_periods(det, [[value] for value in maxima])
         det.advance_to(7 * P)
-        snap = det.snapshot()
-        assert snap.phase is Phase.FINAL_PERIOD
-        assert snap.thresholds.t_min == 0.497
-        assert snap.thresholds.t_max == 1.662
-        assert snap.thresholds.period_maxima == tuple(maxima)
         assert records.of(PERIOD_CLOSED) == [
             ((k + 1) * P, {"index": k, "period_max": value}) for k, value in enumerate(maxima)]
         assert records.of(THRESHOLDS_UPDATED)[-1] == (5 * P, {"t_min": 0.497, "t_max": 1.662})
         assert records.of(FINAL_PERIOD_ENTERED) == [(7 * P, {})]
         assert records[-1][1] == FINAL_PERIOD_ENTERED
+        assert det.finalize().final_thresholds == ThresholdState(tuple(maxima), 0.497, 1.662)
 
     def test_single_period_min_equals_max(self):
         records = Records()
         det = Detector(8 * P, P, emit=records)
         step(det, d(10, 0.9))
         det.advance_to(P)
-        snap = det.snapshot()
-        assert snap.thresholds.period_maxima == (0.9,)
-        assert snap.thresholds.t_min == 0.9
-        assert snap.thresholds.t_max == 0.9
         assert records == [
             (10 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.9}),
             (P, PERIOD_CLOSED, {"index": 0, "period_max": 0.9}),
             (P, THRESHOLDS_UPDATED, {"t_min": 0.9, "t_max": 0.9}),
         ]
+        assert det.finalize().final_thresholds == ThresholdState((0.9,), 0.9, 0.9)
 
     def test_t_max_raised_immediately_not_at_close(self):
         records = Records()
         det = Detector(8 * P, P, emit=records)
         assert step(det, d(1, 0.4)) is None
         assert records == [(1 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.4})]
-        assert det.snapshot().thresholds.t_max == 0.4
         step(det, d(2, 0.2))
         assert len(records) == 1  # no raise, no record
         step(det, d(3, 0.7))
         assert records[-1] == (3 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.7})
-        assert det.snapshot().thresholds.t_max == 0.7
-        assert det.snapshot().thresholds.t_min is None  # no period closed yet
-        assert records.of(PERIOD_CLOSED) == []
+        assert records.of(PERIOD_CLOSED) == []  # t_min stays None: no period closed yet
 
     def test_empty_period_contributes_nothing(self):
         records = Records()
@@ -161,8 +153,8 @@ class TestLearning:
             (2 * P, PERIOD_CLOSED, {"index": 1, "period_max": None}),
         ]
         det.ingest(d(2 * 60 + 5, 0.8))
-        assert det.snapshot().thresholds.period_maxima == (0.5,)
-        assert det.snapshot().thresholds.t_min == 0.5
+        assert records[-1] == ((2 * 60 + 5) * NS, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.8})
+        assert det.finalize().final_thresholds == ThresholdState((0.5, 0.8), 0.5, 0.8)
 
     def test_boundary_delta_belongs_to_new_period(self):
         records = Records()
@@ -175,9 +167,7 @@ class TestLearning:
             (P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.5}),
             (P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.9}),
         ]
-        assert det.snapshot().thresholds.period_maxima == (0.5,)
         det.advance_to(2 * P)
-        assert det.snapshot().thresholds.period_maxima == (0.5, 0.9)
         assert records[-1] == (2 * P, PERIOD_CLOSED, {"index": 1, "period_max": 0.9})
 
     def test_advance_emits_final_entry_once(self):
@@ -245,8 +235,7 @@ class TestFinalPeriod:
         records = Records()
         det = self.build(records)
         step(det, d(7 * 60 + 1, 0.1))
-        det.advance_to(8 * P)
-        outcome = det.finalize(8 * P)
+        outcome = det.finalize()
         assert outcome.trigger is AlarmTrigger.SESSION_END
         assert outcome.alarm_time_ns == 8 * P
         assert outcome.trigger_delta is None
@@ -255,9 +244,8 @@ class TestFinalPeriod:
     def test_empty_final_period(self):
         records = Records()
         det = Detector(8 * P, P, emit=records)
-        step(det, d(10, 0.5))  # learning data only
-        det.advance_to(8 * P)   # source exhausted; clock jumps to session end
-        outcome = det.finalize(8 * P)
+        step(det, d(10, 0.5))    # learning data only
+        outcome = det.finalize()  # source exhausted; clock jumps to session end
         assert outcome.trigger is AlarmTrigger.SESSION_END
         assert outcome.final_thresholds.t_min == 0.5
         assert [f["index"] for _, f in records.of(PERIOD_CLOSED)] == list(range(7))
@@ -265,21 +253,25 @@ class TestFinalPeriod:
                                 (8 * P, ALARM_FIRED, {"trigger": "SessionEnd"})]
         assert records.of(STAGE_CLASSIFIED) == []
 
-    def test_finalize_during_learning_is_phase_violation(self):
+    def test_finalize_from_learning_closes_periods_then_fires_at_sleep_end(self):
         records = Records()
         det = Detector(8 * P, P, emit=records)
         step(det, d(2 * 60 + 1, 0.5))  # Learning(2)
-        with pytest.raises(PhaseViolation):
-            det.finalize(8 * P)
-        assert records.of(ALARM_FIRED) == []
+        outcome = det.finalize()
+        assert outcome.trigger is AlarmTrigger.SESSION_END
+        assert outcome.alarm_time_ns == 8 * P
+        assert outcome.final_thresholds == ThresholdState((0.5,), 0.5, 0.5)
+        assert records.of(PERIOD_CLOSED) == [
+            ((k + 1) * P, {"index": k, "period_max": 0.5 if k == 2 else None}) for k in range(7)]
+        assert records[-2:] == [(7 * P, FINAL_PERIOD_ENTERED, {}),
+                                (8 * P, ALARM_FIRED, {"trigger": "SessionEnd"})]
 
     def test_finalize_twice_is_phase_violation(self):
         records = Records()
         det = self.build(records)
-        det.advance_to(8 * P)
-        det.finalize(8 * P)
+        det.finalize()
         with pytest.raises(PhaseViolation):
-            det.finalize(8 * P)
+            det.finalize()
         assert len(records.of(ALARM_FIRED)) == 1
 
     def test_no_learning_data_never_hits(self):
@@ -288,7 +280,7 @@ class TestFinalPeriod:
         det.advance_to(2 * P)
         assert step(det, d(2 * 60 + 1, 0.0)) is None
         assert records.of(STAGE_CLASSIFIED) == []
-        outcome = det.finalize(3 * P)
+        outcome = det.finalize()
         assert outcome.trigger is AlarmTrigger.SESSION_END
         assert outcome.final_thresholds.t_min is None
         assert records.of(THRESHOLDS_UPDATED) == []
@@ -344,14 +336,6 @@ class TestOrdering:
         with pytest.raises(OrderViolation):
             det.advance_to(2 * P + 1)
 
-    def test_snapshot_does_not_mutate(self):
-        det = Detector(8 * P, P)
-        step(det, d(10, 0.5))
-        before = det.snapshot()
-        for _ in range(3):
-            det.snapshot()
-        assert det.snapshot() == before
-
 
 class TestRandomizedProperties:
     def random_stream(self, rng, n_periods=6, period_ns=P):
@@ -373,17 +357,18 @@ class TestRandomizedProperties:
             deltas, per_period = self.random_stream(rng)
             records = Records()
             det = Detector(6 * P, P, emit=records)
+            outcome = None
             for delta in deltas:
-                if step(det, delta) is not None:
+                outcome = step(det, delta)
+                if outcome is not None:
                     break
             else:
-                det.advance_to(6 * P)
+                outcome = det.finalize()
             learning = {k: v for k, v in per_period.items() if k < 5}
             expected_t_min = min(max(vs) for vs in learning.values()) if learning else None
             expected_t_max = max(v for vs in learning.values() for v in vs) if learning else None
-            snap = det.snapshot()
-            assert snap.thresholds.t_min == expected_t_min
-            assert snap.thresholds.t_max == expected_t_max
+            assert outcome.final_thresholds.t_min == expected_t_min
+            assert outcome.final_thresholds.t_max == expected_t_max
             closed = {f["index"]: f["period_max"] for _, f in records.of(PERIOD_CLOSED)}
             assert closed == {k: max(learning[k]) if k in learning else None for k in range(5)}
             updates = records.of(THRESHOLDS_UPDATED)
@@ -402,7 +387,7 @@ class TestRandomizedProperties:
             if delta.t_ns >= 5 * P:
                 break
             step(det, delta)
-            current = det.snapshot().thresholds.t_max
+            current = records.of(THRESHOLDS_UPDATED)[-1][1]["t_max"]
             assert current is not None and current >= last
             last = current
         logged = [f["t_max"] for _, f in records.of(THRESHOLDS_UPDATED)]
@@ -420,7 +405,7 @@ class TestRandomizedProperties:
                 step(det, MotionDelta(t_ns, value))
             det.advance_to(P)
             assert records.of(PERIOD_CLOSED) == [(P, {"index": 0, "period_max": max(values)})]
-            return det.snapshot().thresholds.period_maxima
+            return det.finalize().final_thresholds.period_maxima
 
         baseline = run(values)
         for _ in range(5):
@@ -440,8 +425,7 @@ class TestRandomizedProperties:
                 if outcome is not None:
                     break
             if outcome is None:
-                det.advance_to(6 * P)
-                outcome = det.finalize(6 * P)
+                outcome = det.finalize()
             return outcome
 
         first, second = Records(), Records()

@@ -3,20 +3,18 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightwake import (
-    AlarmTrigger,
-    ConfigInvalid,
     NS_PER_S,
-    OrderViolation,
     RawSample,
     SessionConfig,
     SleepModelParams,
-    SourceFailed,
     TraceHeader,
     generate_trace,
     run_session,
 )
+from lightwake.detector import AlarmTrigger
 from lightwake.engine import (
     ALARM_FIRED,
     DELTA_COMPUTED,
@@ -27,6 +25,7 @@ from lightwake.engine import (
     STAGE_CLASSIFIED,
     parse_event_line,
 )
+from lightwake.errors import ConfigInvalid, OrderViolation, SourceFailed
 from reference import offline_outcome
 from trace_builders import scripted_trace
 
@@ -233,3 +232,48 @@ class TestEventLogShape:
         final = updates[-1]
         assert final.data["t_min"] == paper_case.result.outcome.final_thresholds.t_min
         assert final.data["t_max"] == paper_case.result.outcome.final_thresholds.t_max
+
+
+# -- streaming engine against the offline oracle --------------------------------
+
+# A zero and a sub-guard vector (skipped as degenerate), a resting one, and
+# arbitrary directions.
+_VECTORS = st.one_of(
+    st.sampled_from([(0.0, 0.0, 0.0), (1e-12, 0.0, 0.0), (0.0, 0.0, 1.0)]),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(samples, sleep_ns, period_ns): a grid of samples plus extra ones,
+    often on period boundaries; a sleep that need not be a multiple of the
+    period; some learning periods emptied; vectors from a pool of at most
+    four, so deltas repeat and final ones land in the band. A pool of one
+    gives all-zero deltas: a band of zero width."""
+    period_ns = draw(st.integers(4, 40))
+    full_periods = draw(st.integers(2, 5))
+    sleep_ns = full_periods * period_ns + draw(st.integers(0, period_ns - 1))
+    step = draw(st.integers(1, period_ns))
+    times = set(range(draw(st.integers(0, step - 1)), sleep_ns + period_ns, step))
+    on_boundary = st.integers(0, full_periods + 1).map(lambda k: k * period_ns)
+    times |= draw(st.sets(st.one_of(on_boundary, st.integers(0, sleep_ns + period_ns))))
+    emptied = draw(st.sets(st.integers(0, full_periods - 1), max_size=2))
+    times = sorted(t for t in times if t // period_ns not in emptied)
+    pool = st.sampled_from(draw(st.lists(_VECTORS, min_size=1, max_size=4)))
+    return [RawSample(t, *draw(pool)) for t in times], sleep_ns, period_ns
+
+
+class TestOracleProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(case=oracle_cases())
+    def test_run_session_matches_offline_outcome(self, case):
+        samples, sleep_ns, period_ns = case
+        ref = offline_outcome(samples, sleep_ns, period_ns)
+        outcome = run_session(SessionConfig(sleep_ns, period_ns), samples).outcome
+        assert outcome.trigger.value == ref.trigger
+        assert outcome.alarm_time_ns == ref.alarm_time_ns
+        assert outcome.trigger_delta == ref.trigger_delta
+        band = outcome.final_thresholds
+        assert (band.t_min, band.t_max) == (ref.t_min, ref.t_max)
+        assert band.period_maxima == tuple(ref.learning_maxima[k] for k in sorted(ref.learning_maxima))

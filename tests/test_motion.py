@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lightwake import (
-    MAX_DELTA,
-    DegenerateSample,
-    NormalizedSample,
-    OrderViolation,
-    RawSample,
-    euclidean_norm,
-    manhattan_delta,
-    normalize,
-)
+from lightwake import RawSample, manhattan_delta, normalize
+from lightwake.errors import DegenerateSample, OrderViolation
+from lightwake.motion import MAX_DELTA, NormalizedSample, euclidean_norm
 
 
 def unit(t_ns, x, y, z):

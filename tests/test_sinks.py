@@ -5,9 +5,6 @@ import pytest
 
 from lightwake import (
     DEFAULT_ALARM_MELODY,
-    InvalidMelody,
-    MalformedLog,
-    Melody,
     NS_PER_S,
     SessionConfig,
     export_period_charts,
@@ -18,6 +15,8 @@ from lightwake import (
     synthesize_melody,
 )
 from lightwake.engine import DELTA_COMPUTED
+from lightwake.errors import InvalidMelody, MalformedLog
+from lightwake.sinks import Melody
 from lightwake.sources import seconds_to_ns
 from reference import per_period_maxima
 from trace_builders import scripted_trace

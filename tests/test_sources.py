@@ -8,22 +8,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lightwake import (
-    BindError,
     HOUR_NS,
-    InvalidParams,
     LightwakeError,
     NS_PER_S,
-    OrderViolation,
-    ParseError,
     RawSample,
     SleepModelParams,
     TraceHeader,
     generate_trace,
+)
+from lightwake.errors import BindError, InvalidParams, OrderViolation, ParseError
+from lightwake.sources import (
+    MAX_LINE_BYTES,
+    TRACE_HEADER_LINE,
     listen_live,
     read_trace,
+    seconds_to_ns,
+    stage_schedule,
     write_trace,
 )
-from lightwake.sources import MAX_LINE_BYTES, TRACE_HEADER_LINE, seconds_to_ns, stage_schedule
 from reference import delta_sequence, per_period_maxima
 
 
