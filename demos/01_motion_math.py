@@ -3,9 +3,10 @@ Motion deltas from raw acceleration
 ===================================
 
 The whole detector runs on one scalar signal: normalize each 3-axis
-reading to unit length, then take the L1 distance between consecutive
-readings. Magnitude (sensor gain, gravity scale) cancels out; direction
-changes remain.
+reading to a unit vector, then take the L1 distance between consecutive
+vectors. Magnitude (sensor gain, gravity scale) cancels out; direction
+changes remain. The math is plain tuples and floats; the time of a delta
+is the time of the later reading.
 """
 
 from lightwake import RawSample, manhattan_delta, normalize
@@ -26,15 +27,12 @@ print("t_s   unit vector                      delta")
 prev = None
 for raw in readings:
     unit = normalize(raw)
-    if prev is None:
-        print(f"{unit.t_ns / NS:<5g} ({unit.nx:+.3f}, {unit.ny:+.3f}, {unit.nz:+.3f})   -")
-    else:
-        delta = manhattan_delta(prev, unit)
-        print(f"{unit.t_ns / NS:<5g} ({unit.nx:+.3f}, {unit.ny:+.3f}, {unit.nz:+.3f})   {delta.value:.4f}")
+    shown = f"{raw.t_ns / NS:<5g} ({unit[0]:+.3f}, {unit[1]:+.3f}, {unit[2]:+.3f})"
+    print(shown, "  -" if prev is None else f"  {manhattan_delta(prev, unit):.4f}")
     prev = unit
 
 # Scaling a reading changes nothing: only direction matters.
 doubled = normalize(RawSample(6 * NS, 1.40, 0.58, 1.26))
 settled = normalize(RawSample(7 * NS, 0.70, 0.29, 0.63))
 print(f"\nsame direction at twice the magnitude, delta = "
-      f"{manhattan_delta(doubled, settled).value:.2e}")
+      f"{manhattan_delta(doubled, settled):.2e}")

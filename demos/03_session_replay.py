@@ -31,8 +31,7 @@ config = SessionConfig(sleep_duration_ns=8 * HOUR_NS, period_length_ns=HOUR_NS,
 
 log_path = out / "session.jsonl"
 with log_path.open("w", encoding="utf-8", newline="\n") as sink:
-    result = run_session(config, samples, event_sink=sink,
-                         on_alarm=lambda o: print(f"alarm callback fired: {o.trigger.value}"))
+    result = run_session(config, samples, event_sink=sink)
 
 outcome = result.outcome
 bands = outcome.final_thresholds

@@ -15,7 +15,7 @@ from lightwake import DEFAULT_ALARM_MELODY, melody_to_wav, parse_melody, synthes
 out = Path("demo_out")
 out.mkdir(exist_ok=True)
 
-pcm = synthesize_melody(DEFAULT_ALARM_MELODY, 16000)
+pcm = synthesize_melody(DEFAULT_ALARM_MELODY)
 print(f"default melody {DEFAULT_ALARM_MELODY.name!r}: "
       f"{DEFAULT_ALARM_MELODY.notes} -> {len(pcm)} frames")
 

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .detector import AlarmTrigger, DetectorOutcome
+from .detector import AlarmTrigger
 from .engine import HOUR_NS, MINUTE_NS, NS_PER_S, SessionConfig, run_session
 from .errors import ConfigInvalid, InvalidMelody, InvalidParams, LightwakeError
 from .sinks import DEFAULT_ALARM_MELODY, export_period_charts, melody_to_wav, parse_melody
@@ -129,17 +129,15 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         source = listen_live(args.listen)
         logger.info("listening on %s:%d", *source.address)
 
-    def on_alarm(outcome: DetectorOutcome) -> None:
-        if args.alarm_wav:
-            melody_to_wav(melody, args.alarm_wav)
-            logger.info("alarm melody written to %s", args.alarm_wav)
-
     sink = open(args.log, "w", encoding="utf-8", newline="\n") if args.log else None
     try:
-        result = run_session(config, source, event_sink=sink, on_alarm=on_alarm)
+        result = run_session(config, source, event_sink=sink)
     finally:
         if sink is not None:
             sink.close()
+    if args.alarm_wav:
+        melody_to_wav(melody, args.alarm_wav)
+        logger.info("alarm melody written to %s", args.alarm_wav)
 
     outcome = result.outcome
     thresholds = outcome.final_thresholds

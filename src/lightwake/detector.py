@@ -25,11 +25,11 @@ Transitions are strictly forward:
 
     Learning(0) -> ... -> Learning(k) -> FinalPeriod -> AlarmFired
 
-Period boundaries are timer events: only advance_to() from the session
-clock crosses them, before the delta at that time is ingested, so a source
-that goes quiet cannot stall the state machine. A learning period that saw
-no deltas contributes no entry to the maxima array (it does not drag t_min
-to zero).
+The detector owns the session clock: only advance_to(t_ns) moves it and
+crosses period boundaries, so a source that goes quiet cannot stall the
+state machine, and ingest(value) feeds the delta at that clock. A learning
+period that saw no deltas contributes no entry to the maxima array (it
+does not drag t_min to zero).
 
 Every transition is written as an event-log record through the emit
 callable the detector is given, emit(t_ns, kind, **fields): PeriodClosed
@@ -39,8 +39,7 @@ StageClassified for each final-period delta; AlarmFired. A detector built
 without emit discards them.
 
 A Detector instance is single-writer: advance_to/ingest/finalize must be
-called from one logical stream in timestamp order, with each delta ingested
-right after advance_to its timestamp. Instances are independent, so any
+called from one logical stream. Instances are independent, so any
 number of sessions may run concurrently.
 """
 
@@ -51,7 +50,6 @@ from enum import Enum
 from typing import Any, Callable
 
 from .errors import ConfigInvalid, OrderViolation, PhaseViolation
-from .motion import MotionDelta
 
 PERIOD_CLOSED = "PeriodClosed"
 THRESHOLDS_UPDATED = "ThresholdsUpdated"
@@ -200,40 +198,28 @@ class Detector:
 
     # -- stream -----------------------------------------------------------
 
-    def ingest(self, delta: MotionDelta) -> DetectorOutcome | None:
-        """Feed one motion delta; returns the outcome if it fired the alarm.
+    def ingest(self, value: float) -> DetectorOutcome | None:
+        """Feed one motion delta at the detector clock; returns the outcome if it fired.
 
-        The delta must sit at the detector clock (advance_to its timestamp
-        first), past the previous delta and inside [0, sleep_duration).
-        Learning phase: updates the running period max and raises t_max.
-        Final phase: classifies the delta against the frozen band and fires
-        the alarm on the first NREM hit.
+        One delta per clock tick, none at the session end. Learning phase:
+        updates the running period max and raises t_max. Final phase:
+        classifies the delta against the frozen band and fires the alarm on
+        the first NREM hit.
         """
         if self._outcome is not None:
             raise PhaseViolation("detector already fired; no further deltas may be ingested")
-        if delta.t_ns != self._clock_ns:
-            raise OrderViolation(
-                f"delta at t={delta.t_ns} ns is not at the detector clock {self._clock_ns} ns; "
-                f"advance_to it first"
-            )
-        if delta.t_ns <= self._last_delta_ns:
-            raise OrderViolation(
-                f"delta at t={delta.t_ns} ns does not advance past {self._last_delta_ns} ns"
-            )
-        if delta.t_ns >= self.sleep_duration_ns:
-            raise OrderViolation(
-                f"delta at t={delta.t_ns} ns lies beyond the session window "
-                f"[0, {self.sleep_duration_ns}) ns"
-            )
-        self._last_delta_ns = delta.t_ns
-        value = delta.value
+        t_ns = self._clock_ns
+        if not self._last_delta_ns < t_ns < self.sleep_duration_ns:
+            raise OrderViolation(f"clock at t={t_ns} ns: it holds a delta already or is the "
+                                 f"session end; advance_to the next sample first")
+        self._last_delta_ns = t_ns
 
         if self._period_index < self.final_period_index:
             if self._period_max is None or value > self._period_max:
                 self._period_max = value
             if self._t_max is None or value > self._t_max:
                 self._t_max = value
-                self._emit(delta.t_ns, THRESHOLDS_UPDATED, t_min=self._t_min, t_max=self._t_max)
+                self._emit(t_ns, THRESHOLDS_UPDATED, t_min=self._t_min, t_max=self._t_max)
             return None
 
         # Final period: the band is frozen. Every learning period is closed,
@@ -242,10 +228,10 @@ class Detector:
         if self._t_min is None or self._t_max is None:
             return None
         if not self._t_min <= value <= self._t_max:
-            self._emit(delta.t_ns, STAGE_CLASSIFIED, stage="REM", value=value)
+            self._emit(t_ns, STAGE_CLASSIFIED, stage="REM", value=value)
             return None
-        self._emit(delta.t_ns, STAGE_CLASSIFIED, stage="NREM", value=value)
-        return self._fire(delta.t_ns, AlarmTrigger.THRESHOLD_HIT, value)
+        self._emit(t_ns, STAGE_CLASSIFIED, stage="NREM", value=value)
+        return self._fire(t_ns, AlarmTrigger.THRESHOLD_HIT, value)
 
     def finalize(self) -> DetectorOutcome:
         """Fire the fallback alarm at the end of the sleep time.

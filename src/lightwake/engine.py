@@ -1,11 +1,12 @@
 """Session orchestration: source -> normalize -> delta -> detector, on a virtual clock.
 
 run_session() executes one full sleep session. All times in the pipeline
-and the event log are *virtual* nanoseconds from session start; wall time
-only enters as pacing. At speed 1.0 samples are delivered in real time, at
-speed s the wall delay between deliveries is the virtual gap divided by s,
-and at speed 0 delivery is immediate. Logs are therefore byte-identical
-across speeds.
+and the event log are *virtual* nanoseconds from session start. They live
+on the samples and the detector clock, not in the motion math: a delta
+takes the time of its later sample. Wall time only enters as pacing. At
+speed 1.0 samples are delivered in real time, at speed s the wall delay
+between deliveries is the virtual gap divided by s, and at speed 0
+delivery is immediate. Logs are therefore byte-identical across speeds.
 
 The event log is JSON Lines: a version header record first
 (``{"v":1,"sleep_ns":...,"period_ns":...}``), then one event per line with
@@ -21,7 +22,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, IO, Iterable, Iterator
+from typing import Any, IO, Iterable, Iterator
 
 # The detector's transition kinds are part of the log vocabulary too.
 from .detector import (
@@ -35,7 +36,7 @@ from .detector import (
     validate_session_shape,
 )
 from .errors import ConfigInvalid, DegenerateSample, LightwakeError, SourceFailed
-from .motion import NS_PER_S, NormalizedSample, RawSample, manhattan_delta, normalize
+from .motion import NS_PER_S, RawSample, Vector, manhattan_delta, normalize
 
 logger = logging.getLogger(__name__)
 
@@ -112,7 +113,6 @@ def run_session(
     source: Iterable[RawSample],
     *,
     event_sink: IO[str] | None = None,
-    on_alarm: Callable[[DetectorOutcome], None] | None = None,
 ) -> SessionResult:
     """Run one sleep session over a sample source and return its outcome.
 
@@ -120,9 +120,8 @@ def run_session(
     against the previous one, and feeds the detector. On a threshold hit
     the source is stopped immediately; if the stream or the session ends
     without one, the virtual clock fast-forwards and the fallback alarm
-    fires at exactly the configured sleep duration. The alarm callback is
-    invoked exactly once per session. Event records go to `event_sink` when
-    one is given, else to `SessionResult.events`; never to both.
+    fires at exactly the configured sleep duration. Event records go to
+    `event_sink` when one is given, else to `SessionResult.events`.
 
     Raises ConfigInvalid before any work, and SourceFailed if the source
     errors mid-session or yields a negative or non-increasing timestamp
@@ -134,7 +133,7 @@ def run_session(
     wall_start = time.monotonic()
 
     outcome: DetectorOutcome | None = None
-    prev: NormalizedSample | None = None
+    prev: Vector | None = None
     last_t_ns = -1
     iterator: Iterator[RawSample] = iter(source)
     try:
@@ -164,9 +163,9 @@ def run_session(
                 continue
             log.emit(sample.t_ns, SAMPLE_ACCEPTED)
             if prev is not None:
-                delta = manhattan_delta(prev, norm)
-                log.emit(delta.t_ns, DELTA_COMPUTED, value=delta.value)
-                outcome = detector.ingest(delta)
+                value = manhattan_delta(prev, norm)
+                log.emit(sample.t_ns, DELTA_COMPUTED, value=value)
+                outcome = detector.ingest(value)
                 if outcome is not None:
                     break
             prev = norm
@@ -182,16 +181,4 @@ def run_session(
         # fallback alarm jumps the virtual clock to the end of the sleep time.
         outcome = detector.finalize()
     log.emit(outcome.alarm_time_ns, SESSION_ENDED)
-
-    if on_alarm is not None:
-        on_alarm(outcome)
     return SessionResult(outcome=outcome, events=log.events)
-
-
-def parse_event_line(line: str) -> SessionEvent:
-    """Decode one event-log line back into a SessionEvent (not the header)."""
-    record = json.loads(line)
-    if (not isinstance(record, dict) or type(record.get("t_ns")) is not int
-            or not isinstance(record.get("kind"), str)):
-        raise ValueError(f"not an event record: {line!r}")
-    return SessionEvent(t_ns=record.pop("t_ns"), kind=record.pop("kind"), data=record)

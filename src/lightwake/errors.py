@@ -56,7 +56,7 @@ class SourceFailed(LightwakeError):
 # --- sinks ---------------------------------------------------------------
 
 class InvalidMelody(LightwakeError):
-    """Melody is empty, has non-positive durations, or an unusable sample rate."""
+    """Melody text, notes or durations are unusable (empty, unparseable, out of range)."""
 
 
 class MalformedLog(LightwakeError):

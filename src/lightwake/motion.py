@@ -1,4 +1,4 @@
-"""Pure math on 3-axis acceleration samples.
+"""Pure vector math on 3-axis acceleration samples.
 
 Every body-motion decision downstream is made on one scalar signal: the
 Manhattan (L1) distance between consecutive *normalized* acceleration
@@ -7,8 +7,8 @@ Euclidean length) discards the overall magnitude, so the signal reacts to
 changes in posture/direction rather than to sensor gain or gravity scale,
 and every component lands in [-1, 1].
 
-All functions here are pure and time-unaware: timestamps ride along
-untouched, in integer nanoseconds, so replays are exactly reproducible.
+The math is time-unaware: normalize() returns a plain (nx, ny, nz) tuple
+and manhattan_delta() a float. Timestamps stay on the RawSample.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSample, OrderViolation
+from .errors import DegenerateSample
 
 NS_PER_S = 1_000_000_000
 
@@ -29,6 +29,8 @@ DEGENERATE_NORM_EPS = 1e-9
 MAX_DELTA = 2.0 * math.sqrt(3.0)
 
 SENSOR_RANGE_G = 5.0
+
+Vector = tuple[float, float, float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,72 +48,23 @@ class RawSample:
     az: float
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizedSample:
-    """Unit-length direction vector derived from a RawSample.
+def normalize(sample: RawSample) -> Vector:
+    """Scale a raw sample to a unit vector (nx, ny, nz) by its Euclidean length.
 
-    Satisfies sqrt(nx^2 + ny^2 + nz^2) == 1 within 1e-9, with every
-    component in [-1, 1].
+    Raises DegenerateSample when the length is below DEGENERATE_NORM_EPS;
+    callers are expected to skip the reading and log a warning rather than
+    fabricate a direction.
     """
-
-    t_ns: int
-    nx: float
-    ny: float
-    nz: float
-
-
-@dataclass(frozen=True, slots=True)
-class MotionDelta:
-    """L1 distance between two consecutive normalized samples.
-
-    Dimensionless, in [0, 2*sqrt(3)]. Stamped with the timestamp of the
-    later of the two samples.
-    """
-
-    t_ns: int
-    value: float
-
-
-def euclidean_norm(ax: float, ay: float, az: float) -> float:
-    """Euclidean length sqrt(ax^2 + ay^2 + az^2) of an acceleration vector.
-
-    The distance is measured from the origin: that is the only reference
-    point under which dividing each component by the result yields a unit
-    vector.
-    """
-    return math.sqrt(ax * ax + ay * ay + az * az)
-
-
-def normalize(sample: RawSample) -> NormalizedSample:
-    """Scale a raw sample to unit Euclidean length, preserving its timestamp.
-
-    Raises DegenerateSample when the vector's length is below
-    DEGENERATE_NORM_EPS; callers are expected to skip the reading and log a
-    warning rather than fabricate a direction.
-    """
-    norm = euclidean_norm(sample.ax, sample.ay, sample.az)
+    ax, ay, az = sample.ax, sample.ay, sample.az
+    norm = math.sqrt(ax * ax + ay * ay + az * az)
     if norm < DEGENERATE_NORM_EPS:
         raise DegenerateSample(
-            f"acceleration vector at t={sample.t_ns} ns has length {norm:.3e} g, "
+            f"acceleration vector has length {norm:.3e} g, "
             f"below the {DEGENERATE_NORM_EPS:.0e} g guard"
         )
-    return NormalizedSample(
-        t_ns=sample.t_ns,
-        nx=sample.ax / norm,
-        ny=sample.ay / norm,
-        nz=sample.az / norm,
-    )
+    return (ax / norm, ay / norm, az / norm)
 
 
-def manhattan_delta(prev: NormalizedSample, curr: NormalizedSample) -> MotionDelta:
-    """Manhattan distance |dx| + |dy| + |dz| between back-to-back samples.
-
-    The result carries the timestamp of `curr`. Raises OrderViolation
-    unless prev.t_ns < curr.t_ns.
-    """
-    if prev.t_ns >= curr.t_ns:
-        raise OrderViolation(
-            f"samples out of order: prev t={prev.t_ns} ns >= curr t={curr.t_ns} ns"
-        )
-    value = abs(curr.nx - prev.nx) + abs(curr.ny - prev.ny) + abs(curr.nz - prev.nz)
-    return MotionDelta(t_ns=curr.t_ns, value=value)
+def manhattan_delta(prev: Vector, curr: Vector) -> float:
+    """Manhattan distance |dx| + |dy| + |dz| between two unit vectors, in [0, MAX_DELTA]."""
+    return abs(curr[0] - prev[0]) + abs(curr[1] - prev[1]) + abs(curr[2] - prev[2])

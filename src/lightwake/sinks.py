@@ -9,7 +9,8 @@ files. Melodies are plain text, one note per line as
 The chart sink projects a session event log into one CSV per period (every
 DeltaComputed event, timestamped in seconds within its period) plus a
 key/value summary holding the per-period maxima, the learned thresholds,
-and the alarm.
+and the alarm. Logs stream one record at a time in time order, so chart
+memory is bounded by the number of periods.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import wave
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .engine import (
     LOG_VERSION,
     SessionEvent,
     THRESHOLDS_UPDATED,
-    parse_event_line,
 )
 from .errors import ConfigInvalid, InvalidMelody, MalformedLog
 from .sources import format_seconds
@@ -39,8 +39,6 @@ from .sources import format_seconds
 _AMPLITUDE = 26214
 
 DEFAULT_SAMPLE_RATE = 16000
-MIN_SAMPLE_RATE = 8000
-MAX_SAMPLE_RATE = 48000
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,25 +88,20 @@ def parse_melody(text: str, name: str = "melody") -> Melody:
     return melody
 
 
-def synthesize_melody(melody: Melody, sample_rate_hz: int = DEFAULT_SAMPLE_RATE) -> np.ndarray:
-    """Render a melody as int16 mono PCM square-wave samples.
+def synthesize_melody(melody: Melody) -> np.ndarray:
+    """Render a melody as int16 mono PCM square-wave samples at DEFAULT_SAMPLE_RATE.
 
     Note boundaries are placed on the cumulative-duration grid, so the total
     length is within one frame of the melody's total duration regardless of
     how individual note lengths round.
     """
     melody.validate()
-    if not (MIN_SAMPLE_RATE <= sample_rate_hz <= MAX_SAMPLE_RATE):
-        raise InvalidMelody(
-            f"sample rate {sample_rate_hz!r} Hz outside "
-            f"{MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE}"
-        )
     segments: list[np.ndarray] = []
     cumulative_ms = 0.0
     frame_cursor = 0
     for freq, duration in melody.notes:
         cumulative_ms += duration
-        frame_end = int(cumulative_ms * sample_rate_hz / 1000.0 + 0.5)
+        frame_end = int(cumulative_ms * DEFAULT_SAMPLE_RATE / 1000.0 + 0.5)
         count = frame_end - frame_cursor
         frame_cursor = frame_end
         if count <= 0:
@@ -117,7 +110,7 @@ def synthesize_melody(melody: Melody, sample_rate_hz: int = DEFAULT_SAMPLE_RATE)
             segments.append(np.zeros(count, dtype=np.int16))
             continue
         j = np.arange(count, dtype=np.float64)
-        half_periods = np.floor(j * (2.0 * freq) / sample_rate_hz).astype(np.int64)
+        half_periods = np.floor(j * (2.0 * freq) / DEFAULT_SAMPLE_RATE).astype(np.int64)
         wave_block = np.where(half_periods % 2 == 0, _AMPLITUDE, -_AMPLITUDE)
         segments.append(wave_block.astype(np.int16))
     if not segments:
@@ -125,18 +118,13 @@ def synthesize_melody(melody: Melody, sample_rate_hz: int = DEFAULT_SAMPLE_RATE)
     return np.concatenate(segments)
 
 
-def write_wav(path: str | Path, pcm: np.ndarray, sample_rate_hz: int) -> None:
-    """Write int16 mono PCM as a RIFF/WAVE file."""
+def melody_to_wav(melody: Melody, path: str | Path) -> None:
+    """Write the synthesized melody as an int16 mono RIFF/WAVE file."""
     with wave.open(str(path), "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(sample_rate_hz)
-        wav.writeframes(pcm.astype("<i2").tobytes())
-
-
-def melody_to_wav(melody: Melody, path: str | Path,
-                  sample_rate_hz: int = DEFAULT_SAMPLE_RATE) -> None:
-    write_wav(path, synthesize_melody(melody, sample_rate_hz), sample_rate_hz)
+        wav.setframerate(DEFAULT_SAMPLE_RATE)
+        wav.writeframes(synthesize_melody(melody).astype("<i2").tobytes())
 
 
 # -- chart export -------------------------------------------------------------
@@ -147,7 +135,8 @@ def read_event_log(path: str | Path) -> tuple[dict, list[SessionEvent]]:
     A log cut off after any complete line is still readable (the events are
     simply a prefix). Whatever the engine could not have written raises
     MalformedLog: a bad header, a line that is no event record, an event
-    outside 0..sleep_ns, or a DeltaComputed at sleep_ns or without a float.
+    before the previous one or outside 0..sleep_ns, or a DeltaComputed at
+    sleep_ns or without a float.
     """
     records = _log_records(Path(path))
     header = next(records)
@@ -158,6 +147,7 @@ def _log_records(path: Path) -> Iterator[dict | SessionEvent]:
     """Yield a log's validated header record, then each validated event, one
     line at a time; see read_event_log for what is rejected."""
     header: dict | None = None
+    last_t_ns = 0
     try:
         with path.open("r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -172,8 +162,10 @@ def _log_records(path: Path) -> Iterator[dict | SessionEvent]:
                     event = parse_event_line(line)
                 except (ValueError, RecursionError) as exc:
                     raise MalformedLog(f"{path}: line {lineno}: {exc}") from None
-                if not 0 <= event.t_ns <= header["sleep_ns"]:
-                    raise MalformedLog(f"{path}: line {lineno}: t_ns {event.t_ns} outside the session")
+                if not last_t_ns <= event.t_ns <= header["sleep_ns"]:
+                    raise MalformedLog(f"{path}: line {lineno}: t_ns {event.t_ns} is before the "
+                                       f"previous event's or past the session end")
+                last_t_ns = event.t_ns
                 if event.kind == DELTA_COMPUTED and (
                         event.t_ns == header["sleep_ns"] or type(event.data.get("value")) is not float):
                     raise MalformedLog(f"{path}: line {lineno}: not a delta record: {line!r}")
@@ -182,6 +174,15 @@ def _log_records(path: Path) -> Iterator[dict | SessionEvent]:
         raise MalformedLog(f"{path}: not UTF-8: {exc}") from None
     if header is None:
         raise MalformedLog(f"{path}: empty log (no version header)")
+
+
+def parse_event_line(line: str) -> SessionEvent:
+    """Decode one event-log line back into a SessionEvent (not the header)."""
+    record = json.loads(line)
+    if (not isinstance(record, dict) or type(record.get("t_ns")) is not int
+            or not isinstance(record.get("kind"), str)):
+        raise ValueError(f"not an event record: {line!r}")
+    return SessionEvent(t_ns=record.pop("t_ns"), kind=record.pop("kind"), data=record)
 
 
 def _parse_header(path: Path, line: str) -> dict:
@@ -212,40 +213,50 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
 
     Chart rows are a lossless projection of the log's DeltaComputed events.
     The summary holds each period's maximum delta (the final period's too),
-    the last logged band, and the alarm. The log is read one record at a
-    time, so only the chart rows are held, not its events.
+    the last logged band, and the alarm. The log is streamed: each delta row
+    is written as it is read, and only the per-period maxima are held. A
+    MalformedLog stops the export before summary.csv is written.
     """
     records = _log_records(Path(log_path))
     header = next(records)
     period_ns = header["period_ns"]
     n_periods = validate_session_shape(header["sleep_ns"], period_ns)
-    buckets: list[list[tuple[int, float]]] = [[] for _ in range(n_periods)]
-    t_min = t_max = alarm_t_ns = None
-    alarm_fields: dict = {}
-    for event in records:
-        if event.kind == DELTA_COMPUTED:
-            index = event.t_ns // period_ns
-            buckets[index].append((event.t_ns - index * period_ns, event.data["value"]))
-        elif event.kind == THRESHOLDS_UPDATED:
-            t_min, t_max = event.data.get("t_min"), event.data.get("t_max")
-        elif event.kind == ALARM_FIRED:
-            alarm_t_ns, alarm_fields = event.t_ns, event.data
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for index, bucket in enumerate(buckets):
-        path = out_dir / f"period_{index}.csv"
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t_s,delta\n")
-            fh.writelines(f"{format_seconds(rel_ns)},{value!r}\n" for rel_ns, value in bucket)
-        written.append(path)
+    written = [out_dir / f"period_{index}.csv" for index in range(n_periods)]
+    maxima: list[float | None] = [None] * n_periods
+    t_min = t_max = alarm_t_ns = None
+    alarm_fields: dict = {}
+    for path in written:  # a period without deltas keeps a header-only chart
+        path.write_text("t_s,delta\n", encoding="utf-8", newline="\n")
+    chart: IO[str] | None = None
+    try:
+        for event in records:
+            if event.kind == DELTA_COMPUTED:
+                index = event.t_ns // period_ns
+                value = event.data["value"]
+                if maxima[index] is None:
+                    # The period's first delta: events never go back in time,
+                    # so the chart open so far is complete.
+                    if chart is not None:
+                        chart.close()
+                    chart = written[index].open("a", encoding="utf-8", newline="\n")
+                chart.write(f"{format_seconds(event.t_ns - index * period_ns)},{value!r}\n")
+                if maxima[index] is None or value > maxima[index]:
+                    maxima[index] = value
+            elif event.kind == THRESHOLDS_UPDATED:
+                t_min, t_max = event.data.get("t_min"), event.data.get("t_max")
+            elif event.kind == ALARM_FIRED:
+                alarm_t_ns, alarm_fields = event.t_ns, event.data
+    finally:
+        if chart is not None:
+            chart.close()
 
     path = out_dir / "summary.csv"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("key,value\n")
-        for index, bucket in enumerate(buckets):
-            fh.write(f"period_{index}_max,{_cell(max((v for _, v in bucket), default=None))}\n")
+        for index, period_max in enumerate(maxima):
+            fh.write(f"period_{index}_max,{_cell(period_max)}\n")
         fh.write(f"t_min,{_cell(t_min)}\n")
         fh.write(f"t_max,{_cell(t_max)}\n")
         fh.write(f"alarm_trigger,{alarm_fields.get('trigger') or ''}\n")

@@ -231,8 +231,8 @@ def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
 
 
 def format_seconds(t_ns: int) -> str:
-    """Canonical trace formatting of a nanosecond timestamp: fixed 9 decimals."""
-    return f"{t_ns / NS_PER_S:.9f}"
+    """Exact seconds with 9 decimals for t_ns >= 0, so seconds_to_ns reads it back."""
+    return f"{t_ns // NS_PER_S}.{t_ns % NS_PER_S:09d}"
 
 
 def write_trace(path: str | Path, header: TraceHeader, samples: list[RawSample]) -> None:

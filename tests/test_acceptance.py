@@ -92,13 +92,11 @@ def test_criterion_2_normalization_suite():
     comps = rng.uniform(-5.0, 5.0, size=(10_000, 3))
     for i, (x, y, z) in enumerate(comps.tolist()):
         n = normalize(RawSample(i, x, y, z))
-        assert abs(math.sqrt(n.nx**2 + n.ny**2 + n.nz**2) - 1.0) <= 1e-9
-        assert -1.0 <= n.nx <= 1.0 and -1.0 <= n.ny <= 1.0 and -1.0 <= n.nz <= 1.0
+        assert abs(math.sqrt(sum(c * c for c in n)) - 1.0) <= 1e-9
+        assert all(-1.0 <= c <= 1.0 for c in n)
         for k in (1e-3, 1.0, 1e3):
             scaled = normalize(RawSample(i, k * x, k * y, k * z))
-            assert abs(scaled.nx - n.nx) <= 1e-9
-            assert abs(scaled.ny - n.ny) <= 1e-9
-            assert abs(scaled.nz - n.nz) <= 1e-9
+            assert all(abs(c - b) <= 1e-9 for c, b in zip(scaled, n))
     for bad in (RawSample(0, 1e-12, 0.0, 0.0),
                 RawSample(0, 3e-10, 3e-10, 3e-10),
                 RawSample(0, 0.0, 0.0, 0.0)):
@@ -113,12 +111,11 @@ def test_criterion_3_delta_bound_suite():
     units = [normalize(RawSample(i, x, y, z))
              for i, (x, y, z) in enumerate(vecs.tolist())]
     for a, b in zip(units[::2], units[1::2]):
-        d = manhattan_delta(a, b) if a.t_ns < b.t_ns else manhattan_delta(b, a)
-        assert 0.0 <= d.value <= MAX_DELTA + 1e-9
+        assert 0.0 <= manhattan_delta(a, b) <= MAX_DELTA + 1e-9
     a = 1.0 / math.sqrt(3.0)
     extreme = manhattan_delta(
         normalize(RawSample(0, a, a, a)), normalize(RawSample(1, -a, -a, -a)))
-    assert abs(extreme.value - MAX_DELTA) <= 1e-12
+    assert abs(extreme - MAX_DELTA) <= 1e-12
     announce(3, "delta bound suite (10,000 pairs)")
 
 

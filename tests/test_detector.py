@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from lightwake.detector import (
     ThresholdState,
 )
 from lightwake.errors import ConfigInvalid, OrderViolation, PhaseViolation
-from lightwake.motion import MotionDelta
 
 NS = 1_000_000_000
 P = 60 * NS  # one-minute periods keep the arithmetic readable
@@ -28,14 +29,21 @@ class Records(list):
         return [(t_ns, fields) for t_ns, k, fields in self if k == kind]
 
 
-def d(t_s: float, value: float) -> MotionDelta:
-    return MotionDelta(int(t_s * NS), value)
+class Delta(NamedTuple):
+    """A motion delta and the session time of the sample it ends at."""
+
+    t_ns: int
+    value: float
 
 
-def step(det: Detector, delta: MotionDelta):
+def d(t_s: float, value: float) -> Delta:
+    return Delta(int(t_s * NS), value)
+
+
+def step(det: Detector, delta: Delta):
     """Feed one delta the way run_session does: clock first, then ingest."""
     det.advance_to(delta.t_ns)
-    return det.ingest(delta)
+    return det.ingest(delta.value)
 
 
 def feed_periods(det: Detector, period_values: list[list[float]], period_ns: int = P):
@@ -43,7 +51,7 @@ def feed_periods(det: Detector, period_values: list[list[float]], period_ns: int
     outcomes = []
     for k, values in enumerate(period_values):
         for i, value in enumerate(values):
-            outcomes.append(step(det, MotionDelta(k * period_ns + (i + 1) * NS, value)))
+            outcomes.append(step(det, Delta(k * period_ns + (i + 1) * NS, value)))
     return outcomes
 
 
@@ -83,7 +91,7 @@ class TestClassify:
         det = Detector(3 * P, P, emit=records)
         feed_periods(det, [[1.662], [0.497]])  # band [0.497, 1.662]
         t_ns = 2 * P + NS
-        outcome = step(det, MotionDelta(t_ns, value))
+        outcome = step(det, Delta(t_ns, value))
         (t, fields), = records.of(STAGE_CLASSIFIED)
         assert t == t_ns and fields["value"] == value
         assert (outcome is not None) == (fields["stage"] == "NREM")
@@ -152,7 +160,7 @@ class TestLearning:
             (P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.5}),
             (2 * P, PERIOD_CLOSED, {"index": 1, "period_max": None}),
         ]
-        det.ingest(d(2 * 60 + 5, 0.8))
+        det.ingest(0.8)
         assert records[-1] == ((2 * 60 + 5) * NS, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.8})
         assert det.finalize().final_thresholds == ThresholdState((0.5, 0.8), 0.5, 0.8)
 
@@ -161,7 +169,7 @@ class TestLearning:
         det = Detector(8 * P, P, emit=records)
         step(det, d(30, 0.5))
         del records[:]
-        step(det, MotionDelta(P, 0.9))  # exactly on the boundary
+        step(det, Delta(P, 0.9))  # exactly on the boundary
         assert records == [
             (P, PERIOD_CLOSED, {"index": 0, "period_max": 0.5}),
             (P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.5}),
@@ -216,7 +224,7 @@ class TestFinalPeriod:
         ]
         assert [f["stage"] for _, f in records.of(STAGE_CLASSIFIED)] == ["REM", "REM", "NREM"]
         with pytest.raises(PhaseViolation):
-            det.ingest(d(7 * 60 + 4, 1.0))
+            det.ingest(1.0)
         with pytest.raises(PhaseViolation):
             det.advance_to((7 * 60 + 4) * NS)
         assert len(records.of(ALARM_FIRED)) == 1
@@ -303,30 +311,29 @@ class TestOrdering:
         det = Detector(8 * P, P)
         step(det, d(10, 0.5))
         with pytest.raises(OrderViolation):
-            det.ingest(d(10, 0.6))
-        with pytest.raises(OrderViolation):
-            det.ingest(d(5, 0.6))
+            det.ingest(0.6)  # a second delta at the same clock tick
         with pytest.raises(OrderViolation):
             step(det, d(5, 0.6))
+        assert step(det, d(11, 0.6)) is None
 
     def test_ingest_requires_clock_at_delta(self):
         records = Records()
         det = Detector(8 * P, P, emit=records)
-        with pytest.raises(OrderViolation):
-            det.ingest(d(10, 0.5))  # clock still at 0: ingest never moves it
         det.advance_to(20 * NS)
-        with pytest.raises(OrderViolation):
-            det.ingest(d(10, 0.5))
         assert records == []
-        assert det.ingest(d(20, 0.5)) is None
+        assert det.ingest(0.5) is None  # the delta lands at the clock: ingest never moves it
+        assert records == [(20 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.5})]
+        with pytest.raises(OrderViolation):
+            det.ingest(0.7)
+        det.advance_to(P + 30 * NS)
+        det.ingest(0.7)
+        assert records[-1] == (P + 30 * NS, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.7})
 
     def test_delta_beyond_session_rejected(self):
         det = Detector(2 * P, P)
-        with pytest.raises(OrderViolation):
-            det.ingest(MotionDelta(2 * P, 0.5))
         det.advance_to(2 * P)
         with pytest.raises(OrderViolation):
-            det.ingest(MotionDelta(2 * P, 0.5))
+            det.ingest(0.5)  # the clock may reach sleep_ns, a delta may not
 
     def test_clock_cannot_move_backwards_or_past_end(self):
         det = Detector(2 * P, P)
@@ -347,7 +354,7 @@ class TestRandomizedProperties:
             offsets = np.sort(rng.choice(np.arange(1, 59), size=count, replace=False))
             for off, value in zip(offsets.tolist(),
                                   rng.uniform(0.0, 3.0, size=count).tolist()):
-                deltas.append(MotionDelta(k * period_ns + off * NS, value))
+                deltas.append(Delta(k * period_ns + off * NS, value))
                 per_period.setdefault(k, []).append(value)
         return deltas, per_period
 
@@ -402,7 +409,7 @@ class TestRandomizedProperties:
             records = Records()
             det = Detector(3 * P, P, emit=records)
             for t_ns, value in zip(times, order):
-                step(det, MotionDelta(t_ns, value))
+                step(det, Delta(t_ns, value))
             det.advance_to(P)
             assert records.of(PERIOD_CLOSED) == [(P, {"index": 0, "period_max": max(values)})]
             return det.finalize().final_thresholds.period_maxima

@@ -23,9 +23,9 @@ from lightwake.engine import (
     SAMPLE_SKIPPED,
     SESSION_ENDED,
     STAGE_CLASSIFIED,
-    parse_event_line,
 )
 from lightwake.errors import ConfigInvalid, OrderViolation, SourceFailed
+from lightwake.sinks import parse_event_line
 from reference import offline_outcome
 from trace_builders import scripted_trace
 
@@ -117,15 +117,6 @@ class TestSessionPaths:
         alarm_ns = result.outcome.alarm_time_ns
         assert result.outcome.trigger is AlarmTrigger.THRESHOLD_HIT
         assert consumed == alarm_ns // 250_000_000 + 1
-
-    def test_on_alarm_called_exactly_once_each_path(self):
-        calls = []
-        run_session(SessionConfig(3 * P, P), quiescent_samples(3 * 60 * 4),
-                    on_alarm=calls.append)
-        run_session(SessionConfig(3 * P, P), [], on_alarm=calls.append)
-        assert len(calls) == 2
-        assert calls[0].trigger is AlarmTrigger.THRESHOLD_HIT
-        assert calls[1].trigger is AlarmTrigger.SESSION_END
 
 
 class TestDegenerateSamples:
@@ -270,7 +261,9 @@ class TestOracleProperty:
     def test_run_session_matches_offline_outcome(self, case):
         samples, sleep_ns, period_ns = case
         ref = offline_outcome(samples, sleep_ns, period_ns)
-        outcome = run_session(SessionConfig(sleep_ns, period_ns), samples).outcome
+        buf = io.StringIO()
+        outcome = run_session(SessionConfig(sleep_ns, period_ns), samples, event_sink=buf).outcome
+        check_log_grammar(buf.getvalue())  # among others: t_ns never decreases
         assert outcome.trigger.value == ref.trigger
         assert outcome.alarm_time_ns == ref.alarm_time_ns
         assert outcome.trigger_delta == ref.trigger_delta

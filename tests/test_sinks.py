@@ -1,4 +1,4 @@
-import io
+import tracemalloc
 import wave
 
 import pytest
@@ -14,6 +14,8 @@ from lightwake import (
     run_session,
     synthesize_melody,
 )
+from lightwake.engine import HOUR_NS
+from lightwake.sources import SleepModelParams, TraceHeader, generate_trace
 from lightwake.engine import DELTA_COMPUTED
 from lightwake.errors import InvalidMelody, MalformedLog
 from lightwake.sinks import Melody
@@ -36,6 +38,7 @@ BAD_RECORD_LINES = [
     b'{"t_ns":5,"kind":"SampleSkipped","reason":"\xff"}\n',
     b'{"t_ns":-5,"kind":"DeltaComputed","value":0.5}\n',
     b'{"t_ns":240000000000,"kind":"DeltaComputed","value":0.5}\n',
+    b'{"t_ns":200000000000,"kind":"SampleAccepted"}\n{"t_ns":199999999999,"kind":"SampleAccepted"}\n',
     b"[" * 100_000 + b"\n",
 ]
 
@@ -62,43 +65,37 @@ class TestMelody:
         with pytest.raises(InvalidMelody):
             Melody(notes=notes).validate()
 
-    def test_sample_rate_bounds(self):
-        with pytest.raises(InvalidMelody):
-            synthesize_melody(DEFAULT_ALARM_MELODY, 4000)
-        with pytest.raises(InvalidMelody):
-            synthesize_melody(DEFAULT_ALARM_MELODY, 96000)
-
 
 class TestSynthesis:
-    def test_440hz_square_wave_at_8khz(self):
-        pcm = synthesize_melody(Melody(notes=((440.0, 1000.0),)), 8000)
-        assert len(pcm) == 8000
+    def test_440hz_square_wave_at_16khz(self):
+        pcm = synthesize_melody(Melody(notes=((440.0, 1000.0),)))
+        assert len(pcm) == 16000
         assert set(pcm.tolist()) == {26214, -26214}
         transitions = int((pcm[1:] != pcm[:-1]).sum())
-        # 440 full cycles over one second, one period ~ 18.18 samples.
+        # 440 full cycles over one second, one period ~ 36.36 samples.
         assert transitions in (879, 880)
         assert pcm[0] == 26214
 
     def test_rest_is_silence(self):
-        pcm = synthesize_melody(Melody(notes=((0.0, 500.0),)), 8000)
-        assert len(pcm) == 4000
+        pcm = synthesize_melody(Melody(notes=((0.0, 500.0),)))
+        assert len(pcm) == 8000
         assert not pcm.any()
 
     def test_note_boundaries_do_not_accumulate_rounding(self):
         melody = Melody(notes=((440.0, 333.3), (0.0, 333.3), (660.0, 333.3)))
-        pcm = synthesize_melody(melody, 8000)
-        assert abs(len(pcm) - melody.total_ms() * 8) <= 1.0
+        pcm = synthesize_melody(melody)
+        assert abs(len(pcm) - melody.total_ms() * 16) <= 1.0
 
     def test_deterministic(self):
-        a = synthesize_melody(DEFAULT_ALARM_MELODY, 16000)
-        b = synthesize_melody(DEFAULT_ALARM_MELODY, 16000)
+        a = synthesize_melody(DEFAULT_ALARM_MELODY)
+        b = synthesize_melody(DEFAULT_ALARM_MELODY)
         assert (a == b).all()
 
 
 class TestWavFiles:
     def test_riff_wave_readback(self, tmp_path):
         path = tmp_path / "alarm.wav"
-        melody_to_wav(DEFAULT_ALARM_MELODY, path, 16000)
+        melody_to_wav(DEFAULT_ALARM_MELODY, path)
         with wave.open(str(path), "rb") as wav:
             assert wav.getnchannels() == 1
             assert wav.getsampwidth() == 2
@@ -107,7 +104,7 @@ class TestWavFiles:
             assert abs(frames / 16000 - DEFAULT_ALARM_MELODY.total_ms() / 1000.0) \
                 <= 1.0 / 16000
         other = tmp_path / "alarm2.wav"
-        melody_to_wav(DEFAULT_ALARM_MELODY, other, 16000)
+        melody_to_wav(DEFAULT_ALARM_MELODY, other)
         assert path.read_bytes() == other.read_bytes()
 
 
@@ -221,3 +218,18 @@ class TestCharts:
             times = [seconds_to_ns(row.split(",")[0]) for row in rows]
             assert times == sorted(times)
             assert all(0 <= t < P for t in times)
+
+    def test_memory_bounded_by_periods(self, tmp_path):
+        """Chart export holds per-period state, not per-delta rows: its peak
+        barely moves when the same hour is sampled four times as often."""
+        peaks = []
+        for rate_hz in (4.0, 16.0):
+            samples = generate_trace(SleepModelParams(rng_seed=9), TraceHeader(rate_hz, HOUR_NS))
+            log_path, _ = run_with_log(tmp_path, samples, HOUR_NS, 15 * P, f"{rate_hz}.jsonl")
+            tracemalloc.start()
+            try:
+                export_period_charts(log_path, tmp_path / f"charts_{rate_hz}")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks

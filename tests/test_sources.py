@@ -108,6 +108,8 @@ class TestTraceFiles:
             RawSample(i * 250_000_000 + int(rng.integers(0, 1000)), *comps)
             for i, comps in enumerate(rng.uniform(-4.9, 4.9, size=(200, 3)).tolist())
         ]
+        # Past 2**23 s a float division no longer holds nine exact decimals.
+        samples.append(RawSample(100_000_000_123_456_789, 0.0, 0.0, 1.0))
         header = TraceHeader(sample_rate_hz=4.0, duration_ns=samples[-1].t_ns, label="rt")
         path = tmp_path / "rt.csv"
         write_trace(path, header, samples)
