@@ -16,7 +16,7 @@ import sys
 
 from .detector import AlarmTrigger
 from .engine import HOUR_NS, MINUTE_NS, NS_PER_S, SessionConfig, run_session
-from .errors import ConfigInvalid, InvalidMelody, InvalidParams, LightwakeError
+from .errors import ConfigInvalid, InvalidMelody, LightwakeError
 from .sinks import DEFAULT_ALARM_MELODY, export_period_charts, melody_to_wav, parse_melody
 from .sources import SleepModelParams, TraceHeader, generate_trace, listen_live, read_trace, write_trace
 
@@ -44,6 +44,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def host_port(text: str) -> tuple[str, int]:
+    """argparse type for --listen: HOST:PORT with a port of 0..65535."""
+    host, _, port = text.rpartition(":")
+    if host and port.isdigit() and int(port) <= 65535:
+        return host, int(port)
+    raise argparse.ArgumentTypeError(f"{text!r} is not HOST:PORT with a port of 0..65535")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lightwake",
@@ -63,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one sleep session over a trace or a live TCP feed")
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--trace", help="trace CSV to replay")
-    src.add_argument("--listen", metavar="HOST:PORT", help="accept one client on the live line protocol")
+    src.add_argument("--listen", type=host_port, metavar="HOST:PORT", help="accept one client on the live line protocol")
     run.add_argument("--sleep-hours", type=finite_float, default=8.0, help="sleep duration in hours (default 8)")
     run.add_argument("--period-min", type=finite_float, default=60.0, help="period length in minutes (default 60)")
     run.add_argument("--speed", type=finite_float, default=0.0,
@@ -83,19 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.hours <= 0:
         parser.error(f"--hours must be positive, got {args.hours!r}")
-    header = TraceHeader(
-        sample_rate_hz=args.rate_hz,
-        duration_ns=int(round(args.hours * HOUR_NS)),
-        label=f"synthetic seed={args.seed}",
-    )
-    params = SleepModelParams(
-        cycle_length_ns=int(round(args.cycle_min * MINUTE_NS)),
-        rng_seed=args.seed,
-    )
     try:
-        header.validate()
-        params.validate()
-    except InvalidParams as exc:
+        header = TraceHeader(sample_rate_hz=args.rate_hz,
+                             duration_ns=int(round(args.hours * HOUR_NS)),
+                             label=f"synthetic seed={args.seed}")
+        params = SleepModelParams(cycle_length_ns=int(round(args.cycle_min * MINUTE_NS)),
+                                  rng_seed=args.seed)
+    except ConfigInvalid as exc:
         parser.error(str(exc))
     samples = generate_trace(params, header)
     write_trace(args.out, header, samples)
@@ -104,11 +106,10 @@ def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = SessionConfig(sleep_duration_ns=int(round(args.sleep_hours * HOUR_NS)),
-                           period_length_ns=int(round(args.period_min * MINUTE_NS)),
-                           speed=args.speed)
     try:
-        config.validate()
+        config = SessionConfig(sleep_duration_ns=int(round(args.sleep_hours * HOUR_NS)),
+                               period_length_ns=int(round(args.period_min * MINUTE_NS)),
+                               speed=args.speed)
     except ConfigInvalid as exc:
         parser.error(str(exc))
 

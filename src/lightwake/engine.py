@@ -19,7 +19,6 @@ in memory; without one it is appended to ``SessionResult.events``.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from dataclasses import dataclass, field
 from typing import Any, IO, Iterable, Iterator
@@ -38,8 +37,6 @@ from .detector import (
 from .errors import ConfigInvalid, DegenerateSample, LightwakeError, SourceFailed
 from .motion import NS_PER_S, RawSample, Vector, manhattan_delta, normalize
 
-logger = logging.getLogger(__name__)
-
 MINUTE_NS = 60 * NS_PER_S
 HOUR_NS = 3600 * NS_PER_S
 
@@ -53,16 +50,24 @@ SESSION_ENDED = "SessionEnded"
 
 @dataclass(frozen=True, slots=True)
 class SessionConfig:
-    """Session parameters: duration and period in ns, plus the clock speed."""
+    """Session parameters: duration and period in ns, plus the clock speed.
+
+    Built with a shape the detector refuses or a speed that is negative or
+    so slow that a pacing sleep would overflow, it raises ConfigInvalid.
+    """
 
     sleep_duration_ns: int
     period_length_ns: int = HOUR_NS
     speed: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         validate_session_shape(self.sleep_duration_ns, self.period_length_ns)
-        if not (self.speed >= 0.0):
+        if not self.speed >= 0.0:
             raise ConfigInvalid(f"speed must be >= 0, got {self.speed!r}")
+        # time.sleep takes at most 2**63 ns; the longest pacing sleep is sleep / speed.
+        if self.speed > 0.0 and self.sleep_duration_ns / self.speed >= 2**63:
+            raise ConfigInvalid(f"speed {self.speed!r} stretches the session past the "
+                                f"longest possible sleep")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,11 +128,10 @@ def run_session(
     fires at exactly the configured sleep duration. Event records go to
     `event_sink` when one is given, else to `SessionResult.events`.
 
-    Raises ConfigInvalid before any work, and SourceFailed if the source
-    errors mid-session or yields a negative or non-increasing timestamp
-    (the partial event log is already flushed).
+    Raises SourceFailed if the source errors mid-session or yields a
+    negative or non-increasing timestamp (the partial event log is already
+    flushed).
     """
-    config.validate()
     log = EventLog(config, event_sink)
     detector = Detector(config.sleep_duration_ns, config.period_length_ns, emit=log.emit)
     wall_start = time.monotonic()
@@ -157,8 +161,7 @@ def run_session(
             detector.advance_to(sample.t_ns)
             try:
                 norm = normalize(sample)
-            except DegenerateSample as exc:
-                logger.warning("skipping sample at t=%d ns: %s", sample.t_ns, exc)
+            except DegenerateSample:
                 log.emit(sample.t_ns, SAMPLE_SKIPPED, reason="degenerate")
                 continue
             log.emit(sample.t_ns, SAMPLE_ACCEPTED)

@@ -35,10 +35,6 @@ class ParseError(LightwakeError):
         self.line_number = line_number
 
 
-class InvalidParams(LightwakeError):
-    """Synthetic trace parameters violate their invariants."""
-
-
 class BindError(LightwakeError):
     """Live listener could not bind its address."""
 
@@ -46,7 +42,8 @@ class BindError(LightwakeError):
 # --- engine --------------------------------------------------------------
 
 class ConfigInvalid(LightwakeError):
-    """Session configuration violates its invariants, such as sleep < 2 * period."""
+    """A SessionConfig, TraceHeader or SleepModelParams was built with a bad value,
+    such as sleep < 2 * period or a rate outside 1..250 Hz."""
 
 
 class SourceFailed(LightwakeError):

@@ -51,16 +51,17 @@ class RawSample:
 def normalize(sample: RawSample) -> Vector:
     """Scale a raw sample to a unit vector (nx, ny, nz) by its Euclidean length.
 
-    Raises DegenerateSample when the length is below DEGENERATE_NORM_EPS;
-    callers are expected to skip the reading and log a warning rather than
-    fabricate a direction.
+    Raises DegenerateSample when the length is below DEGENERATE_NORM_EPS or
+    not finite (a NaN or infinite component, or one whose square overflows);
+    callers are expected to skip the reading rather than fabricate a
+    direction.
     """
     ax, ay, az = sample.ax, sample.ay, sample.az
     norm = math.sqrt(ax * ax + ay * ay + az * az)
-    if norm < DEGENERATE_NORM_EPS:
+    if not DEGENERATE_NORM_EPS <= norm < math.inf:
         raise DegenerateSample(
             f"acceleration vector has length {norm:.3e} g, "
-            f"below the {DEGENERATE_NORM_EPS:.0e} g guard"
+            f"not a finite length of at least {DEGENERATE_NORM_EPS:.0e} g"
         )
     return (ax / norm, ay / norm, az / norm)
 

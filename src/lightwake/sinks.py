@@ -43,7 +43,10 @@ DEFAULT_SAMPLE_RATE = 16000
 
 @dataclass(frozen=True, slots=True)
 class Melody:
-    """Ordered notes of (frequency_hz, duration_ms); frequency 0 is a rest."""
+    """Ordered notes of (frequency_hz, duration_ms); frequency 0 is a rest.
+
+    Built with no notes or an unusable one, it raises InvalidMelody.
+    """
 
     notes: tuple[tuple[float, float], ...]
     name: str = "melody"
@@ -51,7 +54,7 @@ class Melody:
     def total_ms(self) -> float:
         return sum(duration for _, duration in self.notes)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.notes:
             raise InvalidMelody(f"melody {self.name!r} has no notes")
         for freq, duration in self.notes:
@@ -83,9 +86,7 @@ def parse_melody(text: str, name: str = "melody") -> Melody:
         except ValueError:
             raise InvalidMelody(f"line {lineno}: non-numeric note {raw!r}") from None
         notes.append((freq, duration))
-    melody = Melody(notes=tuple(notes), name=name)
-    melody.validate()
-    return melody
+    return Melody(notes=tuple(notes), name=name)
 
 
 def synthesize_melody(melody: Melody) -> np.ndarray:
@@ -95,7 +96,6 @@ def synthesize_melody(melody: Melody) -> np.ndarray:
     length is within one frame of the melody's total duration regardless of
     how individual note lengths round.
     """
-    melody.validate()
     segments: list[np.ndarray] = []
     cumulative_ms = 0.0
     frame_cursor = 0

@@ -24,7 +24,8 @@ at most MAX_LINE_BYTES (1024) bytes, as four whitespace-separated decimal
 fields ``t_s ax ay az``, validated like trace rows: blank lines are skipped
 and an error names its line. The server accepts a single client, replies
 nothing, and drops the connection on the first invalid line. Closing the
-connection ends the stream.
+connection ends the stream. LiveSource binds a (host, port) tuple.
+TraceHeader and SleepModelParams raise ConfigInvalid when built with a bad value.
 
 The synthetic generator is a fixture factory, not a physiological model:
 a gravity baseline plus Gaussian noise, with randomized movement bursts
@@ -46,7 +47,7 @@ from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import BindError, InvalidParams, OrderViolation, ParseError
+from .errors import BindError, ConfigInvalid, OrderViolation, ParseError
 from .motion import NS_PER_S, RawSample, SENSOR_RANGE_G
 
 logger = logging.getLogger(__name__)
@@ -57,24 +58,20 @@ MAX_LINE_BYTES = 1024
 _NS_QUANTUM = Decimal(NS_PER_S)
 
 
-def validate_sample_rate(rate_hz: float) -> None:
-    """Raise InvalidParams unless rate_hz lies in the sensor's 1..250 Hz envelope."""
-    if not (1.0 <= rate_hz <= 250.0):
-        raise InvalidParams(f"sample rate {rate_hz!r} Hz outside the sensor's 1..250 Hz envelope")
-
-
 @dataclass(frozen=True, slots=True)
 class TraceHeader:
-    """Trace metadata: sampling rate (1..250 Hz), covered duration, label."""
+    """Trace metadata: sampling rate (1..250 Hz), covered duration (>= 0), label."""
 
     sample_rate_hz: float = 4.0
     duration_ns: int = 0
     label: str = ""
 
-    def validate(self) -> None:
-        validate_sample_rate(self.sample_rate_hz)
+    def __post_init__(self) -> None:
+        if not 1.0 <= self.sample_rate_hz <= 250.0:
+            raise ConfigInvalid(f"sample rate {self.sample_rate_hz!r} Hz outside the sensor's "
+                                f"1..250 Hz envelope")
         if self.duration_ns < 0:
-            raise InvalidParams("duration must be non-negative")
+            raise ConfigInvalid("duration must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,24 +92,22 @@ class SleepModelParams:
     burst_amplitude: float = 0.4
     rng_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.cycle_length_ns <= 0:
-            raise InvalidParams("cycle_length_ns must be positive")
-        if not (0.0 < self.rem_fraction < 1.0):
-            raise InvalidParams(f"rem_fraction {self.rem_fraction!r} outside (0, 1)")
-        if self.quiet_noise_sigma < 0.0:
-            raise InvalidParams("quiet_noise_sigma must be non-negative")
-        if self.burst_rate_light < 0.0 or self.burst_rate_deep < 0.0:
-            raise InvalidParams("burst rates must be non-negative")
+            raise ConfigInvalid("cycle_length_ns must be positive")
+        if not 0.0 < self.rem_fraction < 1.0:
+            raise ConfigInvalid(f"rem_fraction {self.rem_fraction!r} outside (0, 1)")
+        if not self.quiet_noise_sigma >= 0.0:
+            raise ConfigInvalid("quiet_noise_sigma must be non-negative")
         # Light sleep must be at least as restless as deep sleep; equal rates
         # are allowed so both can be zeroed for quiescent fixtures.
-        if self.burst_rate_deep > self.burst_rate_light:
-            raise InvalidParams(
-                f"burst_rate_deep {self.burst_rate_deep!r} exceeds "
-                f"burst_rate_light {self.burst_rate_light!r}"
-            )
-        if self.burst_amplitude < 0.0:
-            raise InvalidParams("burst_amplitude must be non-negative")
+        if not self.burst_rate_light >= self.burst_rate_deep >= 0.0:
+            raise ConfigInvalid(f"burst rates must satisfy light {self.burst_rate_light!r} "
+                                f">= deep {self.burst_rate_deep!r} >= 0")
+        if not self.burst_amplitude >= 0.0:
+            raise ConfigInvalid("burst_amplitude must be non-negative")
+        if self.rng_seed < 0:
+            raise ConfigInvalid(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def seconds_to_ns(token: str) -> int:
@@ -203,9 +198,8 @@ def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
                 key = key.strip()
                 if key == "rate_hz":
                     try:
-                        rate = float(value)
-                        validate_sample_rate(rate)
-                    except (ValueError, InvalidParams) as exc:
+                        rate = TraceHeader(float(value)).sample_rate_hz
+                    except (ValueError, ConfigInvalid) as exc:
                         raise ParseError(
                             f"line {lineno}: bad rate_hz value {value!r}: {exc}", lineno
                         ) from None
@@ -286,9 +280,6 @@ def stage_schedule(params: SleepModelParams, duration_ns: int) -> list[tuple[int
 
 def generate_trace(params: SleepModelParams, header: TraceHeader) -> list[RawSample]:
     """Synthesize a night of accelerometer samples; deterministic per seed."""
-    params.validate()
-    header.validate()
-
     rate = header.sample_rate_hz
     ns_per_sample = NS_PER_S / rate
     n = int(header.duration_ns * rate / NS_PER_S)
@@ -334,18 +325,6 @@ def generate_trace(params: SleepModelParams, header: TraceHeader) -> list[RawSam
 
 # -- live listener -----------------------------------------------------------
 
-def _parse_bind_address(address: str | tuple[str, int]) -> tuple[str, int]:
-    if isinstance(address, tuple):
-        return address[0], int(address[1])
-    host, _, port = address.rpartition(":")
-    if not host or not port:
-        raise BindError(f"bind address {address!r} is not host:port")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise BindError(f"bind address {address!r} has a non-numeric port") from None
-
-
 def _wire_lines(wire: BinaryIO) -> Iterator[tuple[int, str]]:
     """Number the lines of a connection, refusing one longer than MAX_LINE_BYTES.
 
@@ -358,26 +337,26 @@ def _wire_lines(wire: BinaryIO) -> Iterator[tuple[int, str]]:
 
 
 class LiveSource:
-    """Iterator of RawSamples read from a single TCP client.
+    """Iterator of RawSamples read from a single TCP client on a (host, port).
 
-    Binds eagerly (so BindError surfaces at construction); accepts the one
-    client lazily on first iteration. The actual bound (host, port) is
-    exposed as .address, which is how tests bind port 0 and discover the
-    ephemeral port. Closing the connection ends the stream; any protocol
-    violation drops the client and raises.
+    Binds eagerly (so BindError surfaces at construction, also for a port
+    outside 0..65535); accepts the one client lazily on first iteration.
+    The actual bound (host, port) is exposed as .address, which is how
+    tests bind port 0 and discover the ephemeral port. Closing the
+    connection ends the stream; any protocol violation drops the client
+    and raises.
     """
 
-    def __init__(self, bind_address: str | tuple[str, int], timeout: float | None = None):
-        host, port = _parse_bind_address(bind_address)
+    def __init__(self, bind_address: tuple[str, int], timeout: float | None = None):
         self._timeout = timeout
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._listener.bind((host, port))
+            self._listener.bind(bind_address)
             self._listener.listen(1)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:
             self._listener.close()
-            raise BindError(f"cannot bind {host}:{port}: {exc}") from exc
+            raise BindError(f"cannot bind {bind_address[0]}:{bind_address[1]}: {exc}") from exc
         self._listener.settimeout(timeout)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._iterator: Iterator[RawSample] | None = None
@@ -413,6 +392,6 @@ class LiveSource:
             self._iterator.close()
 
 
-def listen_live(bind_address: str | tuple[str, int], timeout: float | None = None) -> LiveSource:
+def listen_live(bind_address: tuple[str, int], timeout: float | None = None) -> LiveSource:
     """Bind a TCP listener and return the sample stream it will serve."""
     return LiveSource(bind_address, timeout=timeout)

@@ -36,7 +36,7 @@ def delta_sequence(samples: list[RawSample], sleep_ns: int) -> tuple[np.ndarray,
     t = np.array([r[0] for r in rows], dtype=np.int64)
     a = np.array([r[1:] for r in rows], dtype=np.float64)
     norms = np.sqrt(a[:, 0] ** 2 + a[:, 1] ** 2 + a[:, 2] ** 2)
-    keep = norms >= DEGENERATE_EPS
+    keep = (norms >= DEGENERATE_EPS) & np.isfinite(norms)
     t, a, norms = t[keep], a[keep], norms[keep]
     if len(t) < 2:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)

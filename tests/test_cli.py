@@ -52,7 +52,7 @@ class TestUsage:
     def test_generate_rejects_bad_values(self, tmp_path):
         out = str(tmp_path / "t.csv")
         for flag, value in (("--hours", "0"), ("--rate-hz", "500"), ("--cycle-min", "-5"),
-                            ("--hours", "inf"), ("--cycle-min", "inf")):
+                            ("--hours", "inf"), ("--cycle-min", "inf"), ("--seed", "-1")):
             result = cli("generate", flag, value, "--out", out)
             assert result.returncode == 2, (flag, value)
             assert "Traceback" not in result.stderr
@@ -61,10 +61,18 @@ class TestUsage:
         for args in (("--sleep-hours", "0.5", "--period-min", "60"), ("--speed", "-1"),
                      ("--speed", "nan"), ("--sleep-hours", "inf"),
                      ("--sleep-hours", "1e300"), ("--period-min", "nan"),
-                     ("--sleep-hours", "100000")):
+                     ("--sleep-hours", "100000"), ("--speed", "1e-300")):
             result = cli("run", "--trace", str(tiny_trace), *args)
             assert result.returncode == 2, args
             assert "Traceback" not in result.stderr
+
+    def test_run_rejects_bad_listen_address(self):
+        for address in ("nonsense", "localhost", "localhost:notaport", "127.0.0.1:99999",
+                        "127.0.0.1:-1"):
+            result = cli("run", "--listen", address)
+            assert result.returncode == 2, address
+            assert "Traceback" not in result.stderr
+            assert result.stderr.splitlines()[-1].startswith("lightwake run: error: argument --listen")
 
     def test_run_requires_exactly_one_source(self, tiny_trace):
         assert cli("run").returncode == 2
@@ -148,6 +156,17 @@ class TestRun:
         assert result.returncode == 0
         with wave.open(str(wav_path), "rb") as fh:
             assert fh.getnframes() == round(0.250 * 16000)
+
+    def test_degenerate_samples_leave_stderr_empty(self, tmp_path):
+        trace = tmp_path / "zeros.csv"
+        rows = "".join(f"{i / 4},0,0,{0 if i % 2 else 1}\n" for i in range(24))
+        trace.write_text("t_s,ax_g,ay_g,az_g\n" + rows, encoding="utf-8")
+        log = tmp_path / "zeros.jsonl"
+        result = cli("run", "--trace", str(trace), "--sleep-hours", "0.05", "--period-min", "1",
+                     "--log", str(log))
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert log.read_text(encoding="utf-8").count('"kind":"SampleSkipped"') == 12
 
     def test_log_level_env_is_accepted(self, tiny_trace):
         result = cli("run", "--trace", str(tiny_trace),

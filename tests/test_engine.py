@@ -58,11 +58,19 @@ def check_log_grammar(text: str):
 class TestConfig:
     def test_sleep_must_cover_two_periods(self):
         with pytest.raises(ConfigInvalid):
-            run_session(SessionConfig(P, P), [])
+            SessionConfig(P, P)
 
     def test_speed_must_be_non_negative(self):
-        with pytest.raises(ConfigInvalid):
-            run_session(SessionConfig(3 * P, P, speed=-1.0), [])
+        for speed in (-1.0, float("nan")):
+            with pytest.raises(ConfigInvalid):
+                SessionConfig(3 * P, P, speed=speed)
+
+    def test_pacing_sleep_must_fit_time_sleep(self):
+        # time.sleep takes under 2**63 ns: 9.2e9 s sleeps, 9.3e9 s overflows.
+        SessionConfig(3 * P, P, speed=3 * P / 9.2e18)
+        for speed in (3 * P / 9.3e18, 1e-300, 5e-324):
+            with pytest.raises(ConfigInvalid):
+                SessionConfig(3 * P, P, speed=speed)
 
 
 class TestSessionPaths:
@@ -227,10 +235,12 @@ class TestEventLogShape:
 
 # -- streaming engine against the offline oracle --------------------------------
 
-# A zero and a sub-guard vector (skipped as degenerate), a resting one, and
-# arbitrary directions.
+# Vectors skipped as degenerate (zero, sub-guard, or not finite in length), a
+# resting one, and arbitrary directions.
+_NAN, _INF = float("nan"), float("inf")
 _VECTORS = st.one_of(
-    st.sampled_from([(0.0, 0.0, 0.0), (1e-12, 0.0, 0.0), (0.0, 0.0, 1.0)]),
+    st.sampled_from([(0.0, 0.0, 0.0), (1e-12, 0.0, 0.0), (_NAN, 0.0, 1.0), (0.0, _INF, 1.0),
+                     (-_INF, 0.0, 0.0), (0.0, 0.0, 1.0)]),
     st.tuples(*[st.floats(-2.0, 2.0)] * 3),
 )
 

@@ -46,6 +46,11 @@ class TestNormalize:
         with pytest.raises(DegenerateSample):
             unit(3e-10, 3e-10, 3e-10)
 
+    def test_non_finite_length_is_degenerate(self):
+        for vector in ((math.nan, 0.0, 1.0), (0.0, -math.inf, 0.0), (1e200, 0.0, 0.0)):
+            with pytest.raises(DegenerateSample):
+                unit(*vector)
+
     def test_just_above_guard_is_fine(self):
         assert unit(2e-9, 0.0, 0.0)[0] == 1.0
 

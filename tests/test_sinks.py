@@ -45,7 +45,6 @@ BAD_RECORD_LINES = [
 
 class TestMelody:
     def test_default_melody_is_valid_and_ascending(self):
-        DEFAULT_ALARM_MELODY.validate()
         freqs = [f for f, _ in DEFAULT_ALARM_MELODY.notes]
         assert len(freqs) == 3
         assert freqs == sorted(freqs)
@@ -60,10 +59,11 @@ class TestMelody:
         with pytest.raises(InvalidMelody, match="line 1"):
             parse_melody("440;100\n")
 
-    @pytest.mark.parametrize("notes", [(), ((440.0, 0.0),), ((-1.0, 100.0),)])
+    @pytest.mark.parametrize("notes", [(), ((440.0, 0.0),), ((-1.0, 100.0),),
+                                       ((float("nan"), 100.0),), ((440.0, float("inf")),)])
     def test_invalid_melodies(self, notes):
         with pytest.raises(InvalidMelody):
-            Melody(notes=notes).validate()
+            Melody(notes=notes)
 
 
 class TestSynthesis:

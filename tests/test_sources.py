@@ -16,7 +16,7 @@ from lightwake import (
     TraceHeader,
     generate_trace,
 )
-from lightwake.errors import BindError, InvalidParams, OrderViolation, ParseError
+from lightwake.errors import BindError, ConfigInvalid, OrderViolation, ParseError
 from lightwake.sources import (
     MAX_LINE_BYTES,
     TRACE_HEADER_LINE,
@@ -196,14 +196,20 @@ class TestGenerator:
         dict(quiet_noise_sigma=-0.1),
         dict(burst_amplitude=-0.5),
         dict(cycle_length_ns=0),
+        dict(rng_seed=-1),
+        dict(quiet_noise_sigma=float("nan")),
+        dict(burst_rate_deep=float("nan")),
     ])
     def test_invalid_params(self, bad):
-        with pytest.raises(InvalidParams):
-            generate_trace(SleepModelParams(**bad), TraceHeader(4.0, 60 * NS_PER_S))
+        with pytest.raises(ConfigInvalid):
+            SleepModelParams(**bad)
 
     def test_invalid_rate(self):
-        with pytest.raises(InvalidParams):
-            generate_trace(SleepModelParams(), TraceHeader(0.5, 60 * NS_PER_S))
+        for rate in (0.5, 250.5, float("nan")):
+            with pytest.raises(ConfigInvalid):
+                TraceHeader(rate, 60 * NS_PER_S)
+        with pytest.raises(ConfigInvalid):
+            TraceHeader(4.0, -1)
 
 
 def run_client(address, payload: bytes):
@@ -287,11 +293,10 @@ class TestLiveSource:
         finally:
             blocker.close()
 
-    def test_bad_address_strings(self):
-        with pytest.raises(BindError):
-            listen_live("localhost")
-        with pytest.raises(BindError):
-            listen_live("localhost:notaport")
+    def test_bind_error_on_port_out_of_range(self):
+        for port in (65536, -1):
+            with pytest.raises(BindError):
+                listen_live(("127.0.0.1", port))
 
 
 # -- one row grammar for both sources ------------------------------------------
