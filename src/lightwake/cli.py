@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rate-hz", type=finite_float, default=4.0, help="sampling rate, 1..250 Hz (default 4)")
     gen.add_argument("--cycle-min", type=finite_float, default=90.0, help="sleep cycle length in minutes (default 90)")
     gen.add_argument("--out", required=True, help="output trace CSV path")
-    gen.set_defaults(func=cmd_generate)
+    gen.set_defaults(func=cmd_generate, parser=gen)
 
     run = sub.add_parser("run", help="run one sleep session over a trace or a live TCP feed")
     src = run.add_mutually_exclusive_group(required=True)
@@ -79,12 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--log", help="write the JSONL event log here")
     run.add_argument("--alarm-wav", help="write the alarm melody WAV here when the alarm fires")
     run.add_argument("--melody", help="melody text file (freq_hz:duration_ms per line, 0 = rest)")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_run, parser=run)
 
     charts = sub.add_parser("charts", help="export per-period delta CSVs and a summary from an event log")
     charts.add_argument("--log", required=True, help="JSONL event log to read")
     charts.add_argument("--out-dir", required=True, help="directory for period_<k>.csv and summary.csv")
-    charts.set_defaults(func=cmd_charts)
+    charts.set_defaults(func=cmd_charts, parser=charts)
     return parser
 
 
@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args.parser, args)
     except OSError as exc:
         where = f"{exc.filename}: " if exc.filename else ""
         print(f"lightwake: {where}{exc.strerror or exc}", file=sys.stderr)

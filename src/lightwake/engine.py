@@ -10,10 +10,10 @@ delivery is immediate. Logs are therefore byte-identical across speeds.
 
 The event log is JSON Lines: a version header record first
 (``{"v":1,"sleep_ns":...,"period_ns":...}``), then one event per line with
-``t_ns`` (int), ``kind`` (str), and kind-specific fields. Each record goes
-to exactly one place: with a sink it is written and flushed line by line,
-so a truncated log is always a prefix of the full one, and nothing is kept
-in memory; without one it is appended to ``SessionResult.events``.
+``t_ns`` (int), ``kind`` (str), and kind-specific fields. Records go to a
+sink or nowhere: with a sink each is written and flushed line by line, so a
+truncated log is always a prefix of the full one; without one none is built,
+so a session holds memory by periods, never by samples.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ HOUR_NS = 3600 * NS_PER_S
 
 LOG_VERSION = 1
 
-SAMPLE_ACCEPTED = "SampleAccepted"
 SAMPLE_SKIPPED = "SampleSkipped"
 DELTA_COMPUTED = "DeltaComputed"
 SESSION_ENDED = "SessionEnded"
@@ -86,31 +85,26 @@ class SessionEvent:
 @dataclass(frozen=True, slots=True)
 class SessionResult:
     outcome: DetectorOutcome
-    events: list[SessionEvent]
+    # Always empty; kept only while the benchmark's retained_events_mb calls events.clear().
+    events: list[SessionEvent] = field(default_factory=list)
 
 
 class EventLog:
-    """Writes each SessionEvent to the sink, flushed eagerly, or else keeps it in `events`."""
+    """Writes the log header, then each record passed to emit, to the sink as flushed JSON lines."""
 
-    def __init__(self, config: SessionConfig, sink: IO[str] | None = None):
-        self.events: list[SessionEvent] = []
+    def __init__(self, config: SessionConfig, sink: IO[str]):
         self._sink = sink
-        if sink is not None:
-            header = {
-                "v": LOG_VERSION,
-                "sleep_ns": config.sleep_duration_ns,
-                "period_ns": config.period_length_ns,
-            }
-            sink.write(json.dumps(header, separators=(",", ":")) + "\n")
-            sink.flush()
+        header = {
+            "v": LOG_VERSION,
+            "sleep_ns": config.sleep_duration_ns,
+            "period_ns": config.period_length_ns,
+        }
+        sink.write(json.dumps(header, separators=(",", ":")) + "\n")
+        sink.flush()
 
     def emit(self, t_ns: int, kind: str, **data: Any) -> None:
-        event = SessionEvent(t_ns, kind, data)
-        if self._sink is None:
-            self.events.append(event)
-        else:
-            self._sink.write(event.to_json() + "\n")
-            self._sink.flush()
+        self._sink.write(SessionEvent(t_ns, kind, data).to_json() + "\n")
+        self._sink.flush()
 
 
 def run_session(
@@ -125,15 +119,16 @@ def run_session(
     against the previous one, and feeds the detector. On a threshold hit
     the source is stopped immediately; if the stream or the session ends
     without one, the virtual clock fast-forwards and the fallback alarm
-    fires at exactly the configured sleep duration. Event records go to
-    `event_sink` when one is given, else to `SessionResult.events`.
+    fires at exactly the configured sleep duration. Event records go to a
+    sink or nowhere: to `event_sink` when one is given, else none is built.
 
     Raises SourceFailed if the source errors mid-session or yields a
     negative or non-increasing timestamp (the partial event log is already
     flushed).
     """
-    log = EventLog(config, event_sink)
-    detector = Detector(config.sleep_duration_ns, config.period_length_ns, emit=log.emit)
+    log = None if event_sink is None else EventLog(config, event_sink)
+    detector = Detector(config.sleep_duration_ns, config.period_length_ns,
+                        emit=None if log is None else log.emit)
     wall_start = time.monotonic()
 
     outcome: DetectorOutcome | None = None
@@ -162,20 +157,24 @@ def run_session(
             try:
                 norm = normalize(sample)
             except DegenerateSample:
-                log.emit(sample.t_ns, SAMPLE_SKIPPED, reason="degenerate")
+                if log is not None:
+                    log.emit(sample.t_ns, SAMPLE_SKIPPED, reason="degenerate")
                 continue
-            log.emit(sample.t_ns, SAMPLE_ACCEPTED)
+            # Per-sample lines skip SessionEvent; json.dumps writes the same bytes (numbers by repr).
+            if event_sink is not None:
+                event_sink.write(f'{{"t_ns":{sample.t_ns},"kind":"SampleAccepted"}}\n')
+                event_sink.flush()
             if prev is not None:
                 value = manhattan_delta(prev, norm)
-                log.emit(sample.t_ns, DELTA_COMPUTED, value=value)
+                if event_sink is not None:
+                    event_sink.write(f'{{"t_ns":{sample.t_ns},"kind":"DeltaComputed","value":{value!r}}}\n')
+                    event_sink.flush()
                 outcome = detector.ingest(value)
                 if outcome is not None:
                     break
             prev = norm
     finally:
-        closer = getattr(iterator, "close", None)
-        if closer is None:
-            closer = getattr(source, "close", None)
+        closer = getattr(iterator, "close", None) or getattr(source, "close", None)
         if closer is not None:
             closer()
 
@@ -183,5 +182,6 @@ def run_session(
         # Source exhausted (or session window passed) without a hit: the
         # fallback alarm jumps the virtual clock to the end of the sleep time.
         outcome = detector.finalize()
-    log.emit(outcome.alarm_time_ns, SESSION_ENDED)
-    return SessionResult(outcome=outcome, events=log.events)
+    if log is not None:
+        log.emit(outcome.alarm_time_ns, SESSION_ENDED)
+    return SessionResult(outcome=outcome)

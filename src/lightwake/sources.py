@@ -93,8 +93,8 @@ class SleepModelParams:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.cycle_length_ns <= 0:
-            raise ConfigInvalid("cycle_length_ns must be positive")
+        if self.cycle_length_ns < 60 * NS_PER_S:  # stage_schedule holds 3 segments per cycle
+            raise ConfigInvalid(f"cycle length must be at least 60 s, got {self.cycle_length_ns} ns")
         if not 0.0 < self.rem_fraction < 1.0:
             raise ConfigInvalid(f"rem_fraction {self.rem_fraction!r} outside (0, 1)")
         if not self.quiet_noise_sigma >= 0.0:

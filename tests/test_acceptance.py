@@ -229,15 +229,17 @@ def test_criterion_7_source_equivalence_over_tcp(paper_case):
 
     feeder = threading.Thread(target=feed)
     feeder.start()
+    live_log = io.StringIO()
     try:
-        live = run_session(SessionConfig(PAPER_SLEEP_NS, PAPER_PERIOD_NS), source)
+        live = run_session(SessionConfig(PAPER_SLEEP_NS, PAPER_PERIOD_NS), source,
+                           event_sink=live_log)
     finally:
         feeder.join(timeout=30)
         source.close()
 
     assert live.outcome == paper_case.result.outcome
-    live_deltas = [(e.t_ns, e.data["value"]) for e in live.events
-                   if e.kind == DELTA_COMPUTED]
+    _, live_events = check_log_grammar(live_log.getvalue())
+    live_deltas = [(e.t_ns, e.data["value"]) for e in live_events if e.kind == DELTA_COMPUTED]
     _, logged = read_event_log(paper_case.log_path)
     file_deltas = [(e.t_ns, e.data["value"]) for e in logged if e.kind == DELTA_COMPUTED]
     assert live_deltas == file_deltas

@@ -52,10 +52,20 @@ class TestUsage:
     def test_generate_rejects_bad_values(self, tmp_path):
         out = str(tmp_path / "t.csv")
         for flag, value in (("--hours", "0"), ("--rate-hz", "500"), ("--cycle-min", "-5"),
-                            ("--hours", "inf"), ("--cycle-min", "inf"), ("--seed", "-1")):
+                            ("--hours", "inf"), ("--cycle-min", "inf"), ("--seed", "-1"),
+                            ("--cycle-min", "1e-6")):
             result = cli("generate", flag, value, "--out", out)
             assert result.returncode == 2, (flag, value)
             assert "Traceback" not in result.stderr
+
+    def test_config_errors_show_the_subcommand_usage(self, tiny_trace, tmp_path):
+        for args in (("generate", "--seed", "-1", "--out", str(tmp_path / "t.csv")),
+                     ("run", "--trace", str(tiny_trace), "--speed", "-1")):
+            result = cli(*args)
+            assert result.returncode == 2, args
+            lines = result.stderr.splitlines()
+            assert lines[0].startswith(f"usage: lightwake {args[0]} "), lines
+            assert lines[-1].startswith(f"lightwake {args[0]}: error: "), lines
 
     def test_run_rejects_bad_session_shape(self, tiny_trace):
         for args in (("--sleep-hours", "0.5", "--period-min", "60"), ("--speed", "-1"),

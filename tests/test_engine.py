@@ -1,11 +1,14 @@
 import io
 import json
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lightwake import (
+    HOUR_NS,
     NS_PER_S,
     RawSample,
     SessionConfig,
@@ -14,6 +17,7 @@ from lightwake import (
     generate_trace,
     run_session,
 )
+from lightwake import engine
 from lightwake.detector import AlarmTrigger
 from lightwake.engine import (
     ALARM_FIRED,
@@ -213,11 +217,45 @@ class TestEventLogShape:
 
     def test_paper_fixture_log_grammar_and_memory_events_match(self, paper_case):
         text = paper_case.log_path.read_text(encoding="utf-8")
-        _, events = check_log_grammar(text)
-        assert paper_case.result.events == []  # the sink took every record
-        in_memory = run_session(SessionConfig(8 * 3600 * NS, 3600 * NS), paper_case.samples)
+        check_log_grammar(text)
+        assert paper_case.result.events == []  # records go to a sink or nowhere
+        buf = io.StringIO()
+        in_memory = run_session(SessionConfig(8 * 3600 * NS, 3600 * NS), paper_case.samples,
+                                event_sink=buf)
         assert in_memory.outcome == paper_case.result.outcome
-        assert in_memory.events == events
+        assert buf.getvalue() == text
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(t_ns=st.integers(0, 10**21),
+           value=st.one_of(st.sampled_from([5e-324, 0.1 + 0.2, 1e16]),
+                           st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)))
+    def test_per_sample_lines_are_the_json_encoding(self, t_ns, value):
+        samples = [RawSample(t_ns, 0.0, 0.0, 1.0), RawSample(t_ns + 1, 0.0, 0.0, 1.0)]
+        sleep_ns = 10**21 + 2
+        buf = io.StringIO()
+        with mock.patch.object(engine, "manhattan_delta", lambda prev, curr: value):
+            run_session(SessionConfig(sleep_ns, sleep_ns // 2), samples, event_sink=buf)
+        lines = [line for line in buf.getvalue().splitlines()[1:]
+                 if parse_event_line(line).kind in ("SampleAccepted", DELTA_COMPUTED)]
+        records = [{"t_ns": t_ns, "kind": "SampleAccepted"},
+                   {"t_ns": t_ns + 1, "kind": "SampleAccepted"},
+                   {"t_ns": t_ns + 1, "kind": DELTA_COMPUTED, "value": value}]
+        assert lines == [json.dumps(record, separators=(",", ":")) for record in records]
+
+    def test_memory_without_sink_bounded_by_periods(self):
+        """Without a sink no record is built: the peak barely moves when the
+        same hour is sampled four times as often."""
+        nights = [generate_trace(SleepModelParams(rng_seed=9), TraceHeader(rate_hz, HOUR_NS))
+                  for rate_hz in (4.0, 16.0)]
+        peaks = []
+        for samples in nights:
+            tracemalloc.start()
+            try:
+                run_session(SessionConfig(HOUR_NS, 15 * P), samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_truncated_log_is_a_prefix(self, paper_case):
         lines = paper_case.log_path.read_text(encoding="utf-8").splitlines()

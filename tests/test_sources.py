@@ -199,6 +199,7 @@ class TestGenerator:
         dict(rng_seed=-1),
         dict(quiet_noise_sigma=float("nan")),
         dict(burst_rate_deep=float("nan")),
+        dict(cycle_length_ns=60 * NS_PER_S - 1),
     ])
     def test_invalid_params(self, bad):
         with pytest.raises(ConfigInvalid):
