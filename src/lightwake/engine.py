@@ -11,9 +11,12 @@ delivery is immediate. Logs are therefore byte-identical across speeds.
 The event log is JSON Lines: a version header record first
 (``{"v":1,"sleep_ns":...,"period_ns":...}``), then one event per line with
 ``t_ns`` (int), ``kind`` (str), and kind-specific fields. Records go to a
-sink or nowhere: with a sink each is written and flushed line by line, so a
-truncated log is always a prefix of the full one; without one none is built,
-so a session holds memory by periods, never by samples.
+sink or nowhere. With a sink each is written as a whole line into the sink's
+own buffer, which is flushed at every period boundary, at the session end and
+when the session stops on an error; a log read while it is written, or cut
+off, is therefore current up to the last boundary and a prefix of the full
+one. Without a sink none is built, so a session holds memory by periods,
+never by samples.
 """
 
 from __future__ import annotations
@@ -89,8 +92,17 @@ class SessionResult:
     events: list[SessionEvent] = field(default_factory=list)
 
 
+# Records after which the sink is flushed: the period boundaries and the session end.
+_FLUSH_AFTER = frozenset({PERIOD_CLOSED, FINAL_PERIOD_ENTERED, SESSION_ENDED})
+
+
 class EventLog:
-    """Writes the log header, then each record passed to emit, to the sink as flushed JSON lines."""
+    """Writes the log header, then each record passed to emit, to the sink as JSON lines.
+
+    Lines are buffered by the sink. emit flushes it after each PeriodClosed,
+    FinalPeriodEntered and SessionEnded record, so every flush ends on a
+    line end.
+    """
 
     def __init__(self, config: SessionConfig, sink: IO[str]):
         self._sink = sink
@@ -100,11 +112,11 @@ class EventLog:
             "period_ns": config.period_length_ns,
         }
         sink.write(json.dumps(header, separators=(",", ":")) + "\n")
-        sink.flush()
 
     def emit(self, t_ns: int, kind: str, **data: Any) -> None:
         self._sink.write(SessionEvent(t_ns, kind, data).to_json() + "\n")
-        self._sink.flush()
+        if kind in _FLUSH_AFTER:
+            self._sink.flush()
 
 
 def run_session(
@@ -123,8 +135,8 @@ def run_session(
     sink or nowhere: to `event_sink` when one is given, else none is built.
 
     Raises SourceFailed if the source errors mid-session or yields a
-    negative or non-increasing timestamp (the partial event log is already
-    flushed).
+    negative or non-increasing timestamp; the partial event log is flushed
+    first, as it is at every period boundary and at the session end.
     """
     log = None if event_sink is None else EventLog(config, event_sink)
     detector = Detector(config.sleep_duration_ns, config.period_length_ns,
@@ -163,12 +175,10 @@ def run_session(
             # Per-sample lines skip SessionEvent; json.dumps writes the same bytes (numbers by repr).
             if event_sink is not None:
                 event_sink.write(f'{{"t_ns":{sample.t_ns},"kind":"SampleAccepted"}}\n')
-                event_sink.flush()
             if prev is not None:
                 value = manhattan_delta(prev, norm)
                 if event_sink is not None:
                     event_sink.write(f'{{"t_ns":{sample.t_ns},"kind":"DeltaComputed","value":{value!r}}}\n')
-                    event_sink.flush()
                 outcome = detector.ingest(value)
                 if outcome is not None:
                     break
@@ -177,6 +187,8 @@ def run_session(
         closer = getattr(iterator, "close", None) or getattr(source, "close", None)
         if closer is not None:
             closer()
+        if event_sink is not None:
+            event_sink.flush()
 
     if outcome is None:
         # Source exhausted (or session window passed) without a hit: the

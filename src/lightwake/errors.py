@@ -47,7 +47,8 @@ class ConfigInvalid(LightwakeError):
 
 
 class SourceFailed(LightwakeError):
-    """Sample source raised mid-session; the partial event log was flushed."""
+    """Sample source raised or broke timestamp order mid-session; the event log
+    written so far, whole lines only, was flushed first."""
 
 
 # --- sinks ---------------------------------------------------------------

@@ -132,67 +132,82 @@ def melody_to_wav(melody: Melody, path: str | Path) -> None:
 def read_event_log(path: str | Path) -> tuple[dict, list[SessionEvent]]:
     """Load and validate a JSONL event log: (header record, events).
 
-    A log cut off after any complete line is still readable (the events are
-    simply a prefix). Whatever the engine could not have written raises
-    MalformedLog: a bad header, a line that is no event record, an event
-    before the previous one or outside 0..sleep_ns, or a DeltaComputed at
-    sleep_ns or without a float.
+    A log cut off anywhere after its header line still reads: the engine
+    flushes whole lines only, so an unterminated last line is a truncation
+    and is dropped, and the events are a prefix of the full log's. Whatever
+    the engine could not have written raises MalformedLog: a header whose v
+    is not the int 1 or that is no session shape, a line that is no event record,
+    an event before the previous one or outside 0..sleep_ns, or a
+    DeltaComputed at sleep_ns or without a finite float value >= 0.
     """
     records = _log_records(Path(path))
     header = next(records)
-    return header, list(records)
+    return header, [SessionEvent(t_ns, kind, fields) for t_ns, kind, fields in records]
 
 
-def _log_records(path: Path) -> Iterator[dict | SessionEvent]:
-    """Yield a log's validated header record, then each validated event, one
-    line at a time; see read_event_log for what is rejected."""
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _log_records(path: Path) -> Iterator[dict | tuple[int, str, dict]]:
+    """Yield a log's validated header record, then each validated event as a
+    (t_ns, kind, fields) tuple, one line at a time; see read_event_log for
+    what is rejected."""
     header: dict | None = None
     last_t_ns = 0
     try:
         with path.open("r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
+                if line[-1] != "\n":
+                    break  # the unterminated last line of a truncated log
                 line = line.strip()
                 if not line:
                     continue
                 if header is None:
                     header = _parse_header(path, line)
+                    sleep_ns = header["sleep_ns"]
                     yield header
                     continue
                 try:
-                    event = parse_event_line(line)
+                    t_ns, kind, fields = _event_fields(line)
                 except (ValueError, RecursionError) as exc:
                     raise MalformedLog(f"{path}: line {lineno}: {exc}") from None
-                if not last_t_ns <= event.t_ns <= header["sleep_ns"]:
-                    raise MalformedLog(f"{path}: line {lineno}: t_ns {event.t_ns} is before the "
+                if not last_t_ns <= t_ns <= sleep_ns:
+                    raise MalformedLog(f"{path}: line {lineno}: t_ns {t_ns} is before the "
                                        f"previous event's or past the session end")
-                last_t_ns = event.t_ns
-                if event.kind == DELTA_COMPUTED and (
-                        event.t_ns == header["sleep_ns"] or type(event.data.get("value")) is not float):
-                    raise MalformedLog(f"{path}: line {lineno}: not a delta record: {line!r}")
-                yield event
+                last_t_ns = t_ns
+                if kind == DELTA_COMPUTED:
+                    value = fields.get("value")
+                    if t_ns == sleep_ns or type(value) is not float or not 0.0 <= value < math.inf:
+                        raise MalformedLog(f"{path}: line {lineno}: not a delta record: {line!r}")
+                yield t_ns, kind, fields
     except UnicodeDecodeError as exc:
         raise MalformedLog(f"{path}: not UTF-8: {exc}") from None
     if header is None:
         raise MalformedLog(f"{path}: empty log (no version header)")
 
 
+def _event_fields(line: str) -> tuple[int, str, dict]:
+    """Decode a stripped line that is exactly one event record; ValueError otherwise."""
+    record, end = _raw_decode(line)
+    if end != len(line) or type(record) is not dict or type(record.get("t_ns")) is not int \
+            or type(record.get("kind")) is not str:
+        raise ValueError(f"not an event record: {line!r}")
+    return record.pop("t_ns"), record.pop("kind"), record
+
+
 def parse_event_line(line: str) -> SessionEvent:
     """Decode one event-log line back into a SessionEvent (not the header)."""
-    record = json.loads(line)
-    if (not isinstance(record, dict) or type(record.get("t_ns")) is not int
-            or not isinstance(record.get("kind"), str)):
-        raise ValueError(f"not an event record: {line!r}")
-    return SessionEvent(t_ns=record.pop("t_ns"), kind=record.pop("kind"), data=record)
+    return SessionEvent(*_event_fields(line.strip()))
 
 
 def _parse_header(path: Path, line: str) -> dict:
     try:
-        header = json.loads(line)
+        header, end = _raw_decode(line)
     except (ValueError, RecursionError) as exc:
         raise MalformedLog(f"{path}: line 1 is not JSON: {exc}") from None
-    if not isinstance(header, dict) or "v" not in header:
+    if end != len(line) or type(header) is not dict or "v" not in header:
         raise MalformedLog(f"{path}: first record is not a version header")
-    if header["v"] != LOG_VERSION:
+    if type(header["v"]) is not int or header["v"] != LOG_VERSION:
         raise MalformedLog(f"{path}: unsupported log version {header['v']!r}")
     sleep_ns, period_ns = header.get("sleep_ns"), header.get("period_ns")
     if type(sleep_ns) is not int or type(period_ns) is not int:
@@ -230,24 +245,27 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
     for path in written:  # a period without deltas keeps a header-only chart
         path.write_text("t_s,delta\n", encoding="utf-8", newline="\n")
     chart: IO[str] | None = None
+    index = period_start = period_end = 0  # the period whose chart is open
     try:
-        for event in records:
-            if event.kind == DELTA_COMPUTED:
-                index = event.t_ns // period_ns
-                value = event.data["value"]
-                if maxima[index] is None:
-                    # The period's first delta: events never go back in time,
-                    # so the chart open so far is complete.
+        for t_ns, kind, fields in records:
+            if kind == DELTA_COMPUTED:
+                value = fields["value"]
+                if t_ns >= period_end:
+                    # A later period's first delta: events never go back in
+                    # time, so the chart open so far is complete.
                     if chart is not None:
                         chart.close()
+                    index = t_ns // period_ns
+                    period_start, period_end = index * period_ns, (index + 1) * period_ns
                     chart = written[index].open("a", encoding="utf-8", newline="\n")
-                chart.write(f"{format_seconds(event.t_ns - index * period_ns)},{value!r}\n")
-                if maxima[index] is None or value > maxima[index]:
                     maxima[index] = value
-            elif event.kind == THRESHOLDS_UPDATED:
-                t_min, t_max = event.data.get("t_min"), event.data.get("t_max")
-            elif event.kind == ALARM_FIRED:
-                alarm_t_ns, alarm_fields = event.t_ns, event.data
+                elif value > maxima[index]:
+                    maxima[index] = value
+                chart.write(f"{format_seconds(t_ns - period_start)},{value!r}\n")
+            elif kind == THRESHOLDS_UPDATED:
+                t_min, t_max = fields.get("t_min"), fields.get("t_max")
+            elif kind == ALARM_FIRED:
+                alarm_t_ns, alarm_fields = t_ns, fields
     finally:
         if chart is not None:
             chart.close()

@@ -41,6 +41,18 @@ def quiescent_samples(n, dt_ns=250_000_000):
     return [RawSample(i * dt_ns, 0.0, 0.0, 1.0) for i in range(n)]
 
 
+class FlushRecorder(io.StringIO):
+    """Text sink that tells written text from flushed text: flushes holds
+    how much had been written at each flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushes: list[int] = []
+
+    def flush(self):
+        self.flushes.append(self.tell())
+
+
 def check_log_grammar(text: str):
     """Shared event-log well-formedness assertions; returns (header, events)."""
     lines = text.splitlines()
@@ -157,13 +169,35 @@ class TestSourceFailures:
             yield RawSample(250_000_000, 0.0, 0.0, 1.0)
             raise OrderViolation("line 3: timestamps went backwards")
 
-        buf = io.StringIO()
+        sink = FlushRecorder()
         with pytest.raises(SourceFailed):
-            run_session(SessionConfig(3 * P, P), broken(), event_sink=buf)
-        lines = buf.getvalue().splitlines()
+            run_session(SessionConfig(3 * P, P), broken(), event_sink=sink)
+        text = sink.getvalue()
+        assert sink.flushes[-1] == len(text)  # all that was written is flushed
+        lines = text.splitlines()
         assert json.loads(lines[0])["v"] == 1
-        for line in lines[1:]:
-            parse_event_line(line)  # every flushed line is complete JSON
+        assert [parse_event_line(line).kind for line in lines[1:]] == [
+            "SampleAccepted", "SampleAccepted", DELTA_COMPUTED, "ThresholdsUpdated"]
+
+    def test_flushes_fall_on_line_ends_at_period_boundaries(self):
+        triggers = set()
+        for final_deltas in ([0.2, 0.31, 1.016, 0.8], []):
+            _, samples = scripted_trace([0.9, 1.1, 0.8, 0.75, 1.662, 0.497, 1.2], final_deltas,
+                                        period_s=60)
+            sink = FlushRecorder()
+            result = run_session(SessionConfig(8 * P, P), samples, event_sink=sink)
+            triggers.add(result.outcome.trigger)
+            text = sink.getvalue()
+            assert all(text[end - 1] == "\n" for end in sink.flushes)
+            assert len(sink.flushes) <= 8 + 2
+            assert sink.flushes[-1] == len(text)
+            lines = text.splitlines(keepends=True)
+            line_end = len(lines[0])
+            for line in lines[1:]:
+                line_end += len(line)
+                if parse_event_line(line).kind in (PERIOD_CLOSED, FINAL_PERIOD_ENTERED):
+                    assert line_end in sink.flushes
+        assert triggers == {AlarmTrigger.THRESHOLD_HIT, AlarmTrigger.SESSION_END}
 
     def test_non_monotone_custom_source_detected(self):
         for times in ([0, 0], [0, 2 * NS, 1 * NS], [-1]):
@@ -256,11 +290,6 @@ class TestEventLogShape:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
-
-    def test_truncated_log_is_a_prefix(self, paper_case):
-        lines = paper_case.log_path.read_text(encoding="utf-8").splitlines()
-        for line in lines[: min(5000, len(lines))]:
-            json.loads(line)  # any prefix parses line by line
 
     def test_thresholds_updated_culminates_at_final_band(self, paper_case):
         _, events = check_log_grammar(paper_case.log_path.read_text(encoding="utf-8"))

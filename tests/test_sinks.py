@@ -1,11 +1,15 @@
+import io
+import json
 import tracemalloc
 import wave
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lightwake import (
     DEFAULT_ALARM_MELODY,
     NS_PER_S,
+    RawSample,
     SessionConfig,
     export_period_charts,
     melody_to_wav,
@@ -31,6 +35,9 @@ BAD_HEADER_LINES = [
     b'{"v":1,"sleep_ns":"28800000000000","period_ns":3600000000000}\n',
     b"[" * 100_000 + b"\n",
     b'{"v":1,"sleep_ns":20000,"period_ns":1}\n',
+    b'{"v":true,"sleep_ns":240000000000,"period_ns":60000000000}\n',
+    b'{"v":1.0,"sleep_ns":240000000000,"period_ns":60000000000}\n',
+    b'{"v":1,"sleep_ns":240000000000,"period_ns":60000000000}{}\n',
 ]
 BAD_RECORD_LINES = [
     b'{"t_ns":5,"kind":"DeltaComputed"}\n',
@@ -40,6 +47,11 @@ BAD_RECORD_LINES = [
     b'{"t_ns":240000000000,"kind":"DeltaComputed","value":0.5}\n',
     b'{"t_ns":200000000000,"kind":"SampleAccepted"}\n{"t_ns":199999999999,"kind":"SampleAccepted"}\n',
     b"[" * 100_000 + b"\n",
+    b'{"t_ns":5,"kind":"DeltaComputed","value":NaN}\n',
+    b'{"t_ns":5,"kind":"DeltaComputed","value":Infinity}\n',
+    b'{"t_ns":5,"kind":"DeltaComputed","value":1e999}\n',
+    b'{"t_ns":5,"kind":"DeltaComputed","value":-0.5}\n',
+    b'{"t_ns":5,"kind":"SampleAccepted"}{"t_ns":6,"kind":"SampleAccepted"}\n',
 ]
 
 
@@ -136,15 +148,9 @@ class TestCharts:
         _, log_path, result = self.small_case(tmp_path)
         out = tmp_path / "charts"
         export_period_charts(log_path, out)
-        reconstructed = []
-        for k in range(4):
-            lines = (out / f"period_{k}.csv").read_text(encoding="utf-8").splitlines()
-            for row in lines[1:]:
-                t_s, value = row.split(",")
-                reconstructed.append((k * P + seconds_to_ns(t_s), float(value)))
         _, events = read_event_log(log_path)
         logged = [(e.t_ns, e.data["value"]) for e in events if e.kind == DELTA_COMPUTED]
-        assert logged and reconstructed == logged
+        assert logged and chart_rows(out, 4) == logged
 
     def test_summary_matches_brute_force(self, tmp_path):
         samples, log_path, result = self.small_case(tmp_path)
@@ -233,3 +239,95 @@ class TestCharts:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def engine_log() -> bytes:
+    """A small engine log holding every kind of record: four 60 s periods at 1 Hz,
+    one degenerate sample, and an alarm in the final period."""
+    _, samples = scripted_trace([0.5, 0.9, 0.7], [0.2, 0.6], period_s=60, rate_hz=1.0)
+    samples[30] = RawSample(samples[30].t_ns, 0.0, 0.0, 0.0)
+    buf = io.StringIO()
+    run_session(SessionConfig(4 * P, P), samples, event_sink=buf)
+    return buf.getvalue().encode("utf-8")
+
+
+ENGINE_LOG = engine_log()
+HEADER_END = ENGINE_LOG.index(b"\n") + 1
+LINE_ENDS = [i + 1 for i, byte in enumerate(ENGINE_LOG) if byte == ord("\n")]
+
+SMALL_HEADER = '{"v":1,"sleep_ns":240,"period_ns":60}'
+_ANY = st.one_of(st.none(), st.booleans(), st.integers(-10, 300), st.floats(), st.text(max_size=4))
+_RECORDS = st.fixed_dictionaries(
+    {"t_ns": st.one_of(st.integers(0, 250), _ANY),
+     "kind": st.one_of(st.sampled_from(["SampleAccepted", DELTA_COMPUTED, "AlarmFired",
+                                        "ThresholdsUpdated"]), _ANY)},
+    optional={"value": _ANY, "t_min": _ANY}).map(json.dumps)
+_LINES = st.one_of(_RECORDS, st.text(max_size=12),
+                   st.sampled_from(["", "[", "{", '"', "{}{}", "[" * 5000, "1e999", "NaN"]))
+# Arbitrary text, and lines of near-records after a valid or an invalid header.
+LOG_TEXTS = st.one_of(
+    st.text(),
+    st.tuples(st.sampled_from([SMALL_HEADER, '{"v":1}', '{"v":true,"sleep_ns":240,"period_ns":60}']),
+              st.lists(_LINES, max_size=8), st.sampled_from(["", "\n", "\r\n"]))
+    .map(lambda parts: "\n".join([parts[0], *parts[1]]) + parts[2]),
+)
+
+
+def chart_rows(out, n_periods):
+    """The (t_ns, value) rows of the period charts in out, in period order."""
+    rows = []
+    for k in range(n_periods):
+        lines = (out / f"period_{k}.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "t_s,delta"
+        for row in lines[1:]:
+            t_s, value = row.split(",")
+            rows.append((k * P + seconds_to_ns(t_s), float(value)))
+    return rows
+
+
+class TestReaderProperties:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("reader_properties")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(text=LOG_TEXTS)
+    def test_any_text_gives_events_or_malformed_log(self, workdir, text):
+        path = workdir / "any.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+        readers = [read_event_log]
+        if text.startswith(SMALL_HEADER):  # a 4-period session: charts stay small
+            readers.append(lambda log: export_period_charts(log, workdir / "charts"))
+        for reader in readers:
+            try:
+                reader(path)
+            except MalformedLog:
+                pass
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(cut=st.one_of(st.integers(HEADER_END, len(ENGINE_LOG)), st.sampled_from(LINE_ENDS)))
+    @example(cut=len(ENGINE_LOG) - 1)
+    @example(cut=HEADER_END)
+    def test_every_byte_prefix_reads_as_the_logs_prefix(self, workdir, cut):
+        full = workdir / "full.jsonl"
+        full.write_bytes(ENGINE_LOG)
+        _, events = read_event_log(full)
+        assert len(events) == len(LINE_ENDS) - 1
+        prefix = workdir / "prefix.jsonl"
+        prefix.write_bytes(ENGINE_LOG[:cut])
+        complete = ENGINE_LOG[:cut].count(b"\n") - 1  # event lines up to the last newline
+        _, read = read_event_log(prefix)
+        assert read == events[:complete]
+        export_period_charts(prefix, workdir / "charts")
+        deltas = [(e.t_ns, e.data["value"]) for e in read if e.kind == DELTA_COMPUTED]
+        assert chart_rows(workdir / "charts", 4) == deltas
+
+    def test_rejections_name_the_record_line(self, tmp_path):
+        header = b'{"v":1,"sleep_ns":240000000000,"period_ns":60000000000}\n'
+        log = tmp_path / "log.jsonl"
+        log.write_bytes(header + b'{"t_ns":5,"kind":"DeltaComputed","value":0.5}\n')
+        assert len(read_event_log(log)[1]) == 1
+        for line in BAD_RECORD_LINES:
+            log.write_bytes(header + line)
+            with pytest.raises(MalformedLog, match=r"line [23]\b|not UTF-8"):
+                read_event_log(log)
