@@ -155,30 +155,31 @@ def run_session(
                 break
             except (LightwakeError, OSError) as exc:
                 raise SourceFailed(f"sample source failed: {exc}") from exc
-            if sample.t_ns <= last_t_ns:
+            t_ns = sample.t_ns
+            if t_ns <= last_t_ns:
                 raise SourceFailed(f"source timestamps must be non-negative and strictly "
-                                   f"increasing: {sample.t_ns} ns after {last_t_ns} ns")
-            last_t_ns = sample.t_ns
-            if sample.t_ns >= config.sleep_duration_ns:
+                                   f"increasing: {t_ns} ns after {last_t_ns} ns")
+            last_t_ns = t_ns
+            if t_ns >= config.sleep_duration_ns:
                 break
             if config.speed > 0.0:
-                delay = wall_start + (sample.t_ns / NS_PER_S) / config.speed - time.monotonic()
+                delay = wall_start + (t_ns / NS_PER_S) / config.speed - time.monotonic()
                 if delay > 0:
                     time.sleep(delay)
-            detector.advance_to(sample.t_ns)
+            detector.advance_to(t_ns)
             try:
                 norm = normalize(sample)
             except DegenerateSample:
                 if log is not None:
-                    log.emit(sample.t_ns, SAMPLE_SKIPPED, reason="degenerate")
+                    log.emit(t_ns, SAMPLE_SKIPPED, reason="degenerate")
                 continue
             # Per-sample lines skip SessionEvent; json.dumps writes the same bytes (numbers by repr).
             if event_sink is not None:
-                event_sink.write(f'{{"t_ns":{sample.t_ns},"kind":"SampleAccepted"}}\n')
+                event_sink.write(f'{{"t_ns":{t_ns},"kind":"SampleAccepted"}}\n')
             if prev is not None:
                 value = manhattan_delta(prev, norm)
                 if event_sink is not None:
-                    event_sink.write(f'{{"t_ns":{sample.t_ns},"kind":"DeltaComputed","value":{value!r}}}\n')
+                    event_sink.write(f'{{"t_ns":{t_ns},"kind":"DeltaComputed","value":{value!r}}}\n')
                 outcome = detector.ingest(value)
                 if outcome is not None:
                     break

@@ -163,7 +163,7 @@ def _log_records(path: Path) -> Iterator[dict | tuple[int, str, dict]]:
                 if not line:
                     continue
                 if header is None:
-                    header = _parse_header(path, line)
+                    header = _parse_header(path, line, lineno)
                     sleep_ns = header["sleep_ns"]
                     yield header
                     continue
@@ -200,11 +200,11 @@ def parse_event_line(line: str) -> SessionEvent:
     return SessionEvent(*_event_fields(line.strip()))
 
 
-def _parse_header(path: Path, line: str) -> dict:
+def _parse_header(path: Path, line: str, lineno: int) -> dict:
     try:
         header, end = _raw_decode(line)
     except (ValueError, RecursionError) as exc:
-        raise MalformedLog(f"{path}: line 1 is not JSON: {exc}") from None
+        raise MalformedLog(f"{path}: line {lineno} is not JSON: {exc}") from None
     if end != len(line) or type(header) is not dict or "v" not in header:
         raise MalformedLog(f"{path}: first record is not a version header")
     if type(header["v"]) is not int or header["v"] != LOG_VERSION:

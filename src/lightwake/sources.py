@@ -15,7 +15,10 @@ Trace file format (UTF-8 CSV):
 Optional ``#``-prefixed ``key=value`` comment lines may precede the header;
 ``rate_hz`` and ``label`` are recognized. ``t_s`` is seconds from session
 start, below 1e12, and is converted to integer nanoseconds by rounding
-half-up (decimal arithmetic, so the text value is authoritative).
+half-up on the text, so the text value is authoritative: a time with
+exactly 9 decimals, as ``write_trace`` writes it, by ``int()`` of its
+digits, every other decimal form (other fraction lengths, sign, exponent,
+``.5``) by ``Decimal``, with the same result.
 Timestamps must be strictly increasing and every component must stay
 within the sensor's +/-5 g range.
 
@@ -113,9 +116,14 @@ class SleepModelParams:
 def seconds_to_ns(token: str) -> int:
     """Convert a decimal seconds field to integer nanoseconds, rounding half-up.
 
-    Decimal arithmetic on the text keeps the conversion exact and
+    The form format_seconds writes, 1..12 ASCII digits, a point and exactly
+    9 ASCII digits, is already whole nanoseconds and is read by int(); every
+    other form goes through Decimal, which is exact on it too. Both are
     platform-independent; raises ValueError on anything non-finite or >= 1e12 s.
     """
+    whole, _, frac = token.partition(".")
+    if len(frac) == 9 and len(whole) <= 12 and whole.isdigit() and frac.isdigit() and token.isascii():
+        return int(whole + frac)
     try:
         value = Decimal(token)
     except InvalidOperation as exc:
@@ -123,7 +131,7 @@ def seconds_to_ns(token: str) -> int:
     if not value.is_finite():
         raise ValueError(f"non-finite time value: {token!r}")
     # Larger values overflow Decimal or make int() take seconds; no night lasts 1e12 s.
-    if value.adjusted() >= 12:
+    if value and value.adjusted() >= 12:
         raise ValueError(f"time value {token!r} out of range")
     return int((value * _NS_QUANTUM).to_integral_value(rounding=ROUND_HALF_UP))
 
@@ -136,18 +144,30 @@ def _fields_to_sample(t_tok: str, x_tok: str, y_tok: str, z_tok: str) -> RawSamp
         raise ParseError(f"bad time field {t_tok!r}: {exc}") from exc
     if t_ns < 0:
         raise ParseError(f"negative timestamp {t_tok!r}")
-    comps = []
-    for tok in (x_tok, y_tok, z_tok):
+    try:
+        ax, ay, az = float(x_tok), float(y_tok), float(z_tok)
+    except ValueError:
+        pass
+    else:
+        # NaN and +/-inf fail the range test too.
+        if -SENSOR_RANGE_G <= ax <= SENSOR_RANGE_G and -SENSOR_RANGE_G <= ay <= SENSOR_RANGE_G \
+                and -SENSOR_RANGE_G <= az <= SENSOR_RANGE_G:
+            return RawSample(t_ns, ax, ay, az)
+    raise ParseError(_component_error(x_tok, y_tok, z_tok))
+
+
+def _component_error(*tokens: str) -> str:
+    """Name the first of a row's acceleration fields that is not a reading."""
+    for tok in tokens:
         try:
             value = float(tok)
-        except ValueError as exc:
-            raise ParseError(f"bad acceleration field {tok!r}") from exc
+        except ValueError:
+            return f"bad acceleration field {tok!r}"
         if not math.isfinite(value):
-            raise ParseError(f"non-finite acceleration field {tok!r}")
+            return f"non-finite acceleration field {tok!r}"
         if abs(value) > SENSOR_RANGE_G:
-            raise ParseError(f"acceleration {tok!r} exceeds +/-{SENSOR_RANGE_G:g} g")
-        comps.append(value)
-    return RawSample(t_ns, comps[0], comps[1], comps[2])
+            return f"acceleration {tok!r} exceeds +/-{SENSOR_RANGE_G:g} g"
+    raise AssertionError("every acceleration field is a reading")
 
 
 def _samples(numbered_lines: Iterable[tuple[int, str]], sep: str | None) -> Iterator[RawSample]:
@@ -289,8 +309,9 @@ def generate_trace(params: SleepModelParams, header: TraceHeader) -> list[RawSam
         n -= 1
     if n == 0:
         return []
-    t_ns = [int(i * ns_per_sample + 0.5) for i in range(n)]
-    t_s = np.asarray(t_ns, dtype=np.float64) / NS_PER_S
+    # Each t_ns is int(i * ns_per_sample + 0.5) in float64; seeded traces depend on these ops.
+    t_ns = (np.arange(n, dtype=np.float64) * ns_per_sample + 0.5).astype(np.int64)
+    t_s = t_ns / NS_PER_S
 
     rng = np.random.default_rng(params.rng_seed)
     acc = np.zeros((n, 3), dtype=np.float64)
@@ -319,8 +340,7 @@ def generate_trace(params: SleepModelParams, header: TraceHeader) -> list[RawSam
             acc[i0:i1] += offsets[None, :] * envelope[:, None]
 
     np.clip(acc, -SENSOR_RANGE_G, SENSOR_RANGE_G, out=acc)
-    rows = acc.tolist()
-    return [RawSample(t, row[0], row[1], row[2]) for t, row in zip(t_ns, rows)]
+    return list(map(RawSample, t_ns.tolist(), *acc.T.tolist()))
 
 
 # -- live listener -----------------------------------------------------------

@@ -214,6 +214,10 @@ class TestCharts:
             bad_header.write_bytes(line)
             with pytest.raises(MalformedLog):
                 export_period_charts(bad_header, tmp_path / "charts")
+        # Blank lines before the header count: the error names the header's own line.
+        bad_header.write_bytes(b"\n[[\n")
+        with pytest.raises(MalformedLog, match=r"bad_header\.jsonl: line 2 is not JSON: "):
+            read_event_log(bad_header)
 
     def test_chart_series_points_are_in_period_and_ordered(self, tmp_path):
         _, log_path, _ = self.small_case(tmp_path)

@@ -2,6 +2,7 @@ import re
 import socket
 import threading
 import time
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ from lightwake.sources import (
     write_trace,
 )
 from reference import delta_sequence, per_period_maxima
+
+
+def time_outcome(convert, token):
+    """convert(token), or ValueError when it raises one."""
+    try:
+        return convert(token)
+    except ValueError:
+        return ValueError
 
 
 def write_text(tmp_path, text, name="trace.csv"):
@@ -57,11 +66,19 @@ class TestTraceFiles:
         assert header.duration_ns == 750_000_000
 
     def test_malformed_field_reports_line(self, tmp_path):
-        bad = "t_s,ax_g,ay_g,az_g\n1.0,0.01,abc,0.99\n"
-        with pytest.raises(ParseError) as err:
-            read_trace(write_text(tmp_path, bad))
-        assert "line 2" in str(err.value)
-        assert err.value.line_number == 2
+        for token, message in (("abc", "bad acceleration field {!r}"),
+                               ("nan", "non-finite acceleration field {!r}"),
+                               ("-6.2", "acceleration {!r} exceeds +/-5 g")):
+            for position in range(3):
+                comps = ["0.01", "0.02", "0.99"]
+                comps[position] = token
+                bad = "t_s,ax_g,ay_g,az_g\n1.0," + ",".join(comps) + "\n"
+                with pytest.raises(ParseError) as err:
+                    read_trace(write_text(tmp_path, bad))
+                # The last field keeps its line end, and the message shows it.
+                bad_tok = token + "\n" if position == 2 else token
+                assert str(err.value) == "line 2: " + message.format(bad_tok)
+                assert err.value.line_number == 2
 
     def test_non_monotone_timestamps(self, tmp_path):
         bad = "t_s,ax_g,ay_g,az_g\n2.0,0,0,1\n1.5,0,0,1\n"
@@ -101,6 +118,50 @@ class TestTraceFiles:
         assert seconds_to_ns("1e-9") == 1
         # Exact decimal arithmetic, immune to float double rounding.
         assert seconds_to_ns("0.1234567895") == 123_456_790
+        assert seconds_to_ns("999999999999.9999999995") == 10**21
+        # A zero is 0 s, whatever its exponent.
+        for token in ("0e12", "0e20", "0.0e15"):
+            assert seconds_to_ns(token) == 0
+        # Forms outside the 9-decimal one int() reads keep their Decimal reading and
+        # messages, also when they carry 9 decimals.
+        for token, ns in (("٣.5", 3_500_000_000), ("1_0.5", 10_500_000_000),
+                          (" 1.5", 1_500_000_000), ("+1.5", 1_500_000_000),
+                          ("1.", 1_000_000_000), (".5", 500_000_000),
+                          ("1.5e3", 1_500_000_000_000), ("٣.500000000", 3_500_000_000),
+                          ("1_0.500000000", 10_500_000_000), (" 1.500000000", 1_500_000_000),
+                          ("+1.500000000", 1_500_000_000), (".500000000", 500_000_000),
+                          ("1.500000000e3", 1_500_000_000_000), ("1.5000000e1", 15_000_000_000),
+                          ("1.0000_0000", 1_000_000_000), ("1.00000000 ", 1_000_000_000)):
+            assert seconds_to_ns(token) == ns
+        for token, message in (("1.²", "not a decimal number: '1.²'"),
+                               ("1.²00000000", "not a decimal number: '1.²00000000'"),
+                               ("1e1.000000000", "not a decimal number: '1e1.000000000'"),
+                               ("1000000000000.0", "time value '1000000000000.0' out of range"),
+                               ("1000000000000.000000000",
+                                "time value '1000000000000.000000000' out of range")):
+            with pytest.raises(ValueError) as err:
+                seconds_to_ns(token)
+            assert str(err.value) == message
+        # A leading '+' never changes the result, also past Decimal's 28 digits.
+        for token in ("1.000000000", "1.0000000004999999999999999999999",
+                      "123456789012.9999999995000000000000001"):
+            assert seconds_to_ns(token) == seconds_to_ns("+" + token)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(whole=st.text("0123456789", max_size=13),
+           frac=st.text("0123456789", min_size=9, max_size=9) | st.text("0123456789", max_size=15))
+    def test_plain_times_match_decimal_half_up(self, whole, frac):
+        def decimal_half_up(token):
+            try:
+                value = Decimal(token)
+            except InvalidOperation as exc:
+                raise ValueError(f"not a decimal number: {token!r}") from exc
+            if value >= 10**12:
+                raise ValueError(f"time value {token!r} out of range")
+            return int((value * 10**9).to_integral_value(ROUND_HALF_UP))
+
+        for token in (f"{whole}.{frac}", whole):
+            assert time_outcome(seconds_to_ns, token) == time_outcome(decimal_half_up, token)
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(31)
