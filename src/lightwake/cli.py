@@ -1,34 +1,21 @@
 """Command-line entry point: generate traces, run sessions, export charts.
 
 Exit codes: 0 success, 1 runtime error (missing/corrupt files, source
-failures), 2 usage error (bad flags or flag values). Set the
-LIGHTWAKE_LOG_LEVEL environment variable (DEBUG/INFO/WARNING/...) for
-diagnostics on standard error.
+failures), 2 usage error (bad flags or flag values). A failed run writes
+one ``lightwake: `` line to standard error; a successful one writes none.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
 
-from .detector import AlarmTrigger
 from .engine import HOUR_NS, MINUTE_NS, NS_PER_S, SessionConfig, run_session
 from .errors import ConfigInvalid, InvalidMelody, LightwakeError
 from .sinks import DEFAULT_ALARM_MELODY, export_period_charts, melody_to_wav, parse_melody
 from .sources import SleepModelParams, TraceHeader, generate_trace, listen_live, read_trace, write_trace
-
-logger = logging.getLogger(__name__)
-
-
-def _configure_logging() -> None:
-    level_name = os.environ.get("LIGHTWAKE_LOG_LEVEL", "WARNING").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _fmt(value: float | None) -> str:
@@ -99,6 +86,10 @@ def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
                                   rng_seed=args.seed)
     except ConfigInvalid as exc:
         parser.error(str(exc))
+    # The trace is built in memory whole, so it stops at a day at 250 Hz (21.6 M samples).
+    if args.hours * args.rate_hz > 24 * 250:
+        parser.error(f"--hours {args.hours!r} at --rate-hz {args.rate_hz!r} is more samples "
+                     f"than a day at the sensor's 250 Hz ceiling")
     samples = generate_trace(params, header)
     write_trace(args.out, header, samples)
     print(f"trace={args.out} samples={len(samples)} rate_hz={args.rate_hz!r} seed={args.seed}")
@@ -123,12 +114,9 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         melody = parse_melody(text, name=os.path.basename(args.melody))
 
     if args.trace:
-        _, samples = read_trace(args.trace)
-        source = samples
-        logger.info("replaying %d samples from %s", len(samples), args.trace)
+        _, source = read_trace(args.trace)
     else:
         source = listen_live(args.listen)
-        logger.info("listening on %s:%d", *source.address)
 
     sink = open(args.log, "w", encoding="utf-8", newline="\n") if args.log else None
     try:
@@ -138,7 +126,6 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             sink.close()
     if args.alarm_wav:
         melody_to_wav(melody, args.alarm_wav)
-        logger.info("alarm melody written to %s", args.alarm_wav)
 
     outcome = result.outcome
     thresholds = outcome.final_thresholds
@@ -149,8 +136,6 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         f" t_min={_fmt(thresholds.t_min)}"
         f" t_max={_fmt(thresholds.t_max)}"
     )
-    if outcome.trigger is AlarmTrigger.THRESHOLD_HIT:
-        logger.info("light sleep detected; alarm fired early")
     return 0
 
 
@@ -161,7 +146,6 @@ def cmd_charts(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

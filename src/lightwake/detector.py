@@ -191,9 +191,8 @@ class Detector:
         self._emit(boundary_ns, PERIOD_CLOSED, index=self._period_index, period_max=period_max)
         if period_max is not None:
             self._period_maxima.append(period_max)
-            new_t_min = min(self._period_maxima)
-            if new_t_min != self._t_min:
-                self._t_min = new_t_min
+            if self._t_min is None or period_max < self._t_min:
+                self._t_min = period_max
                 self._emit(boundary_ns, THRESHOLDS_UPDATED, t_min=self._t_min, t_max=self._t_max)
 
     # -- stream -----------------------------------------------------------

@@ -26,13 +26,9 @@ class PhaseViolation(LightwakeError):
 class ParseError(LightwakeError):
     """Malformed or out-of-range trace row or live protocol line.
 
-    The message and line_number carry the 1-based number of the offending
-    trace or wire line; a live connection that breaks the protocol is dropped.
+    The message names the 1-based number of the offending trace or wire
+    line; a live connection that breaks the protocol is dropped.
     """
-
-    def __init__(self, message: str, line_number: int | None = None):
-        super().__init__(message)
-        self.line_number = line_number
 
 
 class BindError(LightwakeError):

@@ -195,11 +195,6 @@ def _event_fields(line: str) -> tuple[int, str, dict]:
     return record.pop("t_ns"), record.pop("kind"), record
 
 
-def parse_event_line(line: str) -> SessionEvent:
-    """Decode one event-log line back into a SessionEvent (not the header)."""
-    return SessionEvent(*_event_fields(line.strip()))
-
-
 def _parse_header(path: Path, line: str, lineno: int) -> dict:
     try:
         header, end = _raw_decode(line)

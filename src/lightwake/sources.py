@@ -40,7 +40,6 @@ seed reproduces the identical trace on any platform.
 
 from __future__ import annotations
 
-import logging
 import math
 import socket
 from dataclasses import dataclass
@@ -53,12 +52,10 @@ import numpy as np
 from .errors import BindError, ConfigInvalid, OrderViolation, ParseError
 from .motion import NS_PER_S, RawSample, SENSOR_RANGE_G
 
-logger = logging.getLogger(__name__)
-
 TRACE_HEADER_LINE = "t_s,ax_g,ay_g,az_g"
 MAX_LINE_BYTES = 1024
 
-_NS_QUANTUM = Decimal(NS_PER_S)
+_NS_QUANTUM = Decimal("1e-9")
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,23 +124,25 @@ def seconds_to_ns(token: str) -> int:
     try:
         value = Decimal(token)
     except InvalidOperation as exc:
-        raise ValueError(f"not a decimal number: {token!r}") from exc
+        raise ValueError(f"not a decimal number: {token.strip()!r}") from exc
     if not value.is_finite():
-        raise ValueError(f"non-finite time value: {token!r}")
+        raise ValueError(f"non-finite time value: {token.strip()!r}")
     # Larger values overflow Decimal or make int() take seconds; no night lasts 1e12 s.
     if value and value.adjusted() >= 12:
-        raise ValueError(f"time value {token!r} out of range")
-    return int((value * _NS_QUANTUM).to_integral_value(rounding=ROUND_HALF_UP))
+        raise ValueError(f"time value {token.strip()!r} out of range")
+    # One rounding, on the exact value: at most 22 digits, within Decimal's 28.
+    return int(value.quantize(_NS_QUANTUM, ROUND_HALF_UP).scaleb(9))
 
 
 def _fields_to_sample(t_tok: str, x_tok: str, y_tok: str, z_tok: str) -> RawSample:
-    # Decimal and float ignore surrounding whitespace, so tokens need no strip.
+    # Decimal and float ignore surrounding whitespace, so tokens are stripped
+    # only to name them in an error, as the wire, split on whitespace, has them.
     try:
         t_ns = seconds_to_ns(t_tok)
     except ValueError as exc:
-        raise ParseError(f"bad time field {t_tok!r}: {exc}") from exc
+        raise ParseError(f"bad time field {t_tok.strip()!r}: {exc}") from exc
     if t_ns < 0:
-        raise ParseError(f"negative timestamp {t_tok!r}")
+        raise ParseError(f"negative timestamp {t_tok.strip()!r}")
     try:
         ax, ay, az = float(x_tok), float(y_tok), float(z_tok)
     except ValueError:
@@ -158,7 +157,7 @@ def _fields_to_sample(t_tok: str, x_tok: str, y_tok: str, z_tok: str) -> RawSamp
 
 def _component_error(*tokens: str) -> str:
     """Name the first of a row's acceleration fields that is not a reading."""
-    for tok in tokens:
+    for tok in map(str.strip, tokens):
         try:
             value = float(tok)
         except ValueError:
@@ -186,7 +185,7 @@ def _samples(numbered_lines: Iterable[tuple[int, str]], sep: str | None) -> Iter
                 raise ParseError(f"expected 4 fields (t_s ax ay az), got {len(fields)}")
             sample = _fields_to_sample(*fields)
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}", lineno) from None
+            raise ParseError(f"line {lineno}: {exc}") from None
         if sample.t_ns <= prev_t:
             raise OrderViolation(
                 f"line {lineno}: timestamp {sample.t_ns} ns does not increase past {prev_t} ns"
@@ -220,22 +219,17 @@ def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
                     try:
                         rate = TraceHeader(float(value)).sample_rate_hz
                     except (ValueError, ConfigInvalid) as exc:
-                        raise ParseError(
-                            f"line {lineno}: bad rate_hz value {value!r}: {exc}", lineno
-                        ) from None
+                        raise ParseError(f"line {lineno}: bad rate_hz value {value!r}: {exc}") from None
                 elif key == "label":
                     label = value
                 # Unknown keys are ignored for forward compatibility.
             else:
-                raise ParseError(f"{path}: missing {TRACE_HEADER_LINE!r} header line", None)
+                raise ParseError(f"{path}: missing {TRACE_HEADER_LINE!r} header line")
             if line.strip() != TRACE_HEADER_LINE:
-                raise ParseError(
-                    f"line {lineno}: expected header {TRACE_HEADER_LINE!r}, got {line!r}",
-                    lineno,
-                )
+                raise ParseError(f"line {lineno}: expected header {TRACE_HEADER_LINE!r}, got {line!r}")
             samples = list(_samples(lines, ","))
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}", None) from None
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     header = TraceHeader(
         sample_rate_hz=rate,
         duration_ns=samples[-1].t_ns if samples else 0,
@@ -352,7 +346,7 @@ def _wire_lines(wire: BinaryIO) -> Iterator[tuple[int, str]]:
     """
     for lineno, line in enumerate(iter(lambda: wire.readline(MAX_LINE_BYTES + 1), b""), start=1):
         if len(line) > MAX_LINE_BYTES:
-            raise ParseError(f"line {lineno}: longer than {MAX_LINE_BYTES} bytes", lineno)
+            raise ParseError(f"line {lineno}: longer than {MAX_LINE_BYTES} bytes")
         yield lineno, line.decode("ascii", "replace")
 
 
@@ -391,12 +385,11 @@ class LiveSource:
 
     def _stream(self) -> Iterator[RawSample]:
         try:
-            conn, peer = self._listener.accept()
+            conn, _ = self._listener.accept()
         except socket.timeout:
             raise ParseError("timed out waiting for a client connection") from None
         finally:
             self._listener.close()
-        logger.info("live source: client connected from %s:%s", *peer[:2])
         conn.settimeout(self._timeout)
         # A timeout leaves the file object unusable, but it also ends the stream.
         with conn, conn.makefile("rb") as wire:
@@ -404,7 +397,6 @@ class LiveSource:
                 yield from _samples(_wire_lines(wire), None)
             except socket.timeout:
                 raise ParseError("timed out waiting for sample data") from None
-        logger.info("live source: connection closed, stream ends")
 
     def close(self) -> None:
         self._listener.close()

@@ -1,15 +1,18 @@
+import contextlib
+import io
 import socket
 import subprocess
 import sys
 import threading
 import time
 import wave
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import child_env
-from lightwake import NS_PER_S
+from lightwake import NS_PER_S, SessionConfig, cli as lightwake_cli, run_session
 from lightwake.sources import write_trace
 from test_sinks import BAD_HEADER_LINES, BAD_RECORD_LINES
 from trace_builders import scripted_trace
@@ -178,12 +181,6 @@ class TestRun:
         assert result.stderr == ""
         assert log.read_text(encoding="utf-8").count('"kind":"SampleSkipped"') == 12
 
-    def test_log_level_env_is_accepted(self, tiny_trace):
-        result = cli("run", "--trace", str(tiny_trace),
-                     "--sleep-hours", "0.05", "--period-min", "1",
-                     env_extra={"LIGHTWAKE_LOG_LEVEL": "DEBUG"})
-        assert result.returncode == 0
-
 
 class TestEndToEnd:
     def test_generate_run_charts_smoke(self, tmp_path):
@@ -291,3 +288,81 @@ class TestListen:
                 proc.kill()
         assert proc.returncode == 0, stderr
         assert parse_summary(stdout) == parse_summary(file_run.stdout)
+
+
+# -- generated argv, in process -------------------------------------------------
+
+_BAD_NUMBERS = ["nan", "inf", "-1", "1e308", "abc"]
+# Path flags name entries of a scratch directory that holds a trace, a log, a
+# melody and a directory "out"; every other name in it is missing at first.
+_TRACE, _LOG, _MELODY, _DIR, _FILE, _ABSENT, _ABSENT_DIR = (PurePosixPath(name) for name in (
+    "trace.csv", "events.jsonl", "tune.txt", "out", "out/file", "absent.csv", "absent/file"))
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for generate, run --trace or charts. Each flag gets a usable value
+    four times in five, else a bad one: a bad number, a missing path, a
+    directory, the wrong file or, for a required flag, no flag at all. None
+    leaves the flag out. --listen is never drawn: it would wait for a client."""
+    def numbers(*usable):
+        return [*usable, None], _BAD_NUMBERS
+
+    def read(usable, required=True):
+        others = [path for path in (_TRACE, _LOG, _MELODY, _ABSENT, _DIR) if path != usable]
+        return ([usable], others + [None]) if required else ([usable, None], others)
+
+    write = [_FILE, None], [_ABSENT_DIR, _DIR]
+    command = draw(st.sampled_from(["generate", "run", "charts"]))
+    flags = {
+        # --hours is always given: its 8 h default at 250 Hz is 7.2 M samples.
+        "generate": [("--seed", numbers("0", "7")), ("--hours", (["0.001", "0.01"], _BAD_NUMBERS)),
+                     ("--rate-hz", numbers("1", "4", "250")), ("--cycle-min", numbers("1", "90")),
+                     ("--out", ([_FILE], [_ABSENT_DIR, _DIR, None]))],
+        # A speed of 0 or far above real time: the trace spans 3 minutes.
+        "run": [("--trace", read(_TRACE)), ("--sleep-hours", numbers("0.01", "0.05", "8")),
+                ("--period-min", numbers("0.01", "1", "60")), ("--speed", numbers("0", "1e6")),
+                ("--log", write), ("--alarm-wav", write), ("--melody", read(_MELODY, required=False))],
+        "charts": [("--log", read(_LOG)), ("--out-dir", ([_DIR], [_FILE, _TRACE, None]))],
+    }[command]
+    argv = [command]
+    for flag, (usable, bad) in flags:
+        value = draw(st.sampled_from(bad if draw(st.integers(0, 4)) == 4 else usable))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("in_process")
+    header, samples = scripted_trace([0.5, 0.9], [0.7], period_s=60)
+    write_trace(root / _TRACE, header, samples)
+    with (root / _LOG).open("w", encoding="utf-8", newline="\n") as sink:
+        run_session(SessionConfig(3 * 60 * NS_PER_S, 60 * NS_PER_S), samples, event_sink=sink)
+    (root / _MELODY).write_text("880:100\n0:50\n", encoding="utf-8")
+    (root / _DIR).mkdir()
+    return root
+
+
+class TestInProcess:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(argv=cli_argv())
+    # Asks for 360 M samples (8 GiB): refused before anything is allocated.
+    @example(argv=["generate", "--hours", "1e5", "--rate-hz", "3", "--out", _FILE])
+    def test_exit_codes_and_one_line_errors(self, cli_root, argv):
+        argv = [str(cli_root / arg) if isinstance(arg, PurePosixPath) else arg for arg in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = lightwake_cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (argv, code, err)
+        if code == 0:
+            assert err == "", (argv, err)
+        elif code == 1:
+            assert err.startswith("lightwake: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert " error: " in err.splitlines()[-1] and "Traceback" not in err, (argv, err)

@@ -7,6 +7,7 @@ from lightwake import Detector
 from lightwake.detector import (
     ALARM_FIRED,
     FINAL_PERIOD_ENTERED,
+    MAX_PERIODS,
     PERIOD_CLOSED,
     STAGE_CLASSIFIED,
     THRESHOLDS_UPDATED,
@@ -113,17 +114,29 @@ class TestClassify:
 
 class TestLearning:
     def test_spec_fixture_thresholds(self):
-        records = Records()
-        det = Detector(8 * P, P, emit=records)
-        maxima = [0.9, 1.1, 0.8, 1.662, 0.497, 1.2, 0.75]
-        feed_periods(det, [[value] for value in maxima])
-        det.advance_to(7 * P)
-        assert records.of(PERIOD_CLOSED) == [
-            ((k + 1) * P, {"index": k, "period_max": value}) for k, value in enumerate(maxima)]
-        assert records.of(THRESHOLDS_UPDATED)[-1] == (5 * P, {"t_min": 0.497, "t_max": 1.662})
-        assert records.of(FINAL_PERIOD_ENTERED) == [(7 * P, {})]
-        assert records[-1][1] == FINAL_PERIOD_ENTERED
-        assert det.finalize().final_thresholds == ThresholdState(tuple(maxima), 0.497, 1.662)
+        # t_max rises at a period's delta, t_min falls when its period closes.
+        descending = [2.0 - k / 8192 for k in range(MAX_PERIODS - 1)]
+        for maxima, updates in (
+            ([0.9, 1.1, 0.8, 1.662, 0.497, 1.2, 0.75],
+             [(NS, None, 0.9), (P, 0.9, 0.9), (P + NS, 0.9, 1.1), (3 * P, 0.8, 1.1),
+              (3 * P + NS, 0.8, 1.662), (5 * P, 0.497, 1.662)]),
+            # Every close lowers t_min, over the most periods a session may hold.
+            (descending,
+             [(NS, None, 2.0)] + [((k + 1) * P, value, 2.0) for k, value in enumerate(descending)]),
+        ):
+            n = len(maxima)
+            records = Records()
+            det = Detector((n + 1) * P, P, emit=records)
+            feed_periods(det, [[value] for value in maxima])
+            det.advance_to(n * P)
+            assert records.of(PERIOD_CLOSED) == [
+                ((k + 1) * P, {"index": k, "period_max": value}) for k, value in enumerate(maxima)]
+            assert records.of(THRESHOLDS_UPDATED) == [
+                (t_ns, {"t_min": t_min, "t_max": t_max}) for t_ns, t_min, t_max in updates]
+            assert records.of(FINAL_PERIOD_ENTERED) == [(n * P, {})]
+            assert records[-1][1] == FINAL_PERIOD_ENTERED
+            assert det.finalize().final_thresholds == ThresholdState(
+                tuple(maxima), min(maxima), max(maxima))
 
     def test_single_period_min_equals_max(self):
         records = Records()

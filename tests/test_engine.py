@@ -27,9 +27,9 @@ from lightwake.engine import (
     SAMPLE_SKIPPED,
     SESSION_ENDED,
     STAGE_CLASSIFIED,
+    SessionEvent,
 )
 from lightwake.errors import ConfigInvalid, OrderViolation, SourceFailed
-from lightwake.sinks import parse_event_line
 from reference import offline_outcome
 from trace_builders import scripted_trace
 
@@ -58,7 +58,12 @@ def check_log_grammar(text: str):
     lines = text.splitlines()
     header = json.loads(lines[0])
     assert header["v"] == 1 and "sleep_ns" in header and "period_ns" in header
-    events = [parse_event_line(line) for line in lines[1:]]
+    events = []
+    for line in lines[1:]:
+        record = json.loads(line)
+        t_ns, kind = record.pop("t_ns"), record.pop("kind")
+        assert type(t_ns) is int and type(kind) is str
+        events.append(SessionEvent(t_ns, kind, record))
     assert all(b.t_ns >= a.t_ns for a, b in zip(events, events[1:]))
     alarms = [e for e in events if e.kind == ALARM_FIRED]
     assert len(alarms) == 1
@@ -176,7 +181,7 @@ class TestSourceFailures:
         assert sink.flushes[-1] == len(text)  # all that was written is flushed
         lines = text.splitlines()
         assert json.loads(lines[0])["v"] == 1
-        assert [parse_event_line(line).kind for line in lines[1:]] == [
+        assert [json.loads(line)["kind"] for line in lines[1:]] == [
             "SampleAccepted", "SampleAccepted", DELTA_COMPUTED, "ThresholdsUpdated"]
 
     def test_flushes_fall_on_line_ends_at_period_boundaries(self):
@@ -195,7 +200,7 @@ class TestSourceFailures:
             line_end = len(lines[0])
             for line in lines[1:]:
                 line_end += len(line)
-                if parse_event_line(line).kind in (PERIOD_CLOSED, FINAL_PERIOD_ENTERED):
+                if json.loads(line)["kind"] in (PERIOD_CLOSED, FINAL_PERIOD_ENTERED):
                     assert line_end in sink.flushes
         assert triggers == {AlarmTrigger.THRESHOLD_HIT, AlarmTrigger.SESSION_END}
 
@@ -270,7 +275,7 @@ class TestEventLogShape:
         with mock.patch.object(engine, "manhattan_delta", lambda prev, curr: value):
             run_session(SessionConfig(sleep_ns, sleep_ns // 2), samples, event_sink=buf)
         lines = [line for line in buf.getvalue().splitlines()[1:]
-                 if parse_event_line(line).kind in ("SampleAccepted", DELTA_COMPUTED)]
+                 if json.loads(line)["kind"] in ("SampleAccepted", DELTA_COMPUTED)]
         records = [{"t_ns": t_ns, "kind": "SampleAccepted"},
                    {"t_ns": t_ns + 1, "kind": "SampleAccepted"},
                    {"t_ns": t_ns + 1, "kind": DELTA_COMPUTED, "value": value}]
