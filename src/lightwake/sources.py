@@ -15,19 +15,22 @@ Trace file format (UTF-8 CSV):
 Optional ``#``-prefixed ``key=value`` comment lines may precede the header;
 ``rate_hz`` and ``label`` are recognized. ``t_s`` is seconds from session
 start, below 1e12, and is converted to integer nanoseconds by rounding
-half-up on the text, so the text value is authoritative: a time with
-exactly 9 decimals, as ``write_trace`` writes it, by ``int()`` of its
-digits, every other decimal form (other fraction lengths, sign, exponent,
-``.5``) by ``Decimal``, with the same result.
+half-up on the text (``seconds_to_ns``), so the text value is authoritative.
 Timestamps must be strictly increasing and every component must stay
 within the sensor's +/-5 g range.
 
 Live line protocol (TCP): newline-delimited ASCII, one sample per line of
-at most MAX_LINE_BYTES (1024) bytes, as four whitespace-separated decimal
-fields ``t_s ax ay az``, validated like trace rows: blank lines are skipped
-and an error names its line. The server accepts a single client, replies
-nothing, and drops the connection on the first invalid line. Closing the
-connection ends the stream. LiveSource binds a (host, port) tuple.
+at most MAX_LINE_BYTES (1024) bytes with its newline, as four
+whitespace-separated decimal fields ``t_s ax ay az``, validated like trace
+rows: blank lines are skipped and an error names its line. The server
+accepts a single client, replies nothing, and drops the connection on the
+first invalid line. Closing the connection ends the stream; an unterminated
+final line still counts. LiveSource binds a (host, port) tuple.
+
+Rows are decoded in blocks of whole lines, up to 64 KiB each. A block of
+canonical rows, as write_trace and the bench sender write them, is decoded
+in bulk; any other block row by row, at the per-row speed. The samples and
+errors are the same, and an error comes after every earlier row's sample.
 TraceHeader and SleepModelParams raise ConfigInvalid when built with a bad value.
 
 The synthetic generator is a fixture factory, not a physiological model:
@@ -41,16 +44,18 @@ seed reproduces the identical trace on any platform.
 from __future__ import annotations
 
 import math
+import operator
+import re
 import socket
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 import numpy as np
 
 from .errors import BindError, ConfigInvalid, OrderViolation, ParseError
-from .motion import NS_PER_S, RawSample, SENSOR_RANGE_G
+from .motion import NS_PER_S, RawSample, SENSOR_RANGE_G, raw_samples
 
 TRACE_HEADER_LINE = "t_s,ax_g,ay_g,az_g"
 MAX_LINE_BYTES = 1024
@@ -169,14 +174,14 @@ def _component_error(*tokens: str) -> str:
     raise AssertionError("every acceleration field is a reading")
 
 
-def _samples(numbered_lines: Iterable[tuple[int, str]], sep: str | None) -> Iterator[RawSample]:
-    """Parse ``t_s ax ay az`` rows, split on sep, into strictly time-ordered samples.
+def _samples(lines: Iterable[tuple[int, str]], sep: str | None, prev_t: int = -1) -> Generator[RawSample, None, int]:
+    """Parse ``t_s ax ay az`` rows, split on sep, into samples time-ordered after prev_t.
 
-    The one row reader for trace files and the live wire: blank rows are
+    The one row grammar for trace files and the live wire: blank rows are
     skipped, and a ParseError or OrderViolation names its 1-based line.
+    Returns the last time read, or prev_t.
     """
-    prev_t = -1  # timestamps are non-negative, so the first row always passes
-    for lineno, line in numbered_lines:
+    for lineno, line in lines:
         fields = line.split(sep)
         try:
             if len(fields) != 4:
@@ -192,6 +197,41 @@ def _samples(numbered_lines: Iterable[tuple[int, str]], sep: str | None) -> Iter
             )
         prev_t = sample.t_ns
         yield sample
+    return prev_t
+
+
+def _rows(blocks: Iterable[str], sep: str | None, lineno: int) -> Iterator[RawSample]:
+    """Parse blocks of whole lines, the first one numbered lineno, as _samples does.
+
+    A block of canonical rows (a time as format_seconds writes it, then three
+    short float tokens, one separator each) is decoded in bulk. Any other goes
+    through _samples lazily, so every row before a bad one yields its sample.
+    """
+    canonical = re.compile(rf"(?:[0-9]{{1,12}}\.[0-9]{{9}}(?:{sep or ' '}[-.0-9e]{{1,24}}){{3}}\n)+")
+    prev_t = -1  # timestamps are non-negative, so the first row always passes
+    for block in blocks:
+        samples = canonical.fullmatch(block) and _canonical_block(block, prev_t)
+        if samples is None:
+            prev_t = yield from _samples(enumerate(block.removesuffix("\n").split("\n"), lineno), sep, prev_t)
+        else:
+            yield from samples
+            prev_t = samples[-1].t_ns
+        lineno += block.count("\n")  # only the final block may end unterminated
+
+
+def _canonical_block(block: str, prev_t: int) -> list[RawSample] | None:
+    """The samples of a block of canonical rows in range and order after prev_t, else None."""
+    tokens = block.replace(",", " ").split()  # a canonical block has one kind of separator
+    try:
+        ax, ay, az = (list(map(float, tokens[i::4])) for i in (1, 2, 3))
+    except ValueError:  # the pattern admits a few non-numbers, such as "1-2"
+        return None
+    t_ns = list(map(int, " ".join(tokens[::4]).replace(".", "").split()))
+    # No token the pattern admits reads as NaN, so min and max see +/-inf too.
+    if prev_t < t_ns[0] and all(map(operator.lt, t_ns, t_ns[1:])) and all(
+            -SENSOR_RANGE_G <= min(column) and max(column) <= SENSOR_RANGE_G for column in (ax, ay, az)):
+        return raw_samples(t_ns, ax, ay, az)
+    return None
 
 
 # -- trace files ------------------------------------------------------------
@@ -208,8 +248,7 @@ def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
     label = ""
     try:
         with path.open("r", encoding="utf-8") as fh:
-            lines = enumerate(fh, start=1)
-            for lineno, line in lines:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\r\n")
                 if not line.startswith("#"):
                     break
@@ -227,7 +266,7 @@ def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
                 raise ParseError(f"{path}: missing {TRACE_HEADER_LINE!r} header line")
             if line.strip() != TRACE_HEADER_LINE:
                 raise ParseError(f"line {lineno}: expected header {TRACE_HEADER_LINE!r}, got {line!r}")
-            samples = list(_samples(lines, ","))
+            samples = list(_rows(map("".join, iter(lambda: fh.readlines(1 << 16), [])), ",", lineno + 1))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     header = TraceHeader(
@@ -334,20 +373,29 @@ def generate_trace(params: SleepModelParams, header: TraceHeader) -> list[RawSam
             acc[i0:i1] += offsets[None, :] * envelope[:, None]
 
     np.clip(acc, -SENSOR_RANGE_G, SENSOR_RANGE_G, out=acc)
-    return list(map(RawSample, t_ns.tolist(), *acc.T.tolist()))
+    return raw_samples(t_ns.tolist(), *acc.T.tolist())
 
 
 # -- live listener -----------------------------------------------------------
 
-def _wire_lines(wire: BinaryIO) -> Iterator[tuple[int, str]]:
-    """Number the lines of a connection, refusing one longer than MAX_LINE_BYTES.
+def _wire_blocks(conn: socket.socket) -> Iterator[str]:
+    """Cut a connection's bytes into blocks of whole lines, as ASCII text.
 
-    Non-ASCII bytes decode to U+FFFD, which no field accepts.
+    Non-ASCII bytes decode to U+FFFD, which no field accepts. The first line
+    longer than MAX_LINE_BYTES with its newline, ended or not, raises
+    ParseError once every line before it is yielded.
     """
-    for lineno, line in enumerate(iter(lambda: wire.readline(MAX_LINE_BYTES + 1), b""), start=1):
-        if len(line) > MAX_LINE_BYTES:
-            raise ParseError(f"line {lineno}: longer than {MAX_LINE_BYTES} bytes")
-        yield lineno, line.decode("ascii", "replace")
+    rest, lineno = b"", 1  # rest holds the first bytes of line lineno
+    while data := conn.recv(1 << 16):
+        *lines, rest = (rest + data).split(b"\n")
+        whole = len(lines)
+        if max(map(len, lines), default=0) >= MAX_LINE_BYTES:
+            whole = next(i for i, line in enumerate(lines) if len(line) >= MAX_LINE_BYTES)
+        yield b"\n".join(lines[:whole] + [b""]).decode("ascii", "replace")  # empty if whole is 0
+        if whole < len(lines) or len(rest) > MAX_LINE_BYTES:
+            raise ParseError(f"line {lineno + whole}: longer than {MAX_LINE_BYTES} bytes")
+        lineno += whole
+    yield rest.decode("ascii", "replace")  # the final line, unterminated, or nothing
 
 
 class LiveSource:
@@ -391,10 +439,9 @@ class LiveSource:
         finally:
             self._listener.close()
         conn.settimeout(self._timeout)
-        # A timeout leaves the file object unusable, but it also ends the stream.
-        with conn, conn.makefile("rb") as wire:
+        with conn:
             try:
-                yield from _samples(_wire_lines(wire), None)
+                yield from _rows(_wire_blocks(conn), None, 1)
             except socket.timeout:
                 raise ParseError("timed out waiting for sample data") from None
 

@@ -25,6 +25,17 @@ def cli(*args, timeout=120, env_extra=None):
     )
 
 
+def main_in_process(*argv):
+    """lightwake.cli.main(argv) with its output captured, as (exit code, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = lightwake_cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, stderr.getvalue()
+
+
 def parse_summary(line: str) -> dict:
     return dict(part.split("=", 1) for part in line.strip().split())
 
@@ -216,10 +227,10 @@ class TestEndToEnd:
         log = tmp_path / "bad.jsonl"
         for data in BAD_HEADER_LINES + [header + line for line in BAD_RECORD_LINES]:
             log.write_bytes(data)
-            result = cli("charts", "--log", str(log), "--out-dir", str(tmp_path / "c"))
-            assert result.returncode == 1, data
-            assert result.stderr.startswith(f"lightwake: {log}: "), result.stderr
-            assert len(result.stderr.splitlines()) == 1, result.stderr
+            code, stderr = main_in_process("charts", "--log", str(log), "--out-dir", str(tmp_path / "c"))
+            assert code == 1, data
+            assert stderr.startswith(f"lightwake: {log}: "), stderr
+            assert len(stderr.splitlines()) == 1, stderr
 
     def test_speed_invariance_through_cli(self, tmp_path):
         trace = tmp_path / "t.csv"
@@ -352,13 +363,7 @@ class TestInProcess:
     @example(argv=["generate", "--hours", "1e5", "--rate-hz", "3", "--out", _FILE])
     def test_exit_codes_and_one_line_errors(self, cli_root, argv):
         argv = [str(cli_root / arg) if isinstance(arg, PurePosixPath) else arg for arg in argv]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = lightwake_cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        err = stderr.getvalue()
+        code, err = main_in_process(*argv)
         assert code in (0, 1, 2), (argv, code, err)
         if code == 0:
             assert err == "", (argv, err)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from lightwake import RawSample, manhattan_delta, normalize
 from lightwake.errors import DegenerateSample
-from lightwake.motion import MAX_DELTA
+from lightwake.motion import MAX_DELTA, raw_samples
 
 
 def unit(x, y, z):
@@ -126,3 +127,20 @@ class TestProperties:
             a2 = unit(ka * raw[0].ax, ka * raw[0].ay, ka * raw[0].az)
             b2 = unit(kb * raw[1].ax, kb * raw[1].ay, kb * raw[1].az)
             assert manhattan_delta(a, b) == pytest.approx(manhattan_delta(a2, b2), abs=1e-9)
+
+
+class TestRawSamples:
+    """Samples built column by column are the samples RawSample builds."""
+
+    def test_indistinguishable_from_constructed(self):
+        columns = ([0, 1, 2**40], [0.1, -0.0, 5.0], [-5.0, 1e-300, 0.5], [1.0, 2.5, -1.25])
+        built, constructed = raw_samples(*columns), list(map(RawSample, *columns))
+        assert built == constructed
+        for b, c in zip(built, constructed):
+            assert type(b) is RawSample
+            assert (hash(b), repr(b)) == (hash(c), repr(c))
+            assert (b.t_ns, b.ax, b.ay, b.az) == (c.t_ns, c.ax, c.ay, c.az)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                b.ax = 0.0
+            assert not hasattr(b, "__dict__")
+        assert raw_samples([], [], [], []) == []

@@ -1,7 +1,12 @@
+import io
+import itertools
+import random
 import re
 import socket
 import threading
 import time
+import tracemalloc
+from collections import deque
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 
 import numpy as np
@@ -13,14 +18,20 @@ from lightwake import (
     LightwakeError,
     NS_PER_S,
     RawSample,
+    SessionConfig,
     SleepModelParams,
     TraceHeader,
     generate_trace,
+    run_session,
 )
 from lightwake.errors import BindError, ConfigInvalid, OrderViolation, ParseError
 from lightwake.sources import (
     MAX_LINE_BYTES,
     TRACE_HEADER_LINE,
+    _rows,
+    _samples,
+    _wire_blocks,
+    format_seconds,
     listen_live,
     read_trace,
     seconds_to_ns,
@@ -378,11 +389,15 @@ def sample_rows(draw):
     """Rows as token lists (an empty list is a blank row), padded on both sides.
 
     Most rows are valid, so that whole streams parse; some repeat or step
-    back in time, and a few carry an odd token or a wrong field count.
+    back in time, and a few carry an odd token or a wrong field count. In
+    half the examples the times are format_seconds' and nothing is padded,
+    so that the readers' canonical block path engages.
     """
     def rarely(usual):
         return draw(_ODD_TOKENS if draw(st.integers(0, 24)) == 0 else usual)
 
+    canonical = draw(st.booleans())
+    pad = st.just("") if canonical else _PAD
     rows = []
     t = draw(st.integers(0, 2))
     for _ in range(draw(st.integers(0, 8))):
@@ -390,10 +405,10 @@ def sample_rows(draw):
             rows.append([])
             continue
         t += draw(st.sampled_from([1, 1, 2, 5, 0, -1]) if draw(st.booleans()) else st.just(1))
-        tokens = [rarely(st.just(str(t / 4)))]
+        tokens = [rarely(st.just(format_seconds(t * 250_000_000) if canonical else str(t / 4)))]
         n_comps = draw(st.sampled_from([3] * 14 + [2, 4]))
         tokens += [rarely(st.floats(-5.0, 5.0).map(repr)) for _ in range(n_comps)]
-        rows.append([draw(_PAD) + tok + draw(_PAD) for tok in tokens])
+        rows.append([draw(pad) + tok + draw(pad) for tok in tokens])
     return rows
 
 
@@ -436,3 +451,181 @@ class TestOneRowGrammar:
     def test_any_bytes_give_samples_or_a_lightwake_error(self, scratch_trace, body):
         scratch_trace.write_bytes(TRACE_HEADER_LINE.encode() + b"\n" + body)
         outcome(lambda: read_trace(scratch_trace))
+
+
+# -- block decoding ---------------------------------------------------------------
+
+# Times in other forms than format_seconds' (8 or 10 decimals, shortest), and
+# components out of range, infinite, NaN or not numbers at all.
+_ODD_TIMES = [lambda t: f"{t / 4:.8f}", lambda t: f"{t / 4:.10f}", lambda t: str(t / 4)]
+_ODD_COMPONENTS = st.sampled_from(["5.5", "-6.0", "5.000000000000001", "1e400", "-1e400", "nan", "1-2", "e"])
+
+
+@st.composite
+def wire_payloads(draw):
+    """Wire bytes of mostly canonical rows (format_seconds times, repr floats).
+
+    Some rows are odd: a time in another form, an odd component, a \\r\\n
+    ending, a line padded to around MAX_LINE_BYTES, a blank line, or a
+    sample_rows row. The final line may lack its newline.
+    """
+    lines = []
+    t = draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(st.sampled_from([1, 1, 1, 1, 2, 0, -1]))
+        time_token = format_seconds(t * 250_000_000)
+        comps = [repr(draw(st.floats(-5.0, 5.0))) for _ in range(3)]
+        kind = draw(st.integers(0, 24))
+        if kind == 0:
+            time_token = draw(st.sampled_from(_ODD_TIMES))(t)
+        elif kind == 1:
+            comps[draw(st.integers(0, 2))] = draw(_ODD_COMPONENTS)
+        line = " ".join([time_token, *comps])
+        if kind == 2:
+            line += "\r"
+        elif kind == 3:
+            # With its newline, MAX_LINE_BYTES - 1 to + 2 bytes long, or far longer.
+            line = line.ljust(MAX_LINE_BYTES + draw(st.sampled_from([-2, -1, 0, 1, 2000])))
+        elif kind == 4:
+            line = draw(_PAD)
+        elif kind == 5:
+            rows = draw(sample_rows())
+            line = " ".join(rows[0]) if rows else ""
+        lines.append(line.encode("ascii") + b"\n")
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1][:-1]
+    return b"".join(lines)
+
+
+class ChunkedConnection:
+    """A connection whose recv returns the payload in chunks of the sizes, cycled, then EOF."""
+
+    def __init__(self, payload: bytes, sizes: list[int]):
+        self.payload, self.sizes = payload, itertools.cycle(sizes)
+
+    def recv(self, bufsize: int) -> bytes:
+        size = min(next(self.sizes), bufsize)
+        chunk, self.payload = self.payload[:size], self.payload[size:]
+        return chunk
+
+
+def readline_rows(payload: bytes):
+    """The wire's numbered lines as readline(MAX_LINE_BYTES + 1) reads them, refusing longer ones."""
+    wire = io.BytesIO(payload)
+    for lineno, line in enumerate(iter(lambda: wire.readline(MAX_LINE_BYTES + 1), b""), start=1):
+        if len(line) > MAX_LINE_BYTES:
+            raise ParseError(f"line {lineno}: longer than {MAX_LINE_BYTES} bytes")
+        yield lineno, line.decode("ascii", "replace")
+
+
+def drain(samples):
+    """The samples an iterator yields before it ends or raises, and the error's type and text."""
+    got = []
+    try:
+        for sample in samples:
+            got.append(sample)
+    except LightwakeError as exc:
+        return got, type(exc), str(exc)
+    return got, None, None
+
+
+class TestBlockDecoding:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(payload=wire_payloads(),
+           sizes=st.lists(st.one_of(st.integers(1, 16), st.integers(1, 4000)), min_size=1, max_size=6))
+    def test_wire_blocks_decode_like_the_row_reader(self, payload, sizes):
+        blocks = _wire_blocks(ChunkedConnection(payload, sizes))
+        assert drain(_rows(blocks, None, 1)) == drain(_samples(readline_rows(payload), None))
+
+    def test_trace_blocks_decode_like_the_row_reader(self, tmp_path):
+        """A fault on, just before or just after the first row of each of read_trace's blocks."""
+        path = tmp_path / "night.csv"
+        write_trace(path, TraceHeader(16.0), generate_trace(SleepModelParams(rng_seed=2),
+                                                            TraceHeader(16.0, 5 * 60 * NS_PER_S)))
+        with path.open(encoding="utf-8") as fh:
+            head = [fh.readline(), fh.readline()]
+            blocks = list(iter(lambda: fh.readlines(1 << 16), []))
+        rows = [row for block in blocks for row in block]
+        edges = list(itertools.accumulate(map(len, blocks)))[:-1]
+        assert len(edges) >= 3
+
+        def replace_field(row, index, token):
+            fields = row.split(",")
+            fields[index] = token
+            return ",".join(fields)
+
+        faults = {
+            "time steps back": lambda i: replace_field(rows[i], 0, rows[i - 1].split(",")[0]),
+            "8-decimal time": lambda i: replace_field(rows[i], 0, rows[i].split(",")[0][:-1]),
+            "out of range": lambda i: replace_field(rows[i], 1, "5.5"),
+        }
+        for i in (i + offset for i in edges for offset in (-1, 0, 1)):
+            for name, fault in faults.items():
+                lines = rows[:i] + [fault(i)] + rows[i + 1:]
+                path.write_text("".join(head + lines), encoding="utf-8")
+                got, err = outcome(lambda: read_trace(path)[1])
+                want, want_type, want_text = drain(_samples(enumerate(lines, len(head) + 1), ","))
+                if want_type is None:
+                    assert err is None and got == want, (name, i)
+                else:
+                    assert (type(err), str(err)) == (want_type, want_text), (name, i)
+
+    def test_night_over_tcp_in_random_pieces_logs_like_trace_replay(self, tmp_path):
+        header = TraceHeader(16.0, HOUR_NS // 2)
+        trace = tmp_path / "night.csv"
+        write_trace(trace, header, generate_trace(SleepModelParams(rng_seed=12), header))
+        config = SessionConfig(header.duration_ns, header.duration_ns // 6)
+        replay = io.StringIO()
+        run_session(config, read_trace(trace)[1], event_sink=replay)
+
+        rows = trace.read_text(encoding="utf-8").splitlines(keepends=True)[2:]
+        payload = "".join(rows).replace(",", " ").encode("ascii")
+        rng = random.Random(12)
+        pieces = []
+        while payload:
+            size = rng.choice((1, 3, 64, 1500, 9000, 70000))
+            pieces.append(payload[:size])
+            payload = payload[size:]
+
+        def client(address):
+            with socket.create_connection(address, timeout=10) as conn:
+                try:
+                    for piece in pieces:
+                        conn.sendall(piece)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the session stops reading at its alarm
+
+        source = listen_live(("127.0.0.1", 0), timeout=10)
+        thread = threading.Thread(target=client, args=(source.address,))
+        thread.start()
+        wire = io.StringIO()
+        try:
+            run_session(config, source, event_sink=wire)
+        finally:
+            source.close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert wire.getvalue() == replay.getvalue()
+
+    def test_wire_memory_is_bounded_by_the_block_not_the_stream(self):
+        samples = generate_trace(SleepModelParams(rng_seed=4), TraceHeader(250.0, 4 * 60 * NS_PER_S))
+
+        def peak_bytes(n_rows):
+            payload = "".join(f"{format_seconds(s.t_ns)} {s.ax!r} {s.ay!r} {s.az!r}\n"
+                              for s in samples[:n_rows]).encode("ascii")
+            source = listen_live(("127.0.0.1", 0), timeout=10)
+            client = threading.Thread(target=run_client, args=(source.address, payload))
+            tracemalloc.start()
+            try:
+                client.start()
+                deque(source, maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                client.join(timeout=10)
+                source.close()
+
+        assert len(samples) == 60_000
+        peak_bytes(1_000)  # the first stream pays the one-time costs
+        small, large = peak_bytes(15_000), peak_bytes(60_000)
+        assert large < 1.5 * small, (small, large)
