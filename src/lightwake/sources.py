@@ -29,8 +29,8 @@ final line still counts. LiveSource binds a (host, port) tuple.
 
 Rows are decoded in blocks of whole lines, up to 64 KiB each. A block of
 canonical rows, as write_trace and the bench sender write them, is decoded
-in bulk; any other block row by row, at the per-row speed. The samples and
-errors are the same, and an error comes after every earlier row's sample.
+in bulk; any other block row by row. The samples and errors are the same,
+and an error comes after every earlier row's sample.
 TraceHeader and SleepModelParams raise ConfigInvalid when built with a bad value.
 
 The synthetic generator is a fixture factory, not a physiological model:
@@ -118,14 +118,10 @@ class SleepModelParams:
 def seconds_to_ns(token: str) -> int:
     """Convert a decimal seconds field to integer nanoseconds, rounding half-up.
 
-    The form format_seconds writes, 1..12 ASCII digits, a point and exactly
-    9 ASCII digits, is already whole nanoseconds and is read by int(); every
-    other form goes through Decimal, which is exact on it too. Both are
-    platform-independent; raises ValueError on anything non-finite or >= 1e12 s.
+    Decimal reads every form of the text exactly, and that value is rounded
+    half-up once, so the result is platform-independent. Raises ValueError
+    on anything non-finite or >= 1e12 s.
     """
-    whole, _, frac = token.partition(".")
-    if len(frac) == 9 and len(whole) <= 12 and whole.isdigit() and frac.isdigit() and token.isascii():
-        return int(whole + frac)
     try:
         value = Decimal(token)
     except InvalidOperation as exc:
@@ -139,7 +135,7 @@ def seconds_to_ns(token: str) -> int:
     return int(value.quantize(_NS_QUANTUM, ROUND_HALF_UP).scaleb(9))
 
 
-def _fields_to_sample(t_tok: str, x_tok: str, y_tok: str, z_tok: str) -> RawSample:
+def _fields_to_sample(t_tok: str, *component_toks: str) -> RawSample:
     # Decimal and float ignore surrounding whitespace, so tokens are stripped
     # only to name them in an error, as the wire, split on whitespace, has them.
     try:
@@ -148,30 +144,18 @@ def _fields_to_sample(t_tok: str, x_tok: str, y_tok: str, z_tok: str) -> RawSamp
         raise ParseError(f"bad time field {t_tok.strip()!r}: {exc}") from exc
     if t_ns < 0:
         raise ParseError(f"negative timestamp {t_tok.strip()!r}")
-    try:
-        ax, ay, az = float(x_tok), float(y_tok), float(z_tok)
-    except ValueError:
-        pass
-    else:
-        # NaN and +/-inf fail the range test too.
-        if -SENSOR_RANGE_G <= ax <= SENSOR_RANGE_G and -SENSOR_RANGE_G <= ay <= SENSOR_RANGE_G \
-                and -SENSOR_RANGE_G <= az <= SENSOR_RANGE_G:
-            return RawSample(t_ns, ax, ay, az)
-    raise ParseError(_component_error(x_tok, y_tok, z_tok))
-
-
-def _component_error(*tokens: str) -> str:
-    """Name the first of a row's acceleration fields that is not a reading."""
-    for tok in map(str.strip, tokens):
+    components = []
+    for tok in component_toks:
         try:
             value = float(tok)
         except ValueError:
-            return f"bad acceleration field {tok!r}"
+            raise ParseError(f"bad acceleration field {tok.strip()!r}") from None
         if not math.isfinite(value):
-            return f"non-finite acceleration field {tok!r}"
+            raise ParseError(f"non-finite acceleration field {tok.strip()!r}")
         if abs(value) > SENSOR_RANGE_G:
-            return f"acceleration {tok!r} exceeds +/-{SENSOR_RANGE_G:g} g"
-    raise AssertionError("every acceleration field is a reading")
+            raise ParseError(f"acceleration {tok.strip()!r} exceeds +/-{SENSOR_RANGE_G:g} g")
+        components.append(value)
+    return RawSample(t_ns, *components)
 
 
 def _samples(lines: Iterable[tuple[int, str]], sep: str | None, prev_t: int = -1) -> Generator[RawSample, None, int]:
@@ -236,6 +220,21 @@ def _canonical_block(block: str, prev_t: int) -> list[RawSample] | None:
 
 # -- trace files ------------------------------------------------------------
 
+def _utf8_chunks(chunks: Iterable[str], path: Path, lineno: int) -> Iterator[str]:
+    """Pass on chunks of whole lines, the first numbered lineno, up to a line that is not UTF-8."""
+    for chunk in chunks:
+        try:
+            chunk.encode("utf-8")  # a byte that is not UTF-8 was read as a lone surrogate, which this refuses
+        except UnicodeEncodeError as exc:
+            cut = chunk.rfind("\n", 0, exc.start) + 1
+            if cut:  # the lines before it go first, so that an earlier bad row is the error reported
+                yield chunk[:cut]
+            lineno += chunk.count("\n", 0, cut)
+            raise ParseError(f"{path}: not UTF-8 text on line {lineno}") from None
+        yield chunk
+        lineno += chunk.count("\n")
+
+
 def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
     """Parse a trace CSV into its header and time-ordered samples.
 
@@ -246,29 +245,27 @@ def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
     path = Path(path)
     rate = 4.0
     label = ""
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\r\n")
-                if not line.startswith("#"):
-                    break
-                key, _, value = line[1:].strip().partition("=")
-                key = key.strip()
-                if key == "rate_hz":
-                    try:
-                        rate = TraceHeader(float(value)).sample_rate_hz
-                    except (ValueError, ConfigInvalid) as exc:
-                        raise ParseError(f"line {lineno}: bad rate_hz value {value!r}: {exc}") from None
-                elif key == "label":
-                    label = value
-                # Unknown keys are ignored for forward compatibility.
-            else:
-                raise ParseError(f"{path}: missing {TRACE_HEADER_LINE!r} header line")
-            if line.strip() != TRACE_HEADER_LINE:
-                raise ParseError(f"line {lineno}: expected header {TRACE_HEADER_LINE!r}, got {line!r}")
-            samples = list(_rows(map("".join, iter(lambda: fh.readlines(1 << 16), [])), ",", lineno + 1))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(_utf8_chunks(fh, path, 1), start=1):
+            line = line.rstrip("\r\n")
+            if not line.startswith("#"):
+                break
+            key, _, value = line[1:].strip().partition("=")
+            key = key.strip()
+            if key == "rate_hz":
+                try:
+                    rate = TraceHeader(float(value)).sample_rate_hz
+                except (ValueError, ConfigInvalid) as exc:
+                    raise ParseError(f"line {lineno}: bad rate_hz value {value!r}: {exc}") from None
+            elif key == "label":
+                label = value
+            # Unknown keys are ignored for forward compatibility.
+        else:
+            raise ParseError(f"{path}: missing {TRACE_HEADER_LINE!r} header line")
+        if line.strip() != TRACE_HEADER_LINE:
+            raise ParseError(f"line {lineno}: expected header {TRACE_HEADER_LINE!r}, got {line!r}")
+        blocks = map("".join, iter(lambda: fh.readlines(1 << 16), []))
+        samples = list(_rows(_utf8_chunks(blocks, path, lineno + 1), ",", lineno + 1))
     header = TraceHeader(
         sample_rate_hz=rate,
         duration_ns=samples[-1].t_ns if samples else 0,

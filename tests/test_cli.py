@@ -13,8 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import child_env
 from lightwake import NS_PER_S, SessionConfig, cli as lightwake_cli, run_session
-from lightwake.sources import write_trace
+from lightwake.sources import TRACE_HEADER_LINE, write_trace
 from test_sinks import BAD_HEADER_LINES, BAD_RECORD_LINES
+from test_sources import sample_rows
 from trace_builders import scripted_trace
 
 
@@ -371,3 +372,16 @@ class TestInProcess:
             assert err.startswith("lightwake: ") and err.count("\n") == 1, (argv, err)
         else:
             assert " error: " in err.splitlines()[-1] and "Traceback" not in err, (argv, err)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(body=st.binary(max_size=200) | st.builds(
+        lambda rows, tail: "".join(",".join(row) + "\n" for row in rows).encode("ascii") + tail,
+        sample_rows(), st.binary(max_size=8)))
+    def test_any_trace_body_exits_0_or_1_with_one_line(self, cli_root, body):
+        trace = cli_root / "drawn.csv"
+        trace.write_bytes(TRACE_HEADER_LINE.encode("ascii") + b"\n" + body)
+        code, err = main_in_process("run", "--trace", str(trace), "--sleep-hours", "0.01", "--period-min", "0.05")
+        if code == 0:
+            assert err == "", (body, err)
+        else:
+            assert code == 1 and err.startswith("lightwake: ") and err.count("\n") == 1, (body, code, err)

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from collections import deque
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,6 +89,13 @@ class TestTraceFiles:
                     read_trace(write_text(tmp_path, bad))
                 # The message names the token without the last field's line end.
                 assert str(err.value) == "line 2: " + message.format(token)
+        # Of two bad fields, the first in row order names the error, whatever their kinds.
+        for comps, message in (("6.2,abc,0.99", "acceleration '6.2' exceeds +/-5 g"),
+                               ("0.01,nan,abc", "non-finite acceleration field 'nan'"),
+                               ("abc,-6.2,nan", "bad acceleration field 'abc'")):
+            with pytest.raises(ParseError) as err:
+                read_trace(write_text(tmp_path, f"t_s,ax_g,ay_g,az_g\n1.0,{comps}\n"))
+            assert str(err.value) == "line 2: " + message
 
     def test_non_monotone_timestamps(self, tmp_path):
         bad = "t_s,ax_g,ay_g,az_g\n2.0,0,0,1\n1.5,0,0,1\n"
@@ -116,6 +124,27 @@ class TestTraceFiles:
         path.write_bytes(b"t_s,ax_g,ay_g,az_g\n0.0,\xff,0,1\n")
         with pytest.raises(ParseError):
             read_trace(path)
+
+    def test_bad_row_and_non_utf8_byte_report_the_earlier_line(self, tmp_path):
+        """Both faults in one 64 KiB block: the one on the earlier line is the error."""
+        rows = [f"{format_seconds(i * 250_000_000)},0.01,0.02,0.99\n" for i in range(2000)]
+        rows[4] = "1.0,2\n"  # line 6, after the header line
+        data = bytearray((TRACE_HEADER_LINE + "\n" + "".join(rows)).encode("ascii"))
+        data[20_000] = 0xFF
+        path = tmp_path / "two_faults.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            read_trace(path)
+        assert str(err.value) == "line 6: expected 4 fields (t_s ax ay az), got 2"
+        data[80] = 0xFF  # on line 4
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            read_trace(path)
+        assert str(err.value) == f"{path}: not UTF-8 text on line 4"
+        path.write_bytes(b"# label=\xff\n" + data)
+        with pytest.raises(ParseError) as err:
+            read_trace(path)
+        assert str(err.value) == f"{path}: not UTF-8 text on line 1"
 
     def test_bad_rate_metadata(self, tmp_path):
         with pytest.raises(ParseError):
@@ -529,7 +558,44 @@ def drain(samples):
     return got, None, None
 
 
+@st.composite
+def canonical_samples(draw):
+    """Time-ordered samples with any finite components in range, as the sensor gives them.
+
+    Their times are below 1e12 s, so format_seconds writes 1..12 whole digits;
+    the components include -0.0, +/-5.0 and a 24-character repr.
+    """
+    component = st.floats(-5.0, 5.0) | st.sampled_from([-0.0, 5.0, -5.0, -2.2250738585072014e-308])
+    t_ns = draw(st.integers(0, 10**21 - 10**14))
+    samples = []
+    for step in draw(st.lists(st.integers(1, 10**12), max_size=40)):
+        samples.append(RawSample(t_ns, draw(component), draw(component), draw(component)))
+        t_ns += step
+    return samples
+
+
+def refuse_rows(lines, sep, prev_t=-1):
+    """A stand-in for sources._samples that fails on any row that is not blank."""
+    for lineno, line in lines:
+        assert not line.strip(), f"line {lineno} left the bulk path: {line!r}"
+    yield from ()
+    return prev_t
+
+
 class TestBlockDecoding:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(samples=canonical_samples(),
+           sizes=st.lists(st.integers(1, 4000), min_size=1, max_size=4))
+    def test_trace_and_bench_wire_rows_all_decode_in_bulk(self, scratch_trace, samples, sizes):
+        write_trace(scratch_trace, TraceHeader(), samples)
+        # The lines the bench's live-tcp sender streams.
+        wire = "".join(f"{format_seconds(s.t_ns)} {s.ax!r} {s.ay!r} {s.az!r}\n" for s in samples)
+        with mock.patch("lightwake.sources._samples", refuse_rows):
+            from_trace = read_trace(scratch_trace)[1]
+            from_wire = list(_rows(_wire_blocks(ChunkedConnection(wire.encode("ascii"), sizes)), None, 1))
+        # repr tells -0.0 from 0.0.
+        assert list(map(repr, from_trace)) == list(map(repr, from_wire)) == list(map(repr, samples))
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(payload=wire_payloads(),
            sizes=st.lists(st.one_of(st.integers(1, 16), st.integers(1, 4000)), min_size=1, max_size=6))
