@@ -9,14 +9,15 @@ between deliveries is the virtual gap divided by s, and at speed 0
 delivery is immediate. Logs are therefore byte-identical across speeds.
 
 The event log is JSON Lines: a version header record first
-(``{"v":1,"sleep_ns":...,"period_ns":...}``), then one event per line with
-``t_ns`` (int), ``kind`` (str), and kind-specific fields. Records go to a
-sink or nowhere. With a sink each is written as a whole line into the sink's
-own buffer, which is flushed at every period boundary, at the session end and
-when the session stops on an error; a log read while it is written, or cut
-off, is therefore current up to the last boundary and a prefix of the full
-one. Without a sink none is built, so a session holds memory by periods,
-never by samples.
+(``{"v":2,"sleep_ns":...,"period_ns":...}``), then one event per line with
+``t_ns`` (int), ``kind`` (str), and kind-specific fields. SampleAccepted
+marks only the first accepted sample; each later one is its DeltaComputed
+line. Records go to a sink or nowhere. With a sink each is written as a
+whole line into the sink's own buffer, which is flushed at every period
+boundary, at the session end and when the session stops on an error; a log
+read while it is written, or cut off, is therefore current up to the last
+boundary and a prefix of the full one. Without a sink none is built, so a
+session holds memory by periods, never by samples.
 """
 
 from __future__ import annotations
@@ -26,13 +27,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, IO, Iterable, Iterator
 
-# The detector's transition kinds are part of the log vocabulary too.
 from .detector import (
-    ALARM_FIRED,
     FINAL_PERIOD_ENTERED,
     PERIOD_CLOSED,
-    STAGE_CLASSIFIED,
-    THRESHOLDS_UPDATED,
     Detector,
     DetectorOutcome,
     validate_session_shape,
@@ -43,8 +40,9 @@ from .motion import NS_PER_S, RawSample, Vector, manhattan_delta, normalize
 MINUTE_NS = 60 * NS_PER_S
 HOUR_NS = 3600 * NS_PER_S
 
-LOG_VERSION = 1
+LOG_VERSION = 2
 
+SAMPLE_ACCEPTED = "SampleAccepted"
 SAMPLE_SKIPPED = "SampleSkipped"
 DELTA_COMPUTED = "DeltaComputed"
 SESSION_ENDED = "SessionEnded"
@@ -173,16 +171,16 @@ def run_session(
                 if log is not None:
                     log.emit(t_ns, SAMPLE_SKIPPED, reason="degenerate")
                 continue
-            # Per-sample lines skip SessionEvent; json.dumps writes the same bytes (numbers by repr).
-            if event_sink is not None:
-                event_sink.write(f'{{"t_ns":{t_ns},"kind":"SampleAccepted"}}\n')
             if prev is not None:
                 value = manhattan_delta(prev, norm)
+                # The per-sample line skips SessionEvent; json.dumps writes the same bytes (numbers by repr).
                 if event_sink is not None:
                     event_sink.write(f'{{"t_ns":{t_ns},"kind":"DeltaComputed","value":{value!r}}}\n')
                 outcome = detector.ingest(value)
                 if outcome is not None:
                     break
+            elif log is not None:
+                log.emit(t_ns, SAMPLE_ACCEPTED)
             prev = norm
     finally:
         closer = getattr(iterator, "close", None) or getattr(source, "close", None)

@@ -24,14 +24,8 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .detector import validate_session_shape
-from .engine import (
-    ALARM_FIRED,
-    DELTA_COMPUTED,
-    LOG_VERSION,
-    SessionEvent,
-    THRESHOLDS_UPDATED,
-)
+from .detector import ALARM_FIRED, THRESHOLDS_UPDATED, validate_session_shape
+from .engine import DELTA_COMPUTED, LOG_VERSION, SessionEvent
 from .errors import ConfigInvalid, InvalidMelody, MalformedLog
 from .sources import format_seconds
 
@@ -39,13 +33,16 @@ from .sources import format_seconds
 _AMPLITUDE = 26214
 
 DEFAULT_SAMPLE_RATE = 16000
+# A minute of PCM is 1.9 MB; synthesis holds a few times that in temporaries.
+MAX_MELODY_MS = 60_000.0
 
 
 @dataclass(frozen=True, slots=True)
 class Melody:
     """Ordered notes of (frequency_hz, duration_ms); frequency 0 is a rest.
 
-    Built with no notes or an unusable one, it raises InvalidMelody.
+    Built with no notes, an unusable one (a frequency above half the sample
+    rate, say), or over MAX_MELODY_MS in all, it raises InvalidMelody.
     """
 
     notes: tuple[tuple[float, float], ...]
@@ -58,10 +55,13 @@ class Melody:
         if not self.notes:
             raise InvalidMelody(f"melody {self.name!r} has no notes")
         for freq, duration in self.notes:
-            if freq < 0 or not math.isfinite(freq):
-                raise InvalidMelody(f"melody {self.name!r}: bad frequency {freq!r}")
-            if duration <= 0 or not math.isfinite(duration):
+            if not 0.0 <= freq <= DEFAULT_SAMPLE_RATE / 2:
+                raise InvalidMelody(f"melody {self.name!r}: bad frequency {freq!r}, "
+                                    f"not 0..{DEFAULT_SAMPLE_RATE // 2} Hz")
+            if not 0.0 < duration < math.inf:
                 raise InvalidMelody(f"melody {self.name!r}: bad duration {duration!r} ms")
+        if not self.total_ms() <= MAX_MELODY_MS:
+            raise InvalidMelody(f"melody {self.name!r} lasts over {MAX_MELODY_MS!r} ms")
 
 
 DEFAULT_ALARM_MELODY = Melody(
@@ -136,9 +136,9 @@ def read_event_log(path: str | Path) -> tuple[dict, list[SessionEvent]]:
     flushes whole lines only, so an unterminated last line is a truncation
     and is dropped, and the events are a prefix of the full log's. Whatever
     the engine could not have written raises MalformedLog: a header whose v
-    is not the int 1 or that is no session shape, a line that is no event record,
-    an event before the previous one or outside 0..sleep_ns, or a
-    DeltaComputed at sleep_ns or without a finite float value >= 0.
+    is not the int 1 or 2 or that is no session shape, a line that is no
+    event record, an event before the previous one or outside 0..sleep_ns,
+    or a DeltaComputed at sleep_ns or without a finite float value >= 0.
     """
     records = _log_records(Path(path))
     header = next(records)
@@ -202,7 +202,8 @@ def _parse_header(path: Path, line: str, lineno: int) -> dict:
         raise MalformedLog(f"{path}: line {lineno} is not JSON: {exc}") from None
     if end != len(line) or type(header) is not dict or "v" not in header:
         raise MalformedLog(f"{path}: first record is not a version header")
-    if type(header["v"]) is not int or header["v"] != LOG_VERSION:
+    # v 1 logs differ only by a SampleAccepted line before each DeltaComputed, which charts never read.
+    if type(header["v"]) is not int or not 1 <= header["v"] <= LOG_VERSION:
         raise MalformedLog(f"{path}: unsupported log version {header['v']!r}")
     sleep_ns, period_ns = header.get("sleep_ns"), header.get("period_ns")
     if type(sleep_ns) is not int or type(period_ns) is not int:

@@ -28,8 +28,8 @@ from lightwake import (
     read_event_log,
     run_session,
 )
-from lightwake.detector import AlarmTrigger
-from lightwake.engine import ALARM_FIRED, DELTA_COMPUTED
+from lightwake.detector import ALARM_FIRED, AlarmTrigger
+from lightwake.engine import DELTA_COMPUTED
 from lightwake.errors import DegenerateSample
 from lightwake.motion import MAX_DELTA
 from lightwake.sources import listen_live

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import child_env
 from lightwake import NS_PER_S, SessionConfig, cli as lightwake_cli, run_session
 from lightwake.sources import TRACE_HEADER_LINE, write_trace
-from test_sinks import BAD_HEADER_LINES, BAD_RECORD_LINES
+from test_sinks import BAD_HEADER_LINES, BAD_RECORD_LINES, ENGINE_LOG, as_v1_log
 from test_sources import sample_rows
 from trace_builders import scripted_trace
 
@@ -233,6 +233,15 @@ class TestEndToEnd:
             assert stderr.startswith(f"lightwake: {log}: "), stderr
             assert len(stderr.splitlines()) == 1, stderr
 
+    def test_charts_reads_v1_and_v2_logs_alike(self, tmp_path):
+        for name, data in (("v1", as_v1_log(ENGINE_LOG)), ("v2", ENGINE_LOG)):
+            log = tmp_path / f"{name}.jsonl"
+            log.write_bytes(data)
+            assert main_in_process("charts", "--log", str(log), "--out-dir", str(tmp_path / name)) == (0, "")
+        charts = [{path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+                  for name in ("v1", "v2")]
+        assert len(charts[1]) == 5 and charts[0] == charts[1]
+
     def test_speed_invariance_through_cli(self, tmp_path):
         trace = tmp_path / "t.csv"
         cli("generate", "--seed", "3", "--hours", "0.05", "--out", str(trace))
@@ -345,6 +354,31 @@ def cli_argv(draw):
     return argv
 
 
+# Melody note fields: ordinary numbers, or huge, tiny, negative and non-finite
+# ones. Eight notes of at most 7,500.01 ms straddle the 60 s cap; every larger
+# duration is one numpy refuses to allocate. So no drawn melody needs more
+# than about 30 MB to synthesize, even without the cap.
+_ODD_NOTE_NUMBERS = ["0", "-0.0", "-1", "-1e300", "nan", "-nan", "inf", "-inf", "5e-324",
+                     "1e-300", "1e20", "1e300", "1e999"]
+
+
+def _note_field(usable):
+    """A usable number three times in four, else an odd one."""
+    return st.integers(0, 3).flatmap(lambda k: usable.map(repr) if k else st.sampled_from(_ODD_NOTE_NUMBERS))
+
+
+_NOTE_FREQS = _note_field(st.floats(0, 9000) | st.sampled_from([8000.0, 8000.5]))
+_NOTE_DURATIONS = _note_field(st.floats(1, 7500) | st.just(7500.01))
+MELODY_TEXTS = st.binary(max_size=40) | st.builds(
+    lambda notes, tail: "".join(f"{freq}:{duration}\n" for freq, duration in notes).encode("ascii") + tail,
+    st.lists(st.tuples(_NOTE_FREQS, _NOTE_DURATIONS), max_size=8), st.just(b"") | st.binary(max_size=8))
+# Lines of an engine log, out of order or corrupt, after a v1 or a v2 header of its shape.
+_LOG_LINES = ENGINE_LOG.splitlines(keepends=True)[1:] + BAD_RECORD_LINES
+LOG_BODIES = st.binary(max_size=200) | st.builds(
+    lambda lines, tail: b"".join(lines) + tail, st.lists(st.sampled_from(_LOG_LINES), max_size=8),
+    st.binary(max_size=8))
+
+
 @pytest.fixture(scope="module")
 def cli_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("in_process")
@@ -381,6 +415,32 @@ class TestInProcess:
         trace = cli_root / "drawn.csv"
         trace.write_bytes(TRACE_HEADER_LINE.encode("ascii") + b"\n" + body)
         code, err = main_in_process("run", "--trace", str(trace), "--sleep-hours", "0.01", "--period-min", "0.05")
+        if code == 0:
+            assert err == "", (body, err)
+        else:
+            assert code == 1 and err.startswith("lightwake: ") and err.count("\n") == 1, (body, code, err)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(text=MELODY_TEXTS)
+    @example(text=b"440:1e20\n")
+    @example(text=b"1e300:100\n")
+    def test_any_melody_exits_0_or_1_with_one_line(self, cli_root, text):
+        melody = cli_root / "drawn.txt"
+        melody.write_bytes(text)
+        code, err = main_in_process("run", "--trace", str(cli_root / _TRACE), "--sleep-hours", "0.05",
+                                    "--period-min", "1", "--melody", str(melody),
+                                    "--alarm-wav", str(cli_root / "drawn.wav"))
+        if code == 0:
+            assert err == "", (text, err)
+        else:
+            assert code == 1 and err.startswith("lightwake: ") and err.count("\n") == 1, (text, code, err)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(version=st.sampled_from([1, 2]), body=LOG_BODIES)
+    def test_any_log_body_exits_0_or_1_with_one_line(self, cli_root, version, body):
+        log = cli_root / "drawn.jsonl"
+        log.write_bytes(b'{"v":%d,"sleep_ns":240000000000,"period_ns":60000000000}\n' % version + body)
+        code, err = main_in_process("charts", "--log", str(log), "--out-dir", str(cli_root / "drawn_charts"))
         if code == 0:
             assert err == "", (body, err)
         else:

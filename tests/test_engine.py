@@ -18,15 +18,19 @@ from lightwake import (
     run_session,
 )
 from lightwake import engine
-from lightwake.detector import AlarmTrigger
-from lightwake.engine import (
+from lightwake.detector import (
     ALARM_FIRED,
-    DELTA_COMPUTED,
     FINAL_PERIOD_ENTERED,
     PERIOD_CLOSED,
+    STAGE_CLASSIFIED,
+    AlarmTrigger,
+)
+from lightwake.engine import (
+    DELTA_COMPUTED,
+    LOG_VERSION,
+    SAMPLE_ACCEPTED,
     SAMPLE_SKIPPED,
     SESSION_ENDED,
-    STAGE_CLASSIFIED,
     SessionEvent,
 )
 from lightwake.errors import ConfigInvalid, OrderViolation, SourceFailed
@@ -57,7 +61,7 @@ def check_log_grammar(text: str):
     """Shared event-log well-formedness assertions; returns (header, events)."""
     lines = text.splitlines()
     header = json.loads(lines[0])
-    assert header["v"] == 1 and "sleep_ns" in header and "period_ns" in header
+    assert header["v"] == LOG_VERSION and "sleep_ns" in header and "period_ns" in header
     events = []
     for line in lines[1:]:
         record = json.loads(line)
@@ -65,6 +69,12 @@ def check_log_grammar(text: str):
         assert type(t_ns) is int and type(kind) is str
         events.append(SessionEvent(t_ns, kind, record))
     assert all(b.t_ns >= a.t_ns for a, b in zip(events, events[1:]))
+    # One SampleAccepted, for the first accepted sample: before any delta, which needs two.
+    accepted = [i for i, e in enumerate(events) if e.kind == SAMPLE_ACCEPTED]
+    deltas = [i for i, e in enumerate(events) if e.kind == DELTA_COMPUTED]
+    assert len(accepted) <= 1
+    if deltas:
+        assert accepted and accepted[0] < deltas[0]
     alarms = [e for e in events if e.kind == ALARM_FIRED]
     assert len(alarms) == 1
     assert alarms[0].t_ns <= header["sleep_ns"]
@@ -180,9 +190,9 @@ class TestSourceFailures:
         text = sink.getvalue()
         assert sink.flushes[-1] == len(text)  # all that was written is flushed
         lines = text.splitlines()
-        assert json.loads(lines[0])["v"] == 1
+        assert json.loads(lines[0])["v"] == LOG_VERSION
         assert [json.loads(line)["kind"] for line in lines[1:]] == [
-            "SampleAccepted", "SampleAccepted", DELTA_COMPUTED, "ThresholdsUpdated"]
+            SAMPLE_ACCEPTED, DELTA_COMPUTED, "ThresholdsUpdated"]
 
     def test_flushes_fall_on_line_ends_at_period_boundaries(self):
         triggers = set()
@@ -275,9 +285,8 @@ class TestEventLogShape:
         with mock.patch.object(engine, "manhattan_delta", lambda prev, curr: value):
             run_session(SessionConfig(sleep_ns, sleep_ns // 2), samples, event_sink=buf)
         lines = [line for line in buf.getvalue().splitlines()[1:]
-                 if json.loads(line)["kind"] in ("SampleAccepted", DELTA_COMPUTED)]
-        records = [{"t_ns": t_ns, "kind": "SampleAccepted"},
-                   {"t_ns": t_ns + 1, "kind": "SampleAccepted"},
+                 if json.loads(line)["kind"] in (SAMPLE_ACCEPTED, DELTA_COMPUTED)]
+        records = [{"t_ns": t_ns, "kind": SAMPLE_ACCEPTED},
                    {"t_ns": t_ns + 1, "kind": DELTA_COMPUTED, "value": value}]
         assert lines == [json.dumps(record, separators=(",", ":")) for record in records]
 

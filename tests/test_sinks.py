@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tracemalloc
 import wave
 
@@ -29,6 +30,15 @@ from trace_builders import scripted_trace
 
 P = 60 * NS_PER_S
 
+
+def as_v1_log(log: bytes) -> bytes:
+    """The v1 encoding of a v2 log: v 1 in the header, and a SampleAccepted
+    line before each DeltaComputed line, at its time."""
+    assert log.startswith(b'{"v":2,')
+    return re.sub(rb'^(\{"t_ns":(\d+),"kind":"DeltaComputed",)',
+                  rb'{"t_ns":\2,"kind":"SampleAccepted"}\n\1',
+                  b'{"v":1,' + log[len(b'{"v":2,'):], flags=re.M)
+
 # Logs the engine could not have written; each must be a MalformedLog.
 BAD_HEADER_LINES = [
     b'{"v":1,"sleep_ns":28800000000000,"period_ns":0}\n',
@@ -38,6 +48,8 @@ BAD_HEADER_LINES = [
     b'{"v":true,"sleep_ns":240000000000,"period_ns":60000000000}\n',
     b'{"v":1.0,"sleep_ns":240000000000,"period_ns":60000000000}\n',
     b'{"v":1,"sleep_ns":240000000000,"period_ns":60000000000}{}\n',
+    b'{"v":0,"sleep_ns":240000000000,"period_ns":60000000000}\n',
+    b'{"v":3,"sleep_ns":240000000000,"period_ns":60000000000}\n',
 ]
 BAD_RECORD_LINES = [
     b'{"t_ns":5,"kind":"DeltaComputed"}\n',
@@ -72,10 +84,16 @@ class TestMelody:
             parse_melody("440;100\n")
 
     @pytest.mark.parametrize("notes", [(), ((440.0, 0.0),), ((-1.0, 100.0),),
-                                       ((float("nan"), 100.0),), ((440.0, float("inf")),)])
+                                       ((float("nan"), 100.0),), ((440.0, float("inf")),),
+                                       ((8000.5, 100.0),), ((440.0, 3e4), (0.0, 30000.5))])
     def test_invalid_melodies(self, notes):
         with pytest.raises(InvalidMelody):
             Melody(notes=notes)
+
+    def test_limits_are_inclusive(self):
+        pcm = synthesize_melody(Melody(notes=((8000.0, 3e4), (0.0, 3e4))))
+        assert len(pcm) == 60 * 16000
+        assert pcm[:4].tolist() == [26214, -26214, 26214, -26214]
 
 
 class TestSynthesis:
@@ -206,8 +224,8 @@ class TestCharts:
         with pytest.raises(MalformedLog):
             read_event_log(empty)
         bad_version = tmp_path / "bad.jsonl"
-        bad_version.write_text('{"v":2,"sleep_ns":1,"period_ns":1}\n', encoding="utf-8")
-        with pytest.raises(MalformedLog):
+        bad_version.write_text('{"v":3,"sleep_ns":240,"period_ns":60}\n', encoding="utf-8")
+        with pytest.raises(MalformedLog, match="unsupported log version 3"):
             read_event_log(bad_version)
         bad_header = tmp_path / "bad_header.jsonl"
         for line in BAD_HEADER_LINES:
@@ -218,6 +236,14 @@ class TestCharts:
         bad_header.write_bytes(b"\n[[\n")
         with pytest.raises(MalformedLog, match=r"bad_header\.jsonl: line 2 is not JSON: "):
             read_event_log(bad_header)
+
+    def test_v1_and_v2_logs_chart_alike(self, tmp_path):
+        v1_log, v2_log = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+        v2_log.write_bytes(ENGINE_LOG)
+        v1_log.write_bytes(as_v1_log(ENGINE_LOG))
+        charts = [[path.read_bytes() for path in export_period_charts(log, tmp_path / log.stem)]
+                  for log in (v1_log, v2_log)]
+        assert charts[0] == charts[1]
 
     def test_chart_series_points_are_in_period_and_ordered(self, tmp_path):
         _, log_path, _ = self.small_case(tmp_path)
@@ -259,7 +285,7 @@ ENGINE_LOG = engine_log()
 HEADER_END = ENGINE_LOG.index(b"\n") + 1
 LINE_ENDS = [i + 1 for i, byte in enumerate(ENGINE_LOG) if byte == ord("\n")]
 
-SMALL_HEADER = '{"v":1,"sleep_ns":240,"period_ns":60}'
+SMALL_HEADERS = ['{"v":1,"sleep_ns":240,"period_ns":60}', '{"v":2,"sleep_ns":240,"period_ns":60}']
 _ANY = st.one_of(st.none(), st.booleans(), st.integers(-10, 300), st.floats(), st.text(max_size=4))
 _RECORDS = st.fixed_dictionaries(
     {"t_ns": st.one_of(st.integers(0, 250), _ANY),
@@ -271,7 +297,7 @@ _LINES = st.one_of(_RECORDS, st.text(max_size=12),
 # Arbitrary text, and lines of near-records after a valid or an invalid header.
 LOG_TEXTS = st.one_of(
     st.text(),
-    st.tuples(st.sampled_from([SMALL_HEADER, '{"v":1}', '{"v":true,"sleep_ns":240,"period_ns":60}']),
+    st.tuples(st.sampled_from([*SMALL_HEADERS, '{"v":2}', '{"v":true,"sleep_ns":240,"period_ns":60}']),
               st.lists(_LINES, max_size=8), st.sampled_from(["", "\n", "\r\n"]))
     .map(lambda parts: "\n".join([parts[0], *parts[1]]) + parts[2]),
 )
@@ -300,7 +326,7 @@ class TestReaderProperties:
         path = workdir / "any.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
         readers = [read_event_log]
-        if text.startswith(SMALL_HEADER):  # a 4-period session: charts stay small
+        if text.startswith(tuple(SMALL_HEADERS)):  # a 4-period session: charts stay small
             readers.append(lambda log: export_period_charts(log, workdir / "charts"))
         for reader in readers:
             try:
