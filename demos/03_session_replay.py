@@ -44,8 +44,8 @@ _, events = read_event_log(log_path)
 print(f"events       {len(events)} (log: {log_path})")
 
 print("\nlast moments of the session:")
-for event in events[-6:]:
-    print(f"  t={event.t_ns / 1e9:10.2f}s  {event.kind:18s} {event.data}")
+for t_ns, kind, fields in events[-6:]:
+    print(f"  t={t_ns / 1e9:10.2f}s  {kind:18s} {fields}")
 
 for path in export_period_charts(log_path, out / "charts"):
     print(f"wrote {path}")

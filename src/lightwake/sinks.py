@@ -19,22 +19,30 @@ import json
 import math
 import wave
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import IO, Iterator
 
 import numpy as np
 
 from .detector import ALARM_FIRED, THRESHOLDS_UPDATED, validate_session_shape
-from .engine import DELTA_COMPUTED, LOG_VERSION, SessionEvent
+from .engine import DELTA_COMPUTED, LOG_VERSION
 from .errors import ConfigInvalid, InvalidMelody, MalformedLog
 from .sources import format_seconds
 
 # 0.8 of full scale: loud but clear of clipping artifacts.
-_AMPLITUDE = 26214
+_AMPLITUDE = np.int16(26214)
 
 DEFAULT_SAMPLE_RATE = 16000
 # A minute of PCM is 1.9 MB; synthesis holds a few times that in temporaries.
 MAX_MELODY_MS = 60_000.0
+
+
+def _frame_grid(notes: tuple[tuple[float, float], ...]) -> list[int]:
+    """Note boundaries in frames at DEFAULT_SAMPLE_RATE: 0, then each note's
+    cumulative end in ms, rounded half-up. A note may span no frame."""
+    return [int(ms * DEFAULT_SAMPLE_RATE / 1000.0 + 0.5)
+            for ms in accumulate((duration for _, duration in notes), initial=0.0)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +50,8 @@ class Melody:
     """Ordered notes of (frequency_hz, duration_ms); frequency 0 is a rest.
 
     Built with no notes, an unusable one (a frequency above half the sample
-    rate, say), or over MAX_MELODY_MS in all, it raises InvalidMelody.
+    rate, say), over MAX_MELODY_MS in all, or silent (no note above 0 Hz spans
+    a frame: only rests, or notes too short), it raises InvalidMelody.
     """
 
     notes: tuple[tuple[float, float], ...]
@@ -62,6 +71,9 @@ class Melody:
                 raise InvalidMelody(f"melody {self.name!r}: bad duration {duration!r} ms")
         if not self.total_ms() <= MAX_MELODY_MS:
             raise InvalidMelody(f"melody {self.name!r} lasts over {MAX_MELODY_MS!r} ms")
+        grid = _frame_grid(self.notes)
+        if not any(freq and start < end for (freq, _), start, end in zip(self.notes, grid, grid[1:])):
+            raise InvalidMelody(f"melody {self.name!r} sounds for no frame at {DEFAULT_SAMPLE_RATE} Hz")
 
 
 DEFAULT_ALARM_MELODY = Melody(
@@ -92,30 +104,17 @@ def parse_melody(text: str, name: str = "melody") -> Melody:
 def synthesize_melody(melody: Melody) -> np.ndarray:
     """Render a melody as int16 mono PCM square-wave samples at DEFAULT_SAMPLE_RATE.
 
-    Note boundaries are placed on the cumulative-duration grid, so the total
-    length is within one frame of the melody's total duration regardless of
-    how individual note lengths round.
+    One buffer spans the frame grid; each note above 0 Hz writes its square
+    wave into its slice, and rests stay zero.
     """
-    segments: list[np.ndarray] = []
-    cumulative_ms = 0.0
-    frame_cursor = 0
-    for freq, duration in melody.notes:
-        cumulative_ms += duration
-        frame_end = int(cumulative_ms * DEFAULT_SAMPLE_RATE / 1000.0 + 0.5)
-        count = frame_end - frame_cursor
-        frame_cursor = frame_end
-        if count <= 0:
-            continue
-        if freq == 0.0:
-            segments.append(np.zeros(count, dtype=np.int16))
-            continue
-        j = np.arange(count, dtype=np.float64)
-        half_periods = np.floor(j * (2.0 * freq) / DEFAULT_SAMPLE_RATE).astype(np.int64)
-        wave_block = np.where(half_periods % 2 == 0, _AMPLITUDE, -_AMPLITUDE)
-        segments.append(wave_block.astype(np.int16))
-    if not segments:
-        return np.zeros(0, dtype=np.int16)
-    return np.concatenate(segments)
+    grid = _frame_grid(melody.notes)
+    pcm = np.zeros(grid[-1], dtype=np.int16)
+    for (freq, _), start, end in zip(melody.notes, grid, grid[1:]):
+        if freq:
+            # Each note's wave starts in phase at the note's first frame.
+            half_periods = (np.arange(end - start) * (2.0 * freq) / DEFAULT_SAMPLE_RATE).astype(np.int64)
+            pcm[start:end] = np.where(half_periods % 2 == 0, _AMPLITUDE, -_AMPLITUDE)
+    return pcm
 
 
 def melody_to_wav(melody: Melody, path: str | Path) -> None:
@@ -129,8 +128,8 @@ def melody_to_wav(melody: Melody, path: str | Path) -> None:
 
 # -- chart export -------------------------------------------------------------
 
-def read_event_log(path: str | Path) -> tuple[dict, list[SessionEvent]]:
-    """Load and validate a JSONL event log: (header record, events).
+def read_event_log(path: str | Path) -> tuple[dict, list[tuple[int, str, dict]]]:
+    """Load and validate a JSONL event log: (header, [(t_ns, kind, fields), ...]).
 
     A log cut off anywhere after its header line still reads: the engine
     flushes whole lines only, so an unterminated last line is a truncation
@@ -142,7 +141,7 @@ def read_event_log(path: str | Path) -> tuple[dict, list[SessionEvent]]:
     """
     records = _log_records(Path(path))
     header = next(records)
-    return header, [SessionEvent(t_ns, kind, fields) for t_ns, kind, fields in records]
+    return header, list(records)
 
 
 _raw_decode = json.JSONDecoder().raw_decode

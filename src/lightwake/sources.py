@@ -320,8 +320,6 @@ def stage_schedule(params: SleepModelParams, duration_ns: int) -> list[tuple[int
         ):
             seg_start = cycle_start + offset
             seg_end = min(cycle_start + end, duration_ns)
-            if seg_start >= duration_ns:
-                break
             if seg_end > seg_start:
                 segments.append((seg_start, seg_end, stage))
         cycle_start += cycle
@@ -364,8 +362,6 @@ def generate_trace(params: SleepModelParams, header: TraceHeader) -> list[RawSam
             offsets = rng.uniform(-params.burst_amplitude, params.burst_amplitude, size=3)
             i0 = int(np.searchsorted(t_s, t, side="left"))
             i1 = int(np.searchsorted(t_s, t + duration, side="left"))
-            if i1 <= i0:
-                continue
             envelope = np.sin(np.pi * (t_s[i0:i1] - t) / duration)
             acc[i0:i1] += offsets[None, :] * envelope[:, None]
 

@@ -241,7 +241,7 @@ def test_criterion_7_source_equivalence_over_tcp(paper_case):
     _, live_events = check_log_grammar(live_log.getvalue())
     live_deltas = [(e.t_ns, e.data["value"]) for e in live_events if e.kind == DELTA_COMPUTED]
     _, logged = read_event_log(paper_case.log_path)
-    file_deltas = [(e.t_ns, e.data["value"]) for e in logged if e.kind == DELTA_COMPUTED]
+    file_deltas = [(t_ns, fields["value"]) for t_ns, kind, fields in logged if kind == DELTA_COMPUTED]
     assert live_deltas == file_deltas
     announce(7, "TCP source equivalence on the fixture trace")
 

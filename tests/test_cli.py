@@ -182,6 +182,18 @@ class TestRun:
         with wave.open(str(wav_path), "rb") as fh:
             assert fh.getnframes() == round(0.250 * 16000)
 
+    @pytest.mark.parametrize("text", ["440:0.01\n", "0:500\n", "0:100\n440:0.01\n"])
+    def test_silent_melody_exits_1_before_the_session(self, tiny_trace, tmp_path, text):
+        melody = tmp_path / "silent.txt"
+        melody.write_text(text, encoding="utf-8")
+        log, wav = tmp_path / "events.jsonl", tmp_path / "alarm.wav"
+        code, err = main_in_process("run", "--trace", str(tiny_trace), "--sleep-hours", "0.05",
+                                    "--period-min", "1", "--log", str(log), "--alarm-wav", str(wav),
+                                    "--melody", str(melody))
+        assert code == 1
+        assert err.startswith("lightwake: melody 'silent.txt' sounds for no frame") and err.count("\n") == 1
+        assert not log.exists() and not wav.exists()
+
     def test_degenerate_samples_leave_stderr_empty(self, tmp_path):
         trace = tmp_path / "zeros.csv"
         rows = "".join(f"{i / 4},0,0,{0 if i % 2 else 1}\n" for i in range(24))

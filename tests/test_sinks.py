@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -85,7 +86,9 @@ class TestMelody:
 
     @pytest.mark.parametrize("notes", [(), ((440.0, 0.0),), ((-1.0, 100.0),),
                                        ((float("nan"), 100.0),), ((440.0, float("inf")),),
-                                       ((8000.5, 100.0),), ((440.0, 3e4), (0.0, 30000.5))])
+                                       ((8000.5, 100.0),), ((440.0, 3e4), (0.0, 30000.5)),
+                                       # No note above 0 Hz spans a frame of the 16 kHz grid.
+                                       ((440.0, 0.01),), ((0.0, 500.0),), ((0.0, 100.0), (440.0, 0.01))])
     def test_invalid_melodies(self, notes):
         with pytest.raises(InvalidMelody):
             Melody(notes=notes)
@@ -107,9 +110,10 @@ class TestSynthesis:
         assert pcm[0] == 26214
 
     def test_rest_is_silence(self):
-        pcm = synthesize_melody(Melody(notes=((0.0, 500.0),)))
-        assert len(pcm) == 8000
-        assert not pcm.any()
+        pcm = synthesize_melody(Melody(notes=((0.0, 500.0), (440.0, 100.0))))
+        assert len(pcm) == 9600
+        assert not pcm[:8000].any()
+        assert pcm[8000:].all()
 
     def test_note_boundaries_do_not_accumulate_rounding(self):
         melody = Melody(notes=((440.0, 333.3), (0.0, 333.3), (660.0, 333.3)))
@@ -120,6 +124,22 @@ class TestSynthesis:
         a = synthesize_melody(DEFAULT_ALARM_MELODY)
         b = synthesize_melody(DEFAULT_ALARM_MELODY)
         assert (a == b).all()
+
+    @pytest.mark.parametrize("notes, frames, sha256", [
+        (DEFAULT_ALARM_MELODY.notes, 16_000,
+         "1883dc28d9b2506a917e89efd467390ca72874819447b159f052a99201a2bb91"),
+        (((440.0, 333.3), (0.0, 333.3), (660.0, 333.3)), 15_998,
+         "973b3d0152e044ae8f787914e24045c2f6c870b9941bb06775072a5bcc56567a"),
+        # The first note and the rest are each shorter than half a frame: both span none.
+        (((440.0, 0.01), (880.0, 100.0), (0.0, 0.02), (1000.0, 0.5)), 1_608,
+         "630ebe1062779c312a412b9238af4cc9be4c1457c526e6c7da41c0f87d6bade6"),
+        (((8000.0, 3e4), (0.0, 3e4)), 960_000,
+         "edc5116330ad7cbebb576541c27cee3647d24cc267fc070886e668ba0adb0df1"),
+    ])
+    def test_pcm_bytes_are_pinned(self, notes, frames, sha256):
+        pcm = synthesize_melody(Melody(notes=notes)).astype("<i2").tobytes()
+        assert len(pcm) == 2 * frames
+        assert hashlib.sha256(pcm).hexdigest() == sha256
 
 
 class TestWavFiles:
@@ -167,7 +187,7 @@ class TestCharts:
         out = tmp_path / "charts"
         export_period_charts(log_path, out)
         _, events = read_event_log(log_path)
-        logged = [(e.t_ns, e.data["value"]) for e in events if e.kind == DELTA_COMPUTED]
+        logged = [(t_ns, fields["value"]) for t_ns, kind, fields in events if kind == DELTA_COMPUTED]
         assert logged and chart_rows(out, 4) == logged
 
     def test_summary_matches_brute_force(self, tmp_path):
@@ -349,7 +369,7 @@ class TestReaderProperties:
         _, read = read_event_log(prefix)
         assert read == events[:complete]
         export_period_charts(prefix, workdir / "charts")
-        deltas = [(e.t_ns, e.data["value"]) for e in read if e.kind == DELTA_COMPUTED]
+        deltas = [(t_ns, fields["value"]) for t_ns, kind, fields in read if kind == DELTA_COMPUTED]
         assert chart_rows(workdir / "charts", 4) == deltas
 
     def test_rejections_name_the_record_line(self, tmp_path):

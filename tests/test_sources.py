@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import random
@@ -25,6 +26,7 @@ from lightwake import (
     generate_trace,
     run_session,
 )
+from lightwake.engine import MINUTE_NS
 from lightwake.errors import BindError, ConfigInvalid, OrderViolation, ParseError
 from lightwake.sources import (
     MAX_LINE_BYTES,
@@ -238,6 +240,18 @@ class TestGenerator:
         write_trace(pa, header, a)
         write_trace(pb, header, b)
         assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("seed, rate_hz, hours, cycle_min, sha256", [
+        (5, 16.0, 1.0, 120.0, "0f1a4c0fbe479c50f0ee7b1e6369fd6734cde5dfc5d8d40e83334c5fd7b2edf4"),
+        (9, 250.0, 0.05, 70.0, "3f3aa7781efd3be627ba2eb5e08b5183ed110042a415f83df0f8738b65df6064"),
+        (3, 1.0, 0.0001, 90.0, "8ddfc61bb4d7e37f9eec5601a2d18616a86d6f91d2cff6e9cc1e3e83af9732e9"),
+    ])
+    def test_trace_bytes_are_pinned(self, tmp_path, seed, rate_hz, hours, cycle_min, sha256):
+        header = TraceHeader(rate_hz, int(round(hours * HOUR_NS)), label=f"seed={seed}")
+        params = SleepModelParams(cycle_length_ns=int(round(cycle_min * MINUTE_NS)), rng_seed=seed)
+        path = tmp_path / "night.csv"
+        write_trace(path, header, generate_trace(params, header))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_different_seeds_differ(self):
         header = TraceHeader(4.0, 60 * NS_PER_S)
