@@ -31,6 +31,14 @@ state machine, and ingest(value) feeds the delta at that clock. A learning
 period that saw no deltas contributes no entry to the maxima array (it
 does not drag t_min to zero).
 
+learn(times, values) feeds a run of learning deltas in one call, with the
+same records and state as advance_to(t) then ingest(value) for each pair.
+It checks that the run belongs to the current learning period: the phase
+is learning (else PhaseViolation), and the times increase strictly, start
+after the last delta and at or after the clock, and end before
+learning_end_ns, so that no period boundary falls inside the run (else
+OrderViolation). Crossing a boundary stays advance_to's job.
+
 Every transition is written as an event-log record through the emit
 callable the detector is given, emit(t_ns, kind, **fields): PeriodClosed
 and, when the band moved, ThresholdsUpdated at each period boundary;
@@ -47,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import lt
 from typing import Any, Callable
 
 from .errors import ConfigInvalid, OrderViolation, PhaseViolation
@@ -214,11 +223,7 @@ class Detector:
         self._last_delta_ns = t_ns
 
         if self._period_index < self.final_period_index:
-            if self._period_max is None or value > self._period_max:
-                self._period_max = value
-            if self._t_max is None or value > self._t_max:
-                self._t_max = value
-                self._emit(t_ns, THRESHOLDS_UPDATED, t_min=self._t_min, t_max=self._t_max)
+            self._learn((t_ns,), (value,))
             return None
 
         # Final period: the band is frozen. Every learning period is closed,
@@ -231,6 +236,47 @@ class Detector:
             return None
         self._emit(t_ns, STAGE_CLASSIFIED, stage="NREM", value=value)
         return self._fire(t_ns, AlarmTrigger.THRESHOLD_HIT, value)
+
+    @property
+    def learning_end_ns(self) -> int:
+        """End of the current learning period, or 0 once learning is over."""
+        if self._period_index < self.final_period_index:
+            return (self._period_index + 1) * self.period_length_ns
+        return 0
+
+    def learn(self, times: list[int], values: list[float]) -> None:
+        """Feed learning deltas values[i] at times[i], all inside the current period.
+
+        The same as advance_to(t) then ingest(value) for each pair in turn;
+        see the module docstring for the checks.
+        """
+        end = self.learning_end_ns
+        if not end:
+            raise PhaseViolation("learn takes learning deltas only; final-period ones go to ingest")
+        if len(times) != len(values):
+            raise ValueError(f"{len(times)} times for {len(values)} values")
+        if not times:
+            return
+        if not (self._last_delta_ns < times[0] and self._clock_ns <= times[0]
+                and times[-1] < end and all(map(lt, times, times[1:]))):
+            raise OrderViolation(f"deltas at {times[0]}..{times[-1]} ns do not increase strictly "
+                                 f"from the clock at {self._clock_ns} ns to before the period "
+                                 f"end at {end} ns")
+        self._clock_ns = self._last_delta_ns = times[-1]
+        self._learn(times, values)
+
+    def _learn(self, times, values) -> None:
+        top = max(values)
+        if self._period_max is None or top > self._period_max:
+            self._period_max = top
+        if self._t_max is None or top > self._t_max:
+            # t_max rises at each delta above all before it, up to the run's largest.
+            t_max = self._t_max
+            for t_ns, value in zip(times, values[:values.index(top) + 1]):
+                if t_max is None or value > t_max:
+                    t_max = value
+                    self._emit(t_ns, THRESHOLDS_UPDATED, t_min=self._t_min, t_max=value)
+            self._t_max = t_max
 
     def finalize(self) -> DetectorOutcome:
         """Fire the fallback alarm at the end of the sleep time.

@@ -18,14 +18,30 @@ boundary, at the session end and when the session stops on an error; a log
 read while it is written, or cut off, is therefore current up to the last
 boundary and a prefix of the full one. Without a sink none is built, so a
 session holds memory by periods, never by samples.
+
+Nothing in a learning period can stop the session, so learning samples are
+decided a block at a time. The engine reads them one by one, with the same
+order check, pacing and session-end test as every sample, and collects
+them. It decides the block when the first sample at or past the current
+period's end arrives, when the block reaches _BLOCK_SIZE samples, and when
+the source ends or raises: block_deltas gives the deltas in one numpy pass,
+Detector.learn takes each run of them between skipped samples, and their
+DeltaComputed lines are written together, each ThresholdsUpdated after the
+line of its delta. The records and the outcome are those of deciding each
+sample on its own. The final period, where a delta can fire the alarm,
+decides each sample before it reads the next, so the engine reads no
+sample that deciding one at a time would not have read.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, IO, Iterable, Iterator
+
+import numpy as np
 
 from .detector import (
     FINAL_PERIOD_ENTERED,
@@ -35,7 +51,7 @@ from .detector import (
     validate_session_shape,
 )
 from .errors import ConfigInvalid, DegenerateSample, LightwakeError, SourceFailed
-from .motion import NS_PER_S, RawSample, Vector, manhattan_delta, normalize
+from .motion import NS_PER_S, RawSample, Vector, block_deltas, manhattan_delta, normalize
 
 MINUTE_NS = 60 * NS_PER_S
 HOUR_NS = 3600 * NS_PER_S
@@ -46,6 +62,12 @@ SAMPLE_ACCEPTED = "SampleAccepted"
 SAMPLE_SKIPPED = "SampleSkipped"
 DELTA_COMPUTED = "DeltaComputed"
 SESSION_ENDED = "SessionEnded"
+
+# A DeltaComputed record as json.dumps writes it: ints by str, floats by repr.
+_DELTA_LINE = '{"t_ns":%d,"kind":"DeltaComputed","value":%r}\n'
+
+# Learning samples decided at once, at most; it bounds the memory a block holds.
+_BLOCK_SIZE = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,11 +121,14 @@ class EventLog:
 
     Lines are buffered by the sink. emit flushes it after each PeriodClosed,
     FinalPeriodEntered and SessionEnded record, so every flush ends on a
-    line end.
+    line end. The DeltaComputed lines of a run of deltas are held until
+    release writes them; emit first writes those at or before its record.
     """
 
     def __init__(self, config: SessionConfig, sink: IO[str]):
         self._sink = sink
+        self._held: tuple[list[int], list[float]] = ([], [])
+        self._written = 0  # of the held lines
         header = {
             "v": LOG_VERSION,
             "sleep_ns": config.sleep_duration_ns,
@@ -112,9 +137,52 @@ class EventLog:
         sink.write(json.dumps(header, separators=(",", ":")) + "\n")
 
     def emit(self, t_ns: int, kind: str, **data: Any) -> None:
+        if self._written < len(self._held[0]):
+            self.release(t_ns)
         self._sink.write(SessionEvent(t_ns, kind, data).to_json() + "\n")
         if kind in _FLUSH_AFTER:
             self._sink.flush()
+
+    def hold(self, times: list[int], values: list[float]) -> None:
+        """Hold the DeltaComputed lines of values[i] at times[i]."""
+        self._held = (times, values)
+        self._written = 0
+
+    def release(self, t_ns: int | None = None) -> None:
+        """Write the held lines at or before t_ns, or all of them."""
+        times, values = self._held
+        end = len(times) if t_ns is None else bisect_right(times, t_ns, self._written)
+        self._sink.write("".join(map(_DELTA_LINE.__mod__, zip(times[self._written:end],
+                                                             values[self._written:end]))))
+        self._written = end
+
+
+def _learn_block(block: list[RawSample], prev: Vector | None, detector: Detector,
+                 log: EventLog | None) -> Vector | None:
+    """Decide and empty a block inside the detector's learning period; returns the new prev."""
+    if not block:
+        return prev
+    skipped, deltas, last = block_deltas(prev, block)
+    times = [s.t_ns for s in block]
+    values = deltas.tolist()
+    start = 0
+    # A sample without a delta, skipped or the session's first accepted one, ends a run.
+    for stop in [*np.flatnonzero(np.isnan(deltas)).tolist(), len(block)]:
+        if start < stop:
+            run = times[start:stop], values[start:stop]
+            if log is not None:
+                log.hold(*run)
+            detector.learn(*run)
+            if log is not None:
+                log.release()
+        if stop < len(block) and log is not None:
+            if skipped[stop]:
+                log.emit(times[stop], SAMPLE_SKIPPED, reason="degenerate")
+            else:
+                log.emit(times[stop], SAMPLE_ACCEPTED)
+        start = stop + 1
+    block.clear()
+    return last
 
 
 def run_session(
@@ -126,7 +194,8 @@ def run_session(
     """Run one sleep session over a sample source and return its outcome.
 
     The pipeline normalizes each sample, computes the Manhattan delta
-    against the previous one, and feeds the detector. On a threshold hit
+    against the previous one, and feeds the detector, a block at a time
+    while the detector is learning. On a threshold hit
     the source is stopped immediately; if the stream or the session ends
     without one, the virtual clock fast-forwards and the fallback alarm
     fires at exactly the configured sleep duration. Event records go to a
@@ -139,11 +208,14 @@ def run_session(
     log = None if event_sink is None else EventLog(config, event_sink)
     detector = Detector(config.sleep_duration_ns, config.period_length_ns,
                         emit=None if log is None else log.emit)
+    sleep_ns, speed = config.sleep_duration_ns, config.speed
     wall_start = time.monotonic()
 
     outcome: DetectorOutcome | None = None
     prev: Vector | None = None
     last_t_ns = -1
+    block: list[RawSample] = []
+    block_end = detector.learning_end_ns  # samples before it join the block
     iterator: Iterator[RawSample] = iter(source)
     try:
         while True:
@@ -151,20 +223,34 @@ def run_session(
                 sample = next(iterator)
             except StopIteration:
                 break
-            except (LightwakeError, OSError) as exc:
-                raise SourceFailed(f"sample source failed: {exc}") from exc
+            except Exception as exc:
+                # Whatever the source raises, the samples it gave are decided and logged first.
+                _learn_block(block, prev, detector, log)
+                if isinstance(exc, (LightwakeError, OSError)):
+                    raise SourceFailed(f"sample source failed: {exc}") from exc
+                raise
             t_ns = sample.t_ns
             if t_ns <= last_t_ns:
+                _learn_block(block, prev, detector, log)
                 raise SourceFailed(f"source timestamps must be non-negative and strictly "
                                    f"increasing: {t_ns} ns after {last_t_ns} ns")
             last_t_ns = t_ns
-            if t_ns >= config.sleep_duration_ns:
+            if t_ns >= sleep_ns:
                 break
-            if config.speed > 0.0:
-                delay = wall_start + (t_ns / NS_PER_S) / config.speed - time.monotonic()
+            if speed > 0.0:
+                delay = wall_start + (t_ns / NS_PER_S) / speed - time.monotonic()
                 if delay > 0:
                     time.sleep(delay)
-            detector.advance_to(t_ns)
+            if t_ns >= block_end:
+                prev = _learn_block(block, prev, detector, log)
+                detector.advance_to(t_ns)
+                block_end = detector.learning_end_ns
+            if t_ns < block_end:
+                block.append(sample)
+                if len(block) == _BLOCK_SIZE:
+                    prev = _learn_block(block, prev, detector, log)
+                continue
+            # Final period: each sample is decided before the next is read.
             try:
                 norm = normalize(sample)
             except DegenerateSample:
@@ -173,15 +259,15 @@ def run_session(
                 continue
             if prev is not None:
                 value = manhattan_delta(prev, norm)
-                # The per-sample line skips SessionEvent; json.dumps writes the same bytes (numbers by repr).
                 if event_sink is not None:
-                    event_sink.write(f'{{"t_ns":{t_ns},"kind":"DeltaComputed","value":{value!r}}}\n')
+                    event_sink.write(_DELTA_LINE % (t_ns, value))
                 outcome = detector.ingest(value)
                 if outcome is not None:
                     break
             elif log is not None:
                 log.emit(t_ns, SAMPLE_ACCEPTED)
             prev = norm
+        prev = _learn_block(block, prev, detector, log)
     finally:
         closer = getattr(iterator, "close", None) or getattr(source, "close", None)
         if closer is not None:

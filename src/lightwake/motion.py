@@ -9,6 +9,7 @@ and every component lands in [-1, 1].
 
 The math is time-unaware: normalize() returns a plain (nx, ny, nz) tuple
 and manhattan_delta() a float. Timestamps stay on the RawSample.
+block_deltas() does both over a run of samples in one numpy pass.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DegenerateSample
 
@@ -82,3 +86,37 @@ def normalize(sample: RawSample) -> Vector:
 def manhattan_delta(prev: Vector, curr: Vector) -> float:
     """Manhattan distance |dx| + |dy| + |dz| between two unit vectors, in [0, MAX_DELTA]."""
     return abs(curr[0] - prev[0]) + abs(curr[1] - prev[1]) + abs(curr[2] - prev[2])
+
+
+def block_deltas(prev: Vector | None, samples: Sequence[RawSample]) -> tuple[np.ndarray, np.ndarray, Vector | None]:
+    """normalize and manhattan_delta over a run of samples at once, bit for bit.
+
+    Returns (degenerate, deltas, last). degenerate masks the samples that
+    normalize refuses. deltas[i] is the manhattan_delta of sample i against
+    the last sample before it that was kept, or against prev for the first;
+    it is NaN where sample i is degenerate or nothing precedes it. last is
+    the unit vector of the last kept sample in Python floats, or prev when
+    none was kept. Each element goes through the scalar functions' IEEE
+    operations in their order, and numpy fuses none of them.
+    """
+    n = len(samples)
+    a = np.fromiter([s.ax for s in samples] + [s.ay for s in samples] + [s.az for s in samples],
+                    np.float64, 3 * n).reshape(3, n)
+    with np.errstate(over="ignore"):  # an overflowing square or sum is a degenerate length
+        sq = a * a
+        norm = np.sqrt(sq[0] + sq[1] + sq[2])
+    kept = (DEGENERATE_NORM_EPS <= norm) & (norm < math.inf)
+    all_kept = kept.all()
+    if not all_kept:
+        a, norm = a[:, kept], norm[kept]
+    unit = np.empty((3, len(norm) + 1))
+    unit[:, 0] = (math.nan,) * 3 if prev is None else prev
+    np.divide(a, norm, out=unit[:, 1:])
+    step = np.abs(unit[:, 1:] - unit[:, :-1])
+    deltas = step[0] + step[1] + step[2]
+    if not all_kept:
+        aligned = np.full(n, math.nan)
+        aligned[kept] = deltas
+        deltas = aligned
+    last = tuple(unit[:, -1].tolist()) if len(norm) else prev
+    return ~kept, deltas, last

@@ -356,6 +356,28 @@ class TestOrdering:
         with pytest.raises(OrderViolation):
             det.advance_to(2 * P + 1)
 
+    def test_learn_checks_its_run(self):
+        det = Detector(3 * P, P)
+        det.learn([], [])
+        det.learn([10 * NS, 20 * NS], [0.5, 0.7])
+        with pytest.raises(OrderViolation):
+            det.learn([20 * NS], [0.1])  # not after the last delta
+        with pytest.raises(OrderViolation):
+            det.learn([30 * NS, 30 * NS], [0.1, 0.2])  # not strictly increasing
+        with pytest.raises(OrderViolation):
+            det.learn([50 * NS, P], [0.1, 0.2])  # the period boundary lies inside the run
+        with pytest.raises(ValueError):
+            det.learn([30 * NS], [0.1, 0.2])
+        det.advance_to(P + 30 * NS)
+        with pytest.raises(OrderViolation):
+            det.learn([P + 20 * NS], [0.1])  # before the clock
+        assert det.learning_end_ns == 2 * P
+        det.advance_to(2 * P)
+        assert det.learning_end_ns == 0
+        with pytest.raises(PhaseViolation):
+            det.learn([2 * P + NS], [0.6])
+        assert det.finalize().final_thresholds == ThresholdState((0.7,), 0.7, 0.7)
+
 
 class TestRandomizedProperties:
     def random_stream(self, rng, n_periods=6, period_ns=P):
@@ -482,3 +504,30 @@ class TestRandomizedProperties:
                 assert fired.trigger_delta == expected.value
                 assert records.of(ALARM_FIRED) == [
                     (expected.t_ns, {"trigger": "ThresholdHit", "value": expected.value})]
+
+    def test_learn_runs_give_the_records_and_outcome_of_single_deltas(self):
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            deltas, _ = self.random_stream(rng)
+
+            def run(use_learn):
+                records = Records()
+                det = Detector(6 * P, P, emit=records)
+                outcome = None
+                i = 0
+                while i < len(deltas) and outcome is None:
+                    k = deltas[i].t_ns // P
+                    if use_learn and k < 5:
+                        # A run of 1..4 deltas of period k, as an engine block would cut it.
+                        j, stop = i + 1, min(i + int(rng.integers(1, 5)), len(deltas))
+                        while j < stop and deltas[j].t_ns // P == k:
+                            j += 1
+                        det.advance_to(deltas[i].t_ns)
+                        det.learn([dl.t_ns for dl in deltas[i:j]], [dl.value for dl in deltas[i:j]])
+                        i = j
+                    else:
+                        outcome = step(det, deltas[i])
+                        i += 1
+                return outcome or det.finalize(), records
+
+            assert run(True) == run(False)

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +35,7 @@ from lightwake.engine import (
     SessionEvent,
 )
 from lightwake.errors import ConfigInvalid, OrderViolation, SourceFailed
+from lightwake.motion import block_deltas
 from reference import offline_outcome
 from trace_builders import scripted_trace
 
@@ -194,6 +196,28 @@ class TestSourceFailures:
         assert [json.loads(line)["kind"] for line in lines[1:]] == [
             SAMPLE_ACCEPTED, DELTA_COMPUTED, "ThresholdsUpdated"]
 
+    @pytest.mark.parametrize("error", [OSError("connection reset"), RuntimeError("bug in the source")])
+    def test_error_after_blocks_flushes_the_log_of_the_samples_read(self, error):
+        # 30-minute periods at 4 Hz: 5,000 learning samples fill more than one block.
+        samples = generate_trace(SleepModelParams(rng_seed=4), TraceHeader(4.0, HOUR_NS))[:5000]
+        assert 5000 > engine._BLOCK_SIZE
+        config = SessionConfig(HOUR_NS, HOUR_NS // 2)
+
+        def broken():
+            yield from samples
+            raise error
+
+        sink = FlushRecorder()
+        with pytest.raises(SourceFailed if isinstance(error, OSError) else RuntimeError):
+            run_session(config, broken(), event_sink=sink)
+        text = sink.getvalue()
+        assert sink.flushes[-1] == len(text)
+        whole = io.StringIO()
+        run_session(config, samples, event_sink=whole)
+        header, *records = whole.getvalue().splitlines(keepends=True)
+        last_ns = samples[-1].t_ns
+        assert text == header + "".join(r for r in records if json.loads(r)["t_ns"] <= last_ns)
+
     def test_flushes_fall_on_line_ends_at_period_boundaries(self):
         triggers = set()
         for final_deltas in ([0.2, 0.31, 1.016, 0.8], []):
@@ -279,15 +303,25 @@ class TestEventLogShape:
            value=st.one_of(st.sampled_from([5e-324, 0.1 + 0.2, 1e16]),
                            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)))
     def test_per_sample_lines_are_the_json_encoding(self, t_ns, value):
-        samples = [RawSample(t_ns, 0.0, 0.0, 1.0), RawSample(t_ns + 1, 0.0, 0.0, 1.0)]
-        sleep_ns = 10**21 + 2
+        """Every DeltaComputed line, from a learning block and from the final
+        period, is json.dumps of its record."""
+        # Periods of t_ns + 2 ns: t_ns and t_ns + 1 learn, t_ns + 2 opens the final period.
+        samples = [RawSample(t, 0.0, 0.0, 1.0) for t in (t_ns, t_ns + 1, t_ns + 2)]
+        period_ns = t_ns + 2
+
+        def learning_deltas(prev, block):
+            skipped, deltas, last = block_deltas(prev, block)
+            return skipped, np.where(np.isnan(deltas), deltas, value), last
+
         buf = io.StringIO()
-        with mock.patch.object(engine, "manhattan_delta", lambda prev, curr: value):
-            run_session(SessionConfig(sleep_ns, sleep_ns // 2), samples, event_sink=buf)
+        with mock.patch.object(engine, "block_deltas", learning_deltas), \
+                mock.patch.object(engine, "manhattan_delta", lambda prev, curr: value):
+            run_session(SessionConfig(2 * period_ns, period_ns), samples, event_sink=buf)
         lines = [line for line in buf.getvalue().splitlines()[1:]
                  if json.loads(line)["kind"] in (SAMPLE_ACCEPTED, DELTA_COMPUTED)]
         records = [{"t_ns": t_ns, "kind": SAMPLE_ACCEPTED},
-                   {"t_ns": t_ns + 1, "kind": DELTA_COMPUTED, "value": value}]
+                   {"t_ns": t_ns + 1, "kind": DELTA_COMPUTED, "value": value},
+                   {"t_ns": t_ns + 2, "kind": DELTA_COMPUTED, "value": value}]
         assert lines == [json.dumps(record, separators=(",", ":")) for record in records]
 
     def test_memory_without_sink_bounded_by_periods(self):
@@ -361,3 +395,20 @@ class TestOracleProperty:
         band = outcome.final_thresholds
         assert (band.t_min, band.t_max) == (ref.t_min, ref.t_max)
         assert band.period_maxima == tuple(ref.learning_maxima[k] for k in sorted(ref.learning_maxima))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(case=oracle_cases())
+    def test_block_size_changes_no_byte(self, case):
+        """Blocks of 1, 2 or 3 learning samples, cut anywhere in a period, give
+        the log and outcome of the default size."""
+        samples, sleep_ns, period_ns = case
+
+        def run():
+            buf = io.StringIO()
+            outcome = run_session(SessionConfig(sleep_ns, period_ns), samples, event_sink=buf).outcome
+            return outcome, buf.getvalue()
+
+        want = run()
+        for size in (1, 2, 3):
+            with mock.patch.object(engine, "_BLOCK_SIZE", size):
+                assert run() == want

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightwake import RawSample, manhattan_delta, normalize
 from lightwake.errors import DegenerateSample
-from lightwake.motion import MAX_DELTA, raw_samples
+from lightwake.motion import MAX_DELTA, block_deltas, raw_samples
 
 
 def unit(x, y, z):
@@ -144,3 +146,48 @@ class TestRawSamples:
                 b.ax = 0.0
             assert not hasattr(b, "__dict__")
         assert raw_samples([], [], [], []) == []
+
+
+# Components whose squares overflow (1e200) or underflow (subnormals), that
+# make a length below the guard (1e-12) or not finite, and signed zeros.
+_COMPONENTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200, 1e-12, 5e-324, -2.5e-310,
+                     -0.0, 0.0, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2.0, 2.0),
+)
+_TRIPLES = st.tuples(_COMPONENTS, _COMPONENTS, _COMPONENTS)
+
+
+class TestBlockDeltas:
+    """block_deltas is normalize and manhattan_delta over a run, bit for bit."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(start=st.one_of(st.none(), _TRIPLES), triples=st.lists(_TRIPLES, max_size=12))
+    def test_same_mask_and_bits_as_the_scalar_functions(self, start, triples):
+        try:
+            prev = None if start is None else normalize(RawSample(0, *start))
+        except DegenerateSample:
+            prev = None
+        samples = [RawSample(i, *xyz) for i, xyz in enumerate(triples)]
+        degenerate, deltas, last = [], [], prev
+        for sample in samples:
+            try:
+                unit_vector = normalize(sample)
+            except DegenerateSample:
+                degenerate.append(True)
+                deltas.append(math.nan)
+                continue
+            degenerate.append(False)
+            deltas.append(math.nan if last is None else manhattan_delta(last, unit_vector))
+            last = unit_vector
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_degenerate, got_deltas, got_last = block_deltas(prev, samples)
+        assert got_degenerate.tolist() == degenerate
+        assert [v.hex() for v in got_deltas.tolist()] == [v.hex() for v in deltas]
+        if last is None:
+            assert got_last is None
+        else:
+            assert [(type(v), v.hex()) for v in got_last] == [(float, v.hex()) for v in last]
