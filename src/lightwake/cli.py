@@ -15,7 +15,9 @@ import sys
 from .engine import HOUR_NS, MINUTE_NS, NS_PER_S, SessionConfig, run_session
 from .errors import ConfigInvalid, InvalidMelody, LightwakeError
 from .sinks import DEFAULT_ALARM_MELODY, export_period_charts, melody_to_wav, parse_melody
-from .sources import SleepModelParams, TraceHeader, generate_trace, listen_live, read_trace, write_trace
+from .sources import SleepModelParams, TraceHeader, listen_live, read_trace, write_generated_trace
+# Unused here, but the benchmark's per-layer tracer wraps them on this module.
+from .sources import generate_trace, write_trace  # noqa: F401
 
 
 def _fmt(value: float | None) -> str:
@@ -86,13 +88,13 @@ def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
                                   rng_seed=args.seed)
     except ConfigInvalid as exc:
         parser.error(str(exc))
-    # The trace is built in memory whole, so it stops at a day at 250 Hz (21.6 M samples).
+    # The trace is written a chunk at a time, but its time and disk grow with it: it
+    # stops at a day at 250 Hz (21.6 M samples, about 1.7 GB).
     if args.hours * args.rate_hz > 24 * 250:
         parser.error(f"--hours {args.hours!r} at --rate-hz {args.rate_hz!r} is more samples "
                      f"than a day at the sensor's 250 Hz ceiling")
-    samples = generate_trace(params, header)
-    write_trace(args.out, header, samples)
-    print(f"trace={args.out} samples={len(samples)} rate_hz={args.rate_hz!r} seed={args.seed}")
+    count = write_generated_trace(args.out, params, header)
+    print(f"trace={args.out} samples={count} rate_hz={args.rate_hz!r} seed={args.seed}")
     return 0
 
 

@@ -270,13 +270,14 @@ class Detector:
         if self._period_max is None or top > self._period_max:
             self._period_max = top
         if self._t_max is None or top > self._t_max:
-            # t_max rises at each delta above all before it, up to the run's largest.
-            t_max = self._t_max
-            for t_ns, value in zip(times, values[:values.index(top) + 1]):
-                if t_max is None or value > t_max:
-                    t_max = value
-                    self._emit(t_ns, THRESHOLDS_UPDATED, t_min=self._t_min, t_max=value)
-            self._t_max = t_max
+            if self._emit is not _discard:
+                # t_max rises at each delta above all before it, up to the run's largest.
+                t_max = self._t_max
+                for t_ns, value in zip(times, values[:values.index(top) + 1]):
+                    if t_max is None or value > t_max:
+                        t_max = value
+                        self._emit(t_ns, THRESHOLDS_UPDATED, t_min=self._t_min, t_max=value)
+            self._t_max = top
 
     def finalize(self) -> DetectorOutcome:
         """Fire the fallback alarm at the end of the sleep time.

@@ -22,10 +22,13 @@ session holds memory by periods, never by samples.
 Nothing in a learning period can stop the session, so learning samples are
 decided a block at a time. The engine reads them one by one, with the same
 order check, pacing and session-end test as every sample, and collects
-them. It decides the block when the first sample at or past the current
-period's end arrives, when the block reaches _BLOCK_SIZE samples, and when
-the source ends or raises: block_deltas gives the deltas in one numpy pass,
-Detector.learn takes each run of them between skipped samples, and their
+them. A block ends where its records are due: with a sink at the current
+period's end, whose boundary lines are written and flushed then, and
+without one at the final period's start, since nothing is due before it.
+It also ends at _BLOCK_SIZE samples and when the source ends or raises.
+block_deltas gives the block's deltas in one numpy pass, Detector.learn
+takes each run of them between skipped samples and period boundaries (the
+clock first moves to a run that starts a later period), and their
 DeltaComputed lines are written together, each ThresholdsUpdated after the
 line of its delta. The records and the outcome are those of deciding each
 sample on its own. The final period, where a delta can fire the alarm,
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, IO, Iterable, Iterator
 
@@ -159,22 +162,31 @@ class EventLog:
 
 def _learn_block(block: list[RawSample], prev: Vector | None, detector: Detector,
                  log: EventLog | None) -> Vector | None:
-    """Decide and empty a block inside the detector's learning period; returns the new prev."""
+    """Decide and empty a block of learning samples; returns the new prev.
+
+    The block ends before the final period. A sample without a delta, skipped
+    or the session's first accepted one, ends a run, and so does a period
+    boundary: the detector's clock moves to the first delta of a later period
+    before it learns that period's run.
+    """
     if not block:
         return prev
     skipped, deltas, last = block_deltas(prev, block)
     times = [s.t_ns for s in block]
     values = deltas.tolist()
     start = 0
-    # A sample without a delta, skipped or the session's first accepted one, ends a run.
     for stop in [*np.flatnonzero(np.isnan(deltas)).tolist(), len(block)]:
-        if start < stop:
-            run = times[start:stop], values[start:stop]
+        while start < stop:
+            if times[start] >= detector.learning_end_ns:
+                detector.advance_to(times[start])
+            cut = bisect_left(times, detector.learning_end_ns, start, stop)
+            run = times[start:cut], values[start:cut]
             if log is not None:
                 log.hold(*run)
             detector.learn(*run)
             if log is not None:
                 log.release()
+            start = cut
         if stop < len(block) and log is not None:
             if skipped[stop]:
                 log.emit(times[stop], SAMPLE_SKIPPED, reason="degenerate")
@@ -183,6 +195,19 @@ def _learn_block(block: list[RawSample], prev: Vector | None, detector: Detector
         start = stop + 1
     block.clear()
     return last
+
+
+def _block_end(detector: Detector, log: EventLog | None) -> int:
+    """Where the learning block must be decided next: where its records are due.
+
+    A sink's are due at each period end, whose lines are written and flushed
+    there; without a sink nothing is due before the final period. 0 once
+    learning is over.
+    """
+    learning_end_ns = detector.learning_end_ns
+    if log is None and learning_end_ns:
+        return detector.final_period_index * detector.period_length_ns
+    return learning_end_ns
 
 
 def run_session(
@@ -215,7 +240,8 @@ def run_session(
     prev: Vector | None = None
     last_t_ns = -1
     block: list[RawSample] = []
-    block_end = detector.learning_end_ns  # samples before it join the block
+    block_end = _block_end(detector, log)  # learning samples before it join the block
+    unpaced = speed == 0.0
     iterator: Iterator[RawSample] = iter(source)
     try:
         while True:
@@ -230,6 +256,14 @@ def run_session(
                     raise SourceFailed(f"sample source failed: {exc}") from exc
                 raise
             t_ns = sample.t_ns
+            # Unpaced, a sample in order and before block_end passes every check below,
+            # as block_end is at most the final period's start, before sleep_ns.
+            if last_t_ns < t_ns < block_end and unpaced:
+                last_t_ns = t_ns
+                block.append(sample)
+                if len(block) == _BLOCK_SIZE:
+                    prev = _learn_block(block, prev, detector, log)
+                continue
             if t_ns <= last_t_ns:
                 _learn_block(block, prev, detector, log)
                 raise SourceFailed(f"source timestamps must be non-negative and strictly "
@@ -244,7 +278,7 @@ def run_session(
             if t_ns >= block_end:
                 prev = _learn_block(block, prev, detector, log)
                 detector.advance_to(t_ns)
-                block_end = detector.learning_end_ns
+                block_end = _block_end(detector, log)
             if t_ns < block_end:
                 block.append(sample)
                 if len(block) == _BLOCK_SIZE:

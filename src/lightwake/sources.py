@@ -38,7 +38,9 @@ a gravity baseline plus Gaussian noise, with randomized movement bursts
 arriving as a Poisson process whose rate switches between a light-sleep
 rate and a deep/REM rate over a fixed cycle schedule (movement clusters
 around light sleep). It draws from numpy's PCG64 generator, so a fixed
-seed reproduces the identical trace on any platform.
+seed reproduces the identical trace on any platform. It makes the night in
+chunks of rows, so write_generated_trace writes it in memory bounded by a
+chunk, with the bytes write_trace writes for generate_trace's list.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import math
 import operator
 import re
 import socket
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
@@ -279,20 +282,28 @@ def format_seconds(t_ns: int) -> str:
     return f"{t_ns // NS_PER_S}.{t_ns % NS_PER_S:09d}"
 
 
+# One trace row: t_ns as whole seconds and 9 decimals, then each component's repr.
+_ROW = "%d.%09d,%r,%r,%r\n"
+
+
+def _write_rows(path: str | Path, header: TraceHeader, rows: Iterable[str]) -> None:
+    """Write the trace preamble, then the rows, each string holding one or more."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# rate_hz={header.sample_rate_hz!r}\n")
+        if header.label:
+            fh.write(f"# label={header.label}\n")
+        fh.write(TRACE_HEADER_LINE + "\n")
+        fh.writelines(rows)
+
+
 def write_trace(path: str | Path, header: TraceHeader, samples: list[RawSample]) -> None:
     """Write samples in the canonical trace CSV format (see module docstring).
 
     Components are written with shortest round-trip float formatting, so
     read_trace(write_trace(...)) reproduces the samples bit for bit.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# rate_hz={header.sample_rate_hz!r}\n")
-        if header.label:
-            fh.write(f"# label={header.label}\n")
-        fh.write(TRACE_HEADER_LINE + "\n")
-        for s in samples:
-            fh.write(f"{format_seconds(s.t_ns)},{s.ax!r},{s.ay!r},{s.az!r}\n")
+    _write_rows(path, header, (_ROW % (*divmod(s.t_ns, NS_PER_S), s.ax, s.ay, s.az)
+                               for s in samples))
 
 
 # -- synthetic generator -----------------------------------------------------
@@ -326,8 +337,12 @@ def stage_schedule(params: SleepModelParams, duration_ns: int) -> list[tuple[int
     return segments
 
 
-def generate_trace(params: SleepModelParams, header: TraceHeader) -> list[RawSample]:
-    """Synthesize a night of accelerometer samples; deterministic per seed."""
+# Rows synthesized at once, at most; it bounds the memory write_generated_trace holds.
+_CHUNK_ROWS = 16_384
+
+
+def _sample_count(header: TraceHeader) -> int:
+    """The number of grid times int(i * ns_per_sample + 0.5) below the duration."""
     rate = header.sample_rate_hz
     ns_per_sample = NS_PER_S / rate
     n = int(header.duration_ns * rate / NS_PER_S)
@@ -335,18 +350,14 @@ def generate_trace(params: SleepModelParams, header: TraceHeader) -> list[RawSam
         n += 1
     while n > 0 and int((n - 1) * ns_per_sample + 0.5) >= header.duration_ns:
         n -= 1
-    if n == 0:
-        return []
-    # Each t_ns is int(i * ns_per_sample + 0.5) in float64; seeded traces depend on these ops.
-    t_ns = (np.arange(n, dtype=np.float64) * ns_per_sample + 0.5).astype(np.int64)
-    t_s = t_ns / NS_PER_S
+    return n
 
-    rng = np.random.default_rng(params.rng_seed)
-    acc = np.zeros((n, 3), dtype=np.float64)
-    acc[:, 2] = 1.0  # gravity baseline
-    acc += rng.normal(0.0, params.quiet_noise_sigma, size=(n, 3))
 
-    for seg_start, seg_end, stage in stage_schedule(params, header.duration_ns):
+def _bursts(params: SleepModelParams, duration_ns: int,
+            rng: np.random.Generator) -> list[tuple[float, float, np.ndarray]]:
+    """Movement bursts (start_s, duration_s, per-axis offsets), in start order."""
+    bursts = []
+    for seg_start, seg_end, stage in stage_schedule(params, duration_ns):
         rate_per_s = (
             params.burst_rate_light if stage == _LIGHT else params.burst_rate_deep
         ) / 60.0
@@ -360,13 +371,73 @@ def generate_trace(params: SleepModelParams, header: TraceHeader) -> list[RawSam
                 break
             duration = rng.uniform(1.0, 5.0)
             offsets = rng.uniform(-params.burst_amplitude, params.burst_amplitude, size=3)
+            bursts.append((t, duration, offsets))
+    return bursts
+
+
+def _trace_chunks(params: SleepModelParams, header: TraceHeader) -> Iterator[tuple[np.ndarray, ...]]:
+    """Synthesize the night as (t_ns, ax, ay, az) columns of up to _CHUNK_ROWS rows.
+
+    The draws are those of one pass: all the noise, then the bursts. So the
+    noise after the first chunk is drawn twice, once to reach the bursts'
+    draws and once, from the state saved after the first chunk, as each
+    chunk is made.
+    """
+    n = _sample_count(header)
+    if n == 0:
+        return
+    ns_per_sample = NS_PER_S / header.sample_rate_hz
+    sigma = params.quiet_noise_sigma
+    rng = np.random.default_rng(params.rng_seed)
+    noise = rng.normal(0.0, sigma, size=(min(n, _CHUNK_ROWS), 3))
+    resume = rng.bit_generator.state
+    for start in range(_CHUNK_ROWS, n, _CHUNK_ROWS):
+        rng.normal(0.0, sigma, size=(min(n - start, _CHUNK_ROWS), 3))
+    bursts = _bursts(params, header.duration_ns, rng)
+    rng.bit_generator.state = resume
+    first = 0  # the bursts before it end by the first row still to come: they touch none
+    for start in range(0, n, _CHUNK_ROWS):
+        if start:
+            noise = rng.normal(0.0, sigma, size=(min(n - start, _CHUNK_ROWS), 3))
+        # Each t_ns is int(i * ns_per_sample + 0.5) in float64; seeded traces depend on these ops.
+        t_ns = (np.arange(start, start + len(noise), dtype=np.float64) * ns_per_sample
+                + 0.5).astype(np.int64)
+        t_s = t_ns / NS_PER_S
+        acc = np.zeros((len(noise), 3), dtype=np.float64)
+        acc[:, 2] = 1.0  # gravity baseline
+        acc += noise
+        while first < len(bursts) and bursts[first][0] + bursts[first][1] <= t_s[0]:
+            first += 1
+        # In their drawn order, the bursts from there that start by the chunk's last row.
+        last = bisect_right(bursts, t_s[-1], first, key=operator.itemgetter(0))
+        for t, duration, offsets in bursts[first:last]:
             i0 = int(np.searchsorted(t_s, t, side="left"))
             i1 = int(np.searchsorted(t_s, t + duration, side="left"))
             envelope = np.sin(np.pi * (t_s[i0:i1] - t) / duration)
             acc[i0:i1] += offsets[None, :] * envelope[:, None]
+        np.clip(acc, -SENSOR_RANGE_G, SENSOR_RANGE_G, out=acc)
+        yield t_ns, *acc.T
 
-    np.clip(acc, -SENSOR_RANGE_G, SENSOR_RANGE_G, out=acc)
-    return raw_samples(t_ns.tolist(), *acc.T.tolist())
+
+def generate_trace(params: SleepModelParams, header: TraceHeader) -> list[RawSample]:
+    """Synthesize a night of accelerometer samples; deterministic per seed."""
+    samples: list[RawSample] = []
+    for columns in _trace_chunks(params, header):
+        samples += raw_samples(*(column.tolist() for column in columns))
+    return samples
+
+
+def write_generated_trace(path: str | Path, params: SleepModelParams, header: TraceHeader) -> int:
+    """write_trace(path, header, generate_trace(params, header)) a chunk at a time,
+    in memory bounded by the chunk; returns the sample count."""
+
+    def chunks() -> Iterator[str]:
+        for t_ns, *acc in _trace_chunks(params, header):
+            columns = [column.tolist() for column in (*np.divmod(t_ns, NS_PER_S), *acc)]
+            yield "".join(map(_ROW.__mod__, zip(*columns)))
+
+    _write_rows(path, header, chunks())
+    return _sample_count(header)
 
 
 # -- live listener -----------------------------------------------------------

@@ -1,21 +1,24 @@
 import contextlib
+import hashlib
 import io
 import socket
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import wave
 from pathlib import Path, PurePosixPath
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import child_env
-from lightwake import NS_PER_S, SessionConfig, cli as lightwake_cli, run_session
+from lightwake import NS_PER_S, SessionConfig, cli as lightwake_cli, run_session, sources
 from lightwake.sources import TRACE_HEADER_LINE, write_trace
 from test_sinks import BAD_HEADER_LINES, BAD_RECORD_LINES, ENGINE_LOG, as_v1_log
-from test_sources import sample_rows
+from test_sources import PINNED_TRACES, sample_rows
 from trace_builders import scripted_trace
 
 
@@ -119,6 +122,33 @@ class TestGenerate:
         cli("generate", "--seed", "1", "--hours", "0.05", "--out", str(a))
         cli("generate", "--seed", "2", "--hours", "0.05", "--out", str(b))
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("chunk_rows", [7, 1000, sources._CHUNK_ROWS])
+    @pytest.mark.parametrize("seed, rate_hz, hours, cycle_min, sha256", PINNED_TRACES)
+    def test_bytes_are_the_pinned_traces_in_any_chunk(self, tmp_path, chunk_rows, seed, rate_hz,
+                                                       hours, cycle_min, sha256):
+        path = tmp_path / "night.csv"
+        with mock.patch.object(sources, "_CHUNK_ROWS", chunk_rows):
+            code, stderr = main_in_process("generate", "--seed", str(seed), "--hours", repr(hours),
+                                           "--rate-hz", repr(rate_hz), "--cycle-min", repr(cycle_min),
+                                           "--out", str(path))
+        assert (code, stderr) == (0, "")
+        # The pins were taken with the label "seed=N"; the CLI writes "synthetic seed=N".
+        text = path.read_bytes().replace(b"# label=synthetic seed=", b"# label=seed=", 1)
+        assert hashlib.sha256(text).hexdigest() == sha256
+
+    def test_memory_bounded_by_the_chunk(self, tmp_path):
+        peaks = []
+        for rate_hz in ("4", "16"):
+            tracemalloc.start()
+            try:
+                code, _ = main_in_process("generate", "--hours", "1", "--rate-hz", rate_hz,
+                                          "--out", str(tmp_path / "night.csv"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestRun:

@@ -531,3 +531,40 @@ class TestRandomizedProperties:
                 return outcome or det.finalize(), records
 
             assert run(True) == run(False)
+
+    def test_detector_without_emit_holds_the_same_state(self):
+        """Without emit, learn skips the scan for t_max's rises; the state it
+        leaves, ties and rising maxima within a run included, is the same."""
+        rng = np.random.default_rng(27)
+        for _ in range(60):
+            deltas, _ = self.random_stream(rng)
+            # Values from a small pool, so runs hold ties and rise more than once.
+            pool = rng.uniform(0.0, 3.0, size=4)
+            deltas = [Delta(dl.t_ns, float(rng.choice(pool))) for dl in deltas]
+            cuts = rng.integers(1, 5, size=len(deltas)).tolist()
+
+            def run(emit, steps):
+                """Outcome after the first steps learn runs or final deltas, then finalize."""
+                det = Detector(6 * P, P, emit=emit)
+                outcome, i = None, 0
+                for _ in range(steps):
+                    if i == len(deltas) or outcome is not None:
+                        break
+                    k = deltas[i].t_ns // P
+                    if k < 5:
+                        j, stop = i + 1, min(i + cuts[i], len(deltas))
+                        while j < stop and deltas[j].t_ns // P == k:
+                            j += 1
+                        det.advance_to(deltas[i].t_ns)
+                        det.learn([dl.t_ns for dl in deltas[i:j]], [dl.value for dl in deltas[i:j]])
+                        i = j
+                    else:
+                        outcome = step(det, deltas[i])
+                        i += 1
+                return outcome or det.finalize()
+
+            for steps in range(len(deltas) + 1):
+                records = Records()
+                assert run(None, steps) == run(records, steps)
+            rises = [f["t_max"] for _, f in records.of(THRESHOLDS_UPDATED)]
+            assert rises == sorted(rises)

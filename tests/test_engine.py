@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lightwake import (
     HOUR_NS,
@@ -412,3 +412,37 @@ class TestOracleProperty:
         for size in (1, 2, 3):
             with mock.patch.object(engine, "_BLOCK_SIZE", size):
                 assert run() == want
+
+    # Period 10 ns, 7 learning periods: a block of a session without a sink
+    # spans them all; period 2 is empty, and periods 1, 3 and 4 start with a
+    # degenerate sample, which is period 4's only one.
+    @example(case=([RawSample(t, *v) for t, v in [
+        (0, (0.0, 0.0, 1.0)), (3, (0.6, 0.0, 0.8)), (9, (0.0, 0.0, 1.0)),
+        (10, (0.0, 0.0, 0.0)), (12, (0.0, 1.0, 0.0)), (19, (0.6, 0.0, 0.8)),
+        (30, (0.0, _INF, 1.0)), (31, (0.0, 0.0, 1.0)), (40, (1e-12, 0.0, 0.0)),
+        (50, (0.0, 1.0, 0.0)), (55, (0.0, 0.0, 1.0)), (60, (0.6, 0.0, 0.8)),
+        (61, (0.0, 0.0, 1.0)), (65, (0.6, 0.0, 0.8)), (70, (0.0, 0.0, 1.0)),
+        (72, (0.6, 0.0, 0.8))]], 74, 10))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(case=oracle_cases())
+    def test_session_without_sink_decides_like_one_with_a_sink(self, case):
+        """Without a sink a learning block may span periods; the outcome is that
+        of a session with a sink and the oracle's, whatever the block size."""
+        samples, sleep_ns, period_ns = case
+        config = SessionConfig(sleep_ns, period_ns)
+        ref = offline_outcome(samples, sleep_ns, period_ns)
+        want = run_session(config, samples, event_sink=io.StringIO()).outcome
+        assert (want.trigger.value, want.alarm_time_ns, want.trigger_delta) == \
+               (ref.trigger, ref.alarm_time_ns, ref.trigger_delta)
+        assert want.final_thresholds.period_maxima == tuple(
+            ref.learning_maxima[k] for k in sorted(ref.learning_maxima))
+        learning = [s for s in samples if s.t_ns < (-(-sleep_ns // period_ns) - 1) * period_ns]
+        for size in (1, 2, 3, engine._BLOCK_SIZE):
+            with mock.patch.object(engine, "_BLOCK_SIZE", size):
+                assert run_session(config, samples).outcome == want
+                # A repeated learning time is refused without a sink too.
+                if learning:
+                    at = learning[len(learning) // 2]
+                    repeated = sorted(samples + [at], key=lambda s: s.t_ns)
+                    with pytest.raises(SourceFailed, match="strictly increasing"):
+                        run_session(config, repeated)

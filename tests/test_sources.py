@@ -229,6 +229,14 @@ class TestTraceFiles:
         assert path.read_bytes() == path2.read_bytes()
 
 
+# Nights whose write_trace bytes are pinned, with the label "seed=<seed>".
+PINNED_TRACES = [
+    (5, 16.0, 1.0, 120.0, "0f1a4c0fbe479c50f0ee7b1e6369fd6734cde5dfc5d8d40e83334c5fd7b2edf4"),
+    (9, 250.0, 0.05, 70.0, "3f3aa7781efd3be627ba2eb5e08b5183ed110042a415f83df0f8738b65df6064"),
+    (3, 1.0, 0.0001, 90.0, "8ddfc61bb4d7e37f9eec5601a2d18616a86d6f91d2cff6e9cc1e3e83af9732e9"),
+]
+
+
 class TestGenerator:
     def test_seeded_determinism(self, tmp_path):
         params = SleepModelParams(rng_seed=42)
@@ -241,11 +249,7 @@ class TestGenerator:
         write_trace(pb, header, b)
         assert pa.read_bytes() == pb.read_bytes()
 
-    @pytest.mark.parametrize("seed, rate_hz, hours, cycle_min, sha256", [
-        (5, 16.0, 1.0, 120.0, "0f1a4c0fbe479c50f0ee7b1e6369fd6734cde5dfc5d8d40e83334c5fd7b2edf4"),
-        (9, 250.0, 0.05, 70.0, "3f3aa7781efd3be627ba2eb5e08b5183ed110042a415f83df0f8738b65df6064"),
-        (3, 1.0, 0.0001, 90.0, "8ddfc61bb4d7e37f9eec5601a2d18616a86d6f91d2cff6e9cc1e3e83af9732e9"),
-    ])
+    @pytest.mark.parametrize("seed, rate_hz, hours, cycle_min, sha256", PINNED_TRACES)
     def test_trace_bytes_are_pinned(self, tmp_path, seed, rate_hz, hours, cycle_min, sha256):
         header = TraceHeader(rate_hz, int(round(hours * HOUR_NS)), label=f"seed={seed}")
         params = SleepModelParams(cycle_length_ns=int(round(cycle_min * MINUTE_NS)), rng_seed=seed)
