@@ -25,14 +25,14 @@ Transitions are strictly forward:
 
     Learning(0) -> ... -> Learning(k) -> FinalPeriod -> AlarmFired
 
-The detector owns the session clock: only advance_to(t_ns) moves it and
-crosses period boundaries, so a source that goes quiet cannot stall the
-state machine, and ingest(value) feeds the delta at that clock. A learning
-period that saw no deltas contributes no entry to the maxima array (it
-does not drag t_min to zero).
+The detector owns the session clock: advance_to(t_ns) moves it and crosses
+period boundaries, so a source that goes quiet cannot stall the state
+machine, and ingest(t_ns, value) moves it to its delta, by the order checks
+alone in the final period. A learning period that saw no deltas contributes
+no entry to the maxima array (it does not drag t_min to zero).
 
 learn(times, values) feeds a run of learning deltas in one call, with the
-same records and state as advance_to(t) then ingest(value) for each pair.
+same records and state as ingest(t, value) for each pair.
 It checks that the run belongs to the current learning period: the phase
 is learning (else PhaseViolation), and the times increase strictly, start
 after the last delta and at or after the clock, and end before
@@ -206,20 +206,20 @@ class Detector:
 
     # -- stream -----------------------------------------------------------
 
-    def ingest(self, value: float) -> DetectorOutcome | None:
-        """Feed one motion delta at the detector clock; returns the outcome if it fired.
+    def ingest(self, t_ns: int, value: float) -> DetectorOutcome | None:
+        """Move the clock to t_ns and feed the delta there; returns the outcome if it fired.
 
-        One delta per clock tick, none at the session end. Learning phase:
+        One delta per time, none at the session end. Learning phase:
         updates the running period max and raises t_max. Final phase:
         classifies the delta against the frozen band and fires the alarm on
         the first NREM hit.
         """
-        if self._outcome is not None:
-            raise PhaseViolation("detector already fired; no further deltas may be ingested")
-        t_ns = self._clock_ns
-        if not self._last_delta_ns < t_ns < self.sleep_duration_ns:
-            raise OrderViolation(f"clock at t={t_ns} ns: it holds a delta already or is the "
-                                 f"session end; advance_to the next sample first")
+        if self._outcome is None and not self._last_delta_ns < t_ns < self.sleep_duration_ns:
+            raise OrderViolation(f"delta at t={t_ns} ns is not after the last delta and before the session end")
+        if self._period_index == self.final_period_index and self._clock_ns <= t_ns and self._outcome is None:
+            self._clock_ns = t_ns  # the final period: advance_to would cross nothing
+        else:
+            self.advance_to(t_ns)  # crosses the boundaries, or raises
         self._last_delta_ns = t_ns
 
         if self._period_index < self.final_period_index:
@@ -247,8 +247,8 @@ class Detector:
     def learn(self, times: list[int], values: list[float]) -> None:
         """Feed learning deltas values[i] at times[i], all inside the current period.
 
-        The same as advance_to(t) then ingest(value) for each pair in turn;
-        see the module docstring for the checks.
+        The same as ingest(t, value) for each pair in turn; see the module
+        docstring for the checks.
         """
         end = self.learning_end_ns
         if not end:

@@ -33,7 +33,8 @@ DeltaComputed lines are written together, each ThresholdsUpdated after the
 line of its delta. The records and the outcome are those of deciding each
 sample on its own. The final period, where a delta can fire the alarm,
 decides each sample before it reads the next, so the engine reads no
-sample that deciding one at a time would not have read.
+sample that deciding one at a time would not have read. Its first sample
+enters it through the block step, and then each delta is one ingest call.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def run_session(
                 delay = wall_start + (t_ns / NS_PER_S) / speed - time.monotonic()
                 if delay > 0:
                     time.sleep(delay)
-            if t_ns >= block_end:
+            if block_end and t_ns >= block_end:  # block_end is 0 once learning is over
                 prev = _learn_block(block, prev, detector, log)
                 detector.advance_to(t_ns)
                 block_end = _block_end(detector, log)
@@ -295,8 +296,7 @@ def run_session(
                 value = manhattan_delta(prev, norm)
                 if event_sink is not None:
                     event_sink.write(_DELTA_LINE % (t_ns, value))
-                outcome = detector.ingest(value)
-                if outcome is not None:
+                if (outcome := detector.ingest(t_ns, value)) is not None:
                     break
             elif log is not None:
                 log.emit(t_ns, SAMPLE_ACCEPTED)

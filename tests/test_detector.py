@@ -42,9 +42,8 @@ def d(t_s: float, value: float) -> Delta:
 
 
 def step(det: Detector, delta: Delta):
-    """Feed one delta the way run_session does: clock first, then ingest."""
-    det.advance_to(delta.t_ns)
-    return det.ingest(delta.value)
+    """Feed one delta; ingest moves the clock to it."""
+    return det.ingest(delta.t_ns, delta.value)
 
 
 def feed_periods(det: Detector, period_values: list[list[float]], period_ns: int = P):
@@ -173,7 +172,7 @@ class TestLearning:
             (P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.5}),
             (2 * P, PERIOD_CLOSED, {"index": 1, "period_max": None}),
         ]
-        det.ingest(0.8)
+        det.ingest((2 * 60 + 5) * NS, 0.8)
         assert records[-1] == ((2 * 60 + 5) * NS, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.8})
         assert det.finalize().final_thresholds == ThresholdState((0.5, 0.8), 0.5, 0.8)
 
@@ -237,7 +236,7 @@ class TestFinalPeriod:
         ]
         assert [f["stage"] for _, f in records.of(STAGE_CLASSIFIED)] == ["REM", "REM", "NREM"]
         with pytest.raises(PhaseViolation):
-            det.ingest(1.0)
+            det.ingest((7 * 60 + 4) * NS, 1.0)
         with pytest.raises(PhaseViolation):
             det.advance_to((7 * 60 + 4) * NS)
         assert len(records.of(ALARM_FIRED)) == 1
@@ -324,29 +323,58 @@ class TestOrdering:
         det = Detector(8 * P, P)
         step(det, d(10, 0.5))
         with pytest.raises(OrderViolation):
-            det.ingest(0.6)  # a second delta at the same clock tick
+            det.ingest(10 * NS, 0.6)  # a second delta at the same time
         with pytest.raises(OrderViolation):
             step(det, d(5, 0.6))
         assert step(det, d(11, 0.6)) is None
 
-    def test_ingest_requires_clock_at_delta(self):
+    def test_ingest_moves_the_clock(self):
+        """ingest(t_ns, value) moves the clock to its delta, through each boundary on the way.
+
+        In either phase a second delta at one time, a delta before the clock and
+        one at or past sleep_ns raise OrderViolation and change nothing; after
+        the alarm any delta raises PhaseViolation.
+        """
         records = Records()
-        det = Detector(8 * P, P, emit=records)
-        det.advance_to(20 * NS)
-        assert records == []
-        assert det.ingest(0.5) is None  # the delta lands at the clock: ingest never moves it
-        assert records == [(20 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.5})]
+        det = Detector(3 * P, P, emit=records)
+
+        def refuses(last_ns):
+            before = list(records)
+            with pytest.raises(OrderViolation):
+                det.ingest(last_ns, 0.6)  # a second delta at the same time
+            det.advance_to(last_ns + 2 * NS)
+            for t_ns in (last_ns + NS, 3 * P, 3 * P + 1):  # before the clock, at and past the end
+                with pytest.raises(OrderViolation):
+                    det.ingest(t_ns, 0.6)
+            assert records == before
+
+        assert det.ingest(20 * NS, 0.5) is None  # no advance_to first
         with pytest.raises(OrderViolation):
-            det.ingest(0.7)
-        det.advance_to(P + 30 * NS)
-        det.ingest(0.7)
-        assert records[-1] == (P + 30 * NS, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.7})
+            det.advance_to(10 * NS)  # the clock is at the delta
+        refuses(20 * NS)
+        det.ingest(P + 30 * NS, 0.7)
+        det.ingest(2 * P + NS, 0.1)  # the first final-period delta
+        refuses(2 * P + NS)
+        assert records == [
+            (20 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.5}),
+            (P, PERIOD_CLOSED, {"index": 0, "period_max": 0.5}),  # the boundary's records first
+            (P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.5}),
+            (P + 30 * NS, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.7}),
+            (2 * P, PERIOD_CLOSED, {"index": 1, "period_max": 0.7}),
+            (2 * P, FINAL_PERIOD_ENTERED, {}),
+            (2 * P + NS, STAGE_CLASSIFIED, {"stage": "REM", "value": 0.1}),
+        ]
+        assert det.ingest(2 * P + 5 * NS, 0.6).alarm_time_ns == 2 * P + 5 * NS
+        for t_ns in (2 * P + 5 * NS, 2 * P + 4 * NS, 2 * P + 6 * NS, 3 * P):
+            with pytest.raises(PhaseViolation):
+                det.ingest(t_ns, 0.6)
+        assert records[-1] == (2 * P + 5 * NS, ALARM_FIRED, {"trigger": "ThresholdHit", "value": 0.6})
 
     def test_delta_beyond_session_rejected(self):
         det = Detector(2 * P, P)
         det.advance_to(2 * P)
         with pytest.raises(OrderViolation):
-            det.ingest(0.5)  # the clock may reach sleep_ns, a delta may not
+            det.ingest(2 * P, 0.5)  # the clock may reach sleep_ns, a delta may not
 
     def test_clock_cannot_move_backwards_or_past_end(self):
         det = Detector(2 * P, P)

@@ -25,6 +25,7 @@ from lightwake.detector import (
     PERIOD_CLOSED,
     STAGE_CLASSIFIED,
     AlarmTrigger,
+    Detector,
 )
 from lightwake.engine import (
     DELTA_COMPUTED,
@@ -125,6 +126,30 @@ class TestSessionPaths:
         outcome = result.outcome
         assert outcome.trigger is AlarmTrigger.SESSION_END
         assert outcome.alarm_time_ns == 3 * P  # exactly the sleep duration
+        # A session whose first sample is already in the final period: the band is empty.
+        buf = io.StringIO()
+        result = run_session(SessionConfig(3 * P, P), quiescent_samples(3 * 60 * 4)[2 * 60 * 4:],
+                             event_sink=buf)
+        assert result.outcome.trigger is AlarmTrigger.SESSION_END
+        assert result.outcome.alarm_time_ns == 3 * P
+        assert result.outcome.final_thresholds.period_maxima == ()
+        assert result.outcome.final_thresholds.t_min is None
+        _, events = check_log_grammar(buf.getvalue())
+        assert [(e.t_ns, e.kind) for e in events[:4]] == [
+            (P, PERIOD_CLOSED), (2 * P, PERIOD_CLOSED), (2 * P, FINAL_PERIOD_ENTERED),
+            (2 * P, SAMPLE_ACCEPTED)]
+        assert [e.kind for e in events].count(DELTA_COMPUTED) == 60 * 4 - 1
+        assert not any(e.kind == STAGE_CLASSIFIED for e in events)
+
+    def test_final_period_moves_the_clock_only_at_boundaries(self):
+        """advance_to runs once per period boundary and once in finalize, not per sample."""
+        _, samples = scripted_trace([0.5, 0.6], [1.9, 1.8], period_s=60, rate_hz=50.0)
+        for sink in (None, io.StringIO()):
+            with mock.patch.object(Detector, "advance_to", autospec=True,
+                                   side_effect=Detector.advance_to) as advance_to:
+                result = run_session(SessionConfig(3 * P, P), samples, event_sink=sink)
+            assert result.outcome.trigger is AlarmTrigger.SESSION_END  # 3,000 final deltas
+            assert advance_to.call_count <= 2 + 1  # the boundaries at P and 2 P, then finalize
 
     def test_source_exhausted_mid_learning_fast_forwards(self):
         samples = [s for s in quiescent_samples(4 * 60 * 4) if s.t_ns < 90 * NS]
@@ -162,21 +187,30 @@ class TestSessionPaths:
 
 class TestDegenerateSamples:
     def test_skip_and_warn_then_bridge_neighbors(self):
-        samples = quiescent_samples(3 * 60 * 4)
-        samples[10] = RawSample(samples[10].t_ns, 0.0, 0.0, 0.0)
-        buf = io.StringIO()
-        result = run_session(SessionConfig(3 * P, P), samples, event_sink=buf)
-        _, events = check_log_grammar(buf.getvalue())
-        skipped = [e for e in events if e.kind == SAMPLE_SKIPPED]
-        assert len(skipped) == 1
-        assert skipped[0].t_ns == samples[10].t_ns
-        assert skipped[0].data["reason"] == "degenerate"
-        # The delta at the skipped slot is bridged, not fabricated.
-        deltas = [e for e in events if e.kind == DELTA_COMPUTED]
-        assert all(e.t_ns != samples[10].t_ns for e in deltas)
-        ref = offline_outcome(samples, 3 * P, P)
-        assert result.outcome.trigger.value == ref.trigger
-        assert result.outcome.alarm_time_ns == ref.alarm_time_ns
+        # Still learning periods, then a final period that turns 90 degrees at every sample:
+        # no delta is in the band [0, 0] unless a skipped sample bridges two of one direction.
+        turning = quiescent_samples(3 * 60 * 4)
+        for i in range(2 * 60 * 4, len(turning), 2):
+            turning[i] = RawSample(turning[i].t_ns, 0.0, 1.0, 0.0)
+        # A learning sample, the first final-period sample and one in the middle of the final period.
+        for index, alarm_index in ((10, None), (480, 481), (600, 601)):
+            samples = list(turning)
+            samples[index] = RawSample(samples[index].t_ns, 0.0, 0.0, 0.0)
+            buf = io.StringIO()
+            result = run_session(SessionConfig(3 * P, P), samples, event_sink=buf)
+            _, events = check_log_grammar(buf.getvalue())
+            skipped = [e for e in events if e.kind == SAMPLE_SKIPPED]
+            assert len(skipped) == 1
+            assert skipped[0].t_ns == samples[index].t_ns
+            assert skipped[0].data["reason"] == "degenerate"
+            # The delta at the skipped slot is bridged, not fabricated.
+            deltas = [e for e in events if e.kind == DELTA_COMPUTED]
+            assert all(e.t_ns != samples[index].t_ns for e in deltas)
+            ref = offline_outcome(samples, 3 * P, P)
+            assert result.outcome.trigger.value == ref.trigger
+            assert result.outcome.alarm_time_ns == ref.alarm_time_ns
+            assert result.outcome.alarm_time_ns == (3 * P if alarm_index is None
+                                                    else samples[alarm_index].t_ns)
 
 
 class TestSourceFailures:
@@ -198,25 +232,27 @@ class TestSourceFailures:
 
     @pytest.mark.parametrize("error", [OSError("connection reset"), RuntimeError("bug in the source")])
     def test_error_after_blocks_flushes_the_log_of_the_samples_read(self, error):
-        # 30-minute periods at 4 Hz: 5,000 learning samples fill more than one block.
-        samples = generate_trace(SleepModelParams(rng_seed=4), TraceHeader(4.0, HOUR_NS))[:5000]
+        # 30-minute periods at 4 Hz: 5,000 learning samples fill more than one block, and
+        # 8,000 stop inside the final period, which starts at sample 7,200 and never fires.
+        trace = generate_trace(SleepModelParams(rng_seed=4), TraceHeader(4.0, HOUR_NS))
         assert 5000 > engine._BLOCK_SIZE
         config = SessionConfig(HOUR_NS, HOUR_NS // 2)
+        for samples in (trace[:5000], trace[:8000]):
 
-        def broken():
-            yield from samples
-            raise error
+            def broken():
+                yield from samples
+                raise error
 
-        sink = FlushRecorder()
-        with pytest.raises(SourceFailed if isinstance(error, OSError) else RuntimeError):
-            run_session(config, broken(), event_sink=sink)
-        text = sink.getvalue()
-        assert sink.flushes[-1] == len(text)
-        whole = io.StringIO()
-        run_session(config, samples, event_sink=whole)
-        header, *records = whole.getvalue().splitlines(keepends=True)
-        last_ns = samples[-1].t_ns
-        assert text == header + "".join(r for r in records if json.loads(r)["t_ns"] <= last_ns)
+            sink = FlushRecorder()
+            with pytest.raises(SourceFailed if isinstance(error, OSError) else RuntimeError):
+                run_session(config, broken(), event_sink=sink)
+            text = sink.getvalue()
+            assert sink.flushes[-1] == len(text)
+            whole = io.StringIO()
+            run_session(config, samples, event_sink=whole)
+            header, *records = whole.getvalue().splitlines(keepends=True)
+            last_ns = samples[-1].t_ns
+            assert text == header + "".join(r for r in records if json.loads(r)["t_ns"] <= last_ns)
 
     def test_flushes_fall_on_line_ends_at_period_boundaries(self):
         triggers = set()
@@ -239,7 +275,8 @@ class TestSourceFailures:
         assert triggers == {AlarmTrigger.THRESHOLD_HIT, AlarmTrigger.SESSION_END}
 
     def test_non_monotone_custom_source_detected(self):
-        for times in ([0, 0], [0, 2 * NS, 1 * NS], [-1]):
+        # The last repeats a time inside the final period, after a delta there.
+        for times in ([0, 0], [0, 2 * NS, 1 * NS], [-1], [0, 2 * P + NS, 2 * P + 2 * NS, 2 * P + 2 * NS]):
             samples = [RawSample(t, 0.0, 0.0, 1.0) for t in times]
             with pytest.raises(SourceFailed, match="strictly increasing"):
                 run_session(SessionConfig(3 * P, P), samples)
