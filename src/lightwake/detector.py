@@ -3,20 +3,16 @@
 The session of length S is divided into fixed periods of length P (half
 open: period k covers [k*P, (k+1)*P)). Every period except the last is a
 learning period: the detector records the maximum motion delta of each one
-in an array, keeps
+in an array and, at each period close, sets
 
-    t_max = running maximum over every learning delta seen so far
-            (raised immediately whenever a larger value arrives),
+    t_max = maximum of the per-period maxima recorded so far,
     t_min = minimum of the per-period maxima recorded so far,
 
-and freezes both on entry to the final period. During the final period each
-delta A is classified
-
-    NREM  if t_min <= A <= t_max   (bounds inclusive)
-    REM   otherwise
-
-and the first NREM delta fires the alarm; if none arrives, finalize() fires
-it at the end of the sleep time.
+so both freeze on entry to the final period, t_max as the maximum of every
+learning delta. During the final period a delta A is NREM if
+t_min <= A <= t_max (bounds inclusive) and REM otherwise; the first NREM
+delta fires the alarm, and if none arrives, finalize() fires it at the end
+of the sleep time.
 
 The phase is not stored: it follows from the period index and the outcome.
 The detector is learning while the index is below the final period's, in
@@ -41,9 +37,9 @@ OrderViolation). Crossing a boundary stays advance_to's job.
 
 Every transition is written as an event-log record through the emit
 callable the detector is given, emit(t_ns, kind, **fields): PeriodClosed
-and, when the band moved, ThresholdsUpdated at each period boundary;
-ThresholdsUpdated when a delta raises t_max; FinalPeriodEntered;
-StageClassified for each final-period delta; AlarmFired. A detector built
+and, when t_min or t_max moved, ThresholdsUpdated at each period boundary;
+FinalPeriodEntered; AlarmFired. A delta writes no record of its own: its
+stage follows from the band logged at the last boundary. A detector built
 without emit discards them.
 
 A Detector instance is single-writer: advance_to/ingest/finalize must be
@@ -63,7 +59,6 @@ from .errors import ConfigInvalid, OrderViolation, PhaseViolation
 PERIOD_CLOSED = "PeriodClosed"
 THRESHOLDS_UPDATED = "ThresholdsUpdated"
 FINAL_PERIOD_ENTERED = "FinalPeriodEntered"
-STAGE_CLASSIFIED = "StageClassified"
 ALARM_FIRED = "AlarmFired"
 
 # Every period costs a PeriodClosed record, a maxima entry and a chart file;
@@ -83,9 +78,8 @@ class AlarmTrigger(Enum):
 class ThresholdState:
     """Learned model: per-period maxima plus the derived band.
 
-    t_max, when present, never decreases over a session; t_min always equals
-    min(period_maxima). Both are None until the first learning delta or the
-    first completed period, respectively.
+    t_min and t_max always equal min(period_maxima) and max(period_maxima);
+    both are None until a period with deltas has closed.
     """
 
     period_maxima: tuple[float, ...]
@@ -200,8 +194,12 @@ class Detector:
         self._emit(boundary_ns, PERIOD_CLOSED, index=self._period_index, period_max=period_max)
         if period_max is not None:
             self._period_maxima.append(period_max)
+            band = self._t_min, self._t_max
             if self._t_min is None or period_max < self._t_min:
                 self._t_min = period_max
+            if self._t_max is None or period_max > self._t_max:
+                self._t_max = period_max
+            if (self._t_min, self._t_max) != band:
                 self._emit(boundary_ns, THRESHOLDS_UPDATED, t_min=self._t_min, t_max=self._t_max)
 
     # -- stream -----------------------------------------------------------
@@ -210,9 +208,8 @@ class Detector:
         """Move the clock to t_ns and feed the delta there; returns the outcome if it fired.
 
         One delta per time, none at the session end. Learning phase:
-        updates the running period max and raises t_max. Final phase:
-        classifies the delta against the frozen band and fires the alarm on
-        the first NREM hit.
+        updates the running period max. Final phase: fires the alarm on the
+        first delta inside the frozen band.
         """
         if self._outcome is None and not self._last_delta_ns < t_ns < self.sleep_duration_ns:
             raise OrderViolation(f"delta at t={t_ns} ns is not after the last delta and before the session end")
@@ -223,19 +220,15 @@ class Detector:
         self._last_delta_ns = t_ns
 
         if self._period_index < self.final_period_index:
-            self._learn((t_ns,), (value,))
+            self._learn((value,))
             return None
 
         # Final period: the band is frozen. Every learning period is closed,
         # so t_min and t_max are both set or, with no learning data at all,
         # both None: an empty band that nothing can hit.
-        if self._t_min is None or self._t_max is None:
-            return None
-        if not self._t_min <= value <= self._t_max:
-            self._emit(t_ns, STAGE_CLASSIFIED, stage="REM", value=value)
-            return None
-        self._emit(t_ns, STAGE_CLASSIFIED, stage="NREM", value=value)
-        return self._fire(t_ns, AlarmTrigger.THRESHOLD_HIT, value)
+        if self._t_min is not None and self._t_min <= value <= self._t_max:
+            return self._fire(t_ns, AlarmTrigger.THRESHOLD_HIT, value)
+        return None
 
     @property
     def learning_end_ns(self) -> int:
@@ -263,21 +256,12 @@ class Detector:
                                  f"from the clock at {self._clock_ns} ns to before the period "
                                  f"end at {end} ns")
         self._clock_ns = self._last_delta_ns = times[-1]
-        self._learn(times, values)
+        self._learn(values)
 
-    def _learn(self, times, values) -> None:
+    def _learn(self, values) -> None:
         top = max(values)
         if self._period_max is None or top > self._period_max:
             self._period_max = top
-        if self._t_max is None or top > self._t_max:
-            if self._emit is not _discard:
-                # t_max rises at each delta above all before it, up to the run's largest.
-                t_max = self._t_max
-                for t_ns, value in zip(times, values[:values.index(top) + 1]):
-                    if t_max is None or value > t_max:
-                        t_max = value
-                        self._emit(t_ns, THRESHOLDS_UPDATED, t_min=self._t_min, t_max=value)
-            self._t_max = top
 
     def finalize(self) -> DetectorOutcome:
         """Fire the fallback alarm at the end of the sleep time.

@@ -9,15 +9,17 @@ between deliveries is the virtual gap divided by s, and at speed 0
 delivery is immediate. Logs are therefore byte-identical across speeds.
 
 The event log is JSON Lines: a version header record first
-(``{"v":2,"sleep_ns":...,"period_ns":...}``), then one event per line with
+(``{"v":3,"sleep_ns":...,"period_ns":...}``), then one event per line with
 ``t_ns`` (int), ``kind`` (str), and kind-specific fields. SampleAccepted
 marks only the first accepted sample; each later one is its DeltaComputed
-line. Records go to a sink or nowhere. With a sink each is written as a
-whole line into the sink's own buffer, which is flushed at every period
-boundary, at the session end and when the session stops on an error; a log
-read while it is written, or cut off, is therefore current up to the last
-boundary and a prefix of the full one. Without a sink none is built, so a
-session holds memory by periods, never by samples.
+line. The band is logged only at period boundaries, as the detector's
+ThresholdsUpdated after PeriodClosed. Records go to a sink or nowhere.
+With a sink each is written as a whole line into the sink's own buffer,
+which is flushed after each boundary record, at the session end and when
+the session stops on an error; a log read while it is written, or cut
+off, is therefore current up to the last boundary and a prefix of the
+full one. Without a sink none is built, so a session holds memory by
+periods, never by samples.
 
 Nothing in a learning period can stop the session, so learning samples are
 decided a block at a time. The engine reads them one by one, with the same
@@ -28,9 +30,9 @@ without one at the final period's start, since nothing is due before it.
 It also ends at _BLOCK_SIZE samples and when the source ends or raises.
 block_deltas gives the block's deltas in one numpy pass, Detector.learn
 takes each run of them between skipped samples and period boundaries (the
-clock first moves to a run that starts a later period), and their
-DeltaComputed lines are written together, each ThresholdsUpdated after the
-line of its delta. The records and the outcome are those of deciding each
+clock first moves to a run that starts a later period), and the run's
+DeltaComputed lines are written together after it, as learning writes no
+record of its own. The records and the outcome are those of deciding each
 sample on its own. The final period, where a delta can fire the alarm,
 decides each sample before it reads the next, so the engine reads no
 sample that deciding one at a time would not have read. Its first sample
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, IO, Iterable, Iterator
 
@@ -50,6 +52,7 @@ import numpy as np
 from .detector import (
     FINAL_PERIOD_ENTERED,
     PERIOD_CLOSED,
+    THRESHOLDS_UPDATED,
     Detector,
     DetectorOutcome,
     validate_session_shape,
@@ -60,7 +63,7 @@ from .motion import NS_PER_S, RawSample, Vector, block_deltas, manhattan_delta, 
 MINUTE_NS = 60 * NS_PER_S
 HOUR_NS = 3600 * NS_PER_S
 
-LOG_VERSION = 2
+LOG_VERSION = 3
 
 SAMPLE_ACCEPTED = "SampleAccepted"
 SAMPLE_SKIPPED = "SampleSkipped"
@@ -116,23 +119,20 @@ class SessionResult:
     events: list[SessionEvent] = field(default_factory=list)
 
 
-# Records after which the sink is flushed: the period boundaries and the session end.
-_FLUSH_AFTER = frozenset({PERIOD_CLOSED, FINAL_PERIOD_ENTERED, SESSION_ENDED})
+# Records after which the sink is flushed: those of the period boundaries and the session end.
+_FLUSH_AFTER = frozenset({PERIOD_CLOSED, THRESHOLDS_UPDATED, FINAL_PERIOD_ENTERED, SESSION_ENDED})
 
 
 class EventLog:
     """Writes the log header, then each record passed to emit, to the sink as JSON lines.
 
     Lines are buffered by the sink. emit flushes it after each PeriodClosed,
-    FinalPeriodEntered and SessionEnded record, so every flush ends on a
-    line end. The DeltaComputed lines of a run of deltas are held until
-    release writes them; emit first writes those at or before its record.
+    ThresholdsUpdated, FinalPeriodEntered and SessionEnded record, so every
+    flush ends on a line end.
     """
 
     def __init__(self, config: SessionConfig, sink: IO[str]):
         self._sink = sink
-        self._held: tuple[list[int], list[float]] = ([], [])
-        self._written = 0  # of the held lines
         header = {
             "v": LOG_VERSION,
             "sleep_ns": config.sleep_duration_ns,
@@ -141,24 +141,13 @@ class EventLog:
         sink.write(json.dumps(header, separators=(",", ":")) + "\n")
 
     def emit(self, t_ns: int, kind: str, **data: Any) -> None:
-        if self._written < len(self._held[0]):
-            self.release(t_ns)
         self._sink.write(SessionEvent(t_ns, kind, data).to_json() + "\n")
         if kind in _FLUSH_AFTER:
             self._sink.flush()
 
-    def hold(self, times: list[int], values: list[float]) -> None:
-        """Hold the DeltaComputed lines of values[i] at times[i]."""
-        self._held = (times, values)
-        self._written = 0
-
-    def release(self, t_ns: int | None = None) -> None:
-        """Write the held lines at or before t_ns, or all of them."""
-        times, values = self._held
-        end = len(times) if t_ns is None else bisect_right(times, t_ns, self._written)
-        self._sink.write("".join(map(_DELTA_LINE.__mod__, zip(times[self._written:end],
-                                                             values[self._written:end]))))
-        self._written = end
+    def write_deltas(self, times: list[int], values: list[float]) -> None:
+        """Write the DeltaComputed lines of values[i] at times[i]."""
+        self._sink.write("".join(map(_DELTA_LINE.__mod__, zip(times, values))))
 
 
 def _learn_block(block: list[RawSample], prev: Vector | None, detector: Detector,
@@ -182,11 +171,9 @@ def _learn_block(block: list[RawSample], prev: Vector | None, detector: Detector
                 detector.advance_to(times[start])
             cut = bisect_left(times, detector.learning_end_ns, start, stop)
             run = times[start:cut], values[start:cut]
-            if log is not None:
-                log.hold(*run)
             detector.learn(*run)
             if log is not None:
-                log.release()
+                log.write_deltas(*run)
             start = cut
         if stop < len(block) and log is not None:
             if skipped[stop]:

@@ -131,11 +131,16 @@ def melody_to_wav(melody: Melody, path: str | Path) -> None:
 def read_event_log(path: str | Path) -> tuple[dict, list[tuple[int, str, dict]]]:
     """Load and validate a JSONL event log: (header, [(t_ns, kind, fields), ...]).
 
+    It reads log versions 1 to 3. A v 3 log writes the band once per period
+    boundary where it moved; a v 2 log also writes it each time a learning
+    delta raised t_max, and a StageClassified record after each final-period
+    delta; a v 1 log also a SampleAccepted line before each DeltaComputed.
+    The deltas and the last band of a complete log are alike in all three.
     A log cut off anywhere after its header line still reads: the engine
     flushes whole lines only, so an unterminated last line is a truncation
     and is dropped, and the events are a prefix of the full log's. Whatever
     the engine could not have written raises MalformedLog: a header whose v
-    is not the int 1 or 2 or that is no session shape, a line that is no
+    is not the int 1, 2 or 3 or that is no session shape, a line that is no
     event record, an event before the previous one or outside 0..sleep_ns,
     or a DeltaComputed at sleep_ns or without a finite float value >= 0.
     """
@@ -201,7 +206,6 @@ def _parse_header(path: Path, line: str, lineno: int) -> dict:
         raise MalformedLog(f"{path}: line {lineno} is not JSON: {exc}") from None
     if end != len(line) or type(header) is not dict or "v" not in header:
         raise MalformedLog(f"{path}: first record is not a version header")
-    # v 1 logs differ only by a SampleAccepted line before each DeltaComputed, which charts never read.
     if type(header["v"]) is not int or not 1 <= header["v"] <= LOG_VERSION:
         raise MalformedLog(f"{path}: unsupported log version {header['v']!r}")
     sleep_ns, period_ns = header.get("sleep_ns"), header.get("period_ns")

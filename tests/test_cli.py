@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import child_env
 from lightwake import NS_PER_S, SessionConfig, cli as lightwake_cli, run_session, sources
 from lightwake.sources import TRACE_HEADER_LINE, write_trace
-from test_sinks import BAD_HEADER_LINES, BAD_RECORD_LINES, ENGINE_LOG, as_v1_log
+from test_sinks import BAD_HEADER_LINES, BAD_RECORD_LINES, ENGINE_LOG, log_versions
 from test_sources import PINNED_TRACES, sample_rows
 from trace_builders import scripted_trace
 
@@ -276,13 +276,15 @@ class TestEndToEnd:
             assert len(stderr.splitlines()) == 1, stderr
 
     def test_charts_reads_v1_and_v2_logs_alike(self, tmp_path):
-        for name, data in (("v1", as_v1_log(ENGINE_LOG)), ("v2", ENGINE_LOG)):
+        """charts writes the same files for the v1, v2 and v3 logs of one session."""
+        names = ("v1", "v2", "v3")
+        for name, data in zip(names, log_versions(ENGINE_LOG)):
             log = tmp_path / f"{name}.jsonl"
             log.write_bytes(data)
             assert main_in_process("charts", "--log", str(log), "--out-dir", str(tmp_path / name)) == (0, "")
         charts = [{path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
-                  for name in ("v1", "v2")]
-        assert len(charts[1]) == 5 and charts[0] == charts[1]
+                  for name in names]
+        assert len(charts[2]) == 5 and charts[0] == charts[1] == charts[2]
 
     def test_speed_invariance_through_cli(self, tmp_path):
         trace = tmp_path / "t.csv"
@@ -414,7 +416,7 @@ _NOTE_DURATIONS = _note_field(st.floats(1, 7500) | st.just(7500.01))
 MELODY_TEXTS = st.binary(max_size=40) | st.builds(
     lambda notes, tail: "".join(f"{freq}:{duration}\n" for freq, duration in notes).encode("ascii") + tail,
     st.lists(st.tuples(_NOTE_FREQS, _NOTE_DURATIONS), max_size=8), st.just(b"") | st.binary(max_size=8))
-# Lines of an engine log, out of order or corrupt, after a v1 or a v2 header of its shape.
+# Lines of an engine log, out of order or corrupt, after a v1, v2 or v3 header of its shape.
 _LOG_LINES = ENGINE_LOG.splitlines(keepends=True)[1:] + BAD_RECORD_LINES
 LOG_BODIES = st.binary(max_size=200) | st.builds(
     lambda lines, tail: b"".join(lines) + tail, st.lists(st.sampled_from(_LOG_LINES), max_size=8),
@@ -478,7 +480,7 @@ class TestInProcess:
             assert code == 1 and err.startswith("lightwake: ") and err.count("\n") == 1, (text, code, err)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(version=st.sampled_from([1, 2]), body=LOG_BODIES)
+    @given(version=st.sampled_from([1, 2, 3]), body=LOG_BODIES)
     def test_any_log_body_exits_0_or_1_with_one_line(self, cli_root, version, body):
         log = cli_root / "drawn.jsonl"
         log.write_bytes(b'{"v":%d,"sleep_ns":240000000000,"period_ns":60000000000}\n' % version + body)

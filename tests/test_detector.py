@@ -9,7 +9,6 @@ from lightwake.detector import (
     FINAL_PERIOD_ENTERED,
     MAX_PERIODS,
     PERIOD_CLOSED,
-    STAGE_CLASSIFIED,
     THRESHOLDS_UPDATED,
     AlarmTrigger,
     ThresholdState,
@@ -84,18 +83,21 @@ class TestConstruction:
 
 
 class TestClassify:
-    """Band edges, as the StageClassified record of one final-period delta."""
+    """Band edges, as ingest's outcome for one final-period delta: NREM fires the alarm."""
 
     def classify(self, value: float) -> str:
         records = Records()
         det = Detector(3 * P, P, emit=records)
         feed_periods(det, [[1.662], [0.497]])  # band [0.497, 1.662]
+        det.advance_to(2 * P)
+        del records[:]
         t_ns = 2 * P + NS
         outcome = step(det, Delta(t_ns, value))
-        (t, fields), = records.of(STAGE_CLASSIFIED)
-        assert t == t_ns and fields["value"] == value
-        assert (outcome is not None) == (fields["stage"] == "NREM")
-        return fields["stage"]
+        if outcome is None:
+            assert records == []  # a REM delta writes no record
+            return "REM"
+        assert records == [(t_ns, ALARM_FIRED, {"trigger": "ThresholdHit", "value": value})]
+        return "NREM"
 
     def test_paper_alarm_value(self):
         assert self.classify(1.016) == "NREM"
@@ -113,15 +115,14 @@ class TestClassify:
 
 class TestLearning:
     def test_spec_fixture_thresholds(self):
-        # t_max rises at a period's delta, t_min falls when its period closes.
+        # The band moves only when a period closes: t_max if its maximum is above it, t_min if below.
         descending = [2.0 - k / 8192 for k in range(MAX_PERIODS - 1)]
         for maxima, updates in (
             ([0.9, 1.1, 0.8, 1.662, 0.497, 1.2, 0.75],
-             [(NS, None, 0.9), (P, 0.9, 0.9), (P + NS, 0.9, 1.1), (3 * P, 0.8, 1.1),
-              (3 * P + NS, 0.8, 1.662), (5 * P, 0.497, 1.662)]),
+             [(P, 0.9, 0.9), (2 * P, 0.9, 1.1), (3 * P, 0.8, 1.1), (4 * P, 0.8, 1.662),
+              (5 * P, 0.497, 1.662)]),
             # Every close lowers t_min, over the most periods a session may hold.
-            (descending,
-             [(NS, None, 2.0)] + [((k + 1) * P, value, 2.0) for k, value in enumerate(descending)]),
+            (descending, [((k + 1) * P, value, 2.0) for k, value in enumerate(descending)]),
         ):
             n = len(maxima)
             records = Records()
@@ -143,22 +144,24 @@ class TestLearning:
         step(det, d(10, 0.9))
         det.advance_to(P)
         assert records == [
-            (10 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.9}),
             (P, PERIOD_CLOSED, {"index": 0, "period_max": 0.9}),
             (P, THRESHOLDS_UPDATED, {"t_min": 0.9, "t_max": 0.9}),
         ]
         assert det.finalize().final_thresholds == ThresholdState((0.9,), 0.9, 0.9)
 
-    def test_t_max_raised_immediately_not_at_close(self):
+    def test_t_max_set_at_close_not_at_each_delta(self):
         records = Records()
         det = Detector(8 * P, P, emit=records)
-        assert step(det, d(1, 0.4)) is None
-        assert records == [(1 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.4})]
-        step(det, d(2, 0.2))
-        assert len(records) == 1  # no raise, no record
-        step(det, d(3, 0.7))
-        assert records[-1] == (3 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.7})
-        assert records.of(PERIOD_CLOSED) == []  # t_min stays None: no period closed yet
+        for t_s, value in ((1, 0.4), (2, 0.2), (3, 0.7)):
+            assert step(det, d(t_s, value)) is None
+        assert records == []  # a learning delta writes no record
+        det.advance_to(P)
+        assert records == [(P, PERIOD_CLOSED, {"index": 0, "period_max": 0.7}),
+                           (P, THRESHOLDS_UPDATED, {"t_min": 0.7, "t_max": 0.7})]
+        step(det, d(60 + 1, 0.9))
+        assert len(records) == 2  # t_max moves only when period 1 closes
+        det.advance_to(2 * P)
+        assert records[-1] == (2 * P, THRESHOLDS_UPDATED, {"t_min": 0.7, "t_max": 0.9})
 
     def test_empty_period_contributes_nothing(self):
         records = Records()
@@ -173,8 +176,10 @@ class TestLearning:
             (2 * P, PERIOD_CLOSED, {"index": 1, "period_max": None}),
         ]
         det.ingest((2 * 60 + 5) * NS, 0.8)
-        assert records[-1] == ((2 * 60 + 5) * NS, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.8})
+        assert len(records) == 3
         assert det.finalize().final_thresholds == ThresholdState((0.5, 0.8), 0.5, 0.8)
+        assert records[3:5] == [(3 * P, PERIOD_CLOSED, {"index": 2, "period_max": 0.8}),
+                                (3 * P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.8})]
 
     def test_boundary_delta_belongs_to_new_period(self):
         records = Records()
@@ -185,10 +190,10 @@ class TestLearning:
         assert records == [
             (P, PERIOD_CLOSED, {"index": 0, "period_max": 0.5}),
             (P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.5}),
-            (P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.9}),
         ]
         det.advance_to(2 * P)
-        assert records[-1] == (2 * P, PERIOD_CLOSED, {"index": 1, "period_max": 0.9})
+        assert records[2:] == [(2 * P, PERIOD_CLOSED, {"index": 1, "period_max": 0.9}),
+                               (2 * P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.9})]
 
     def test_advance_emits_final_entry_once(self):
         records = Records()
@@ -230,11 +235,7 @@ class TestFinalPeriod:
         assert outcome.final_thresholds.t_min == 0.497
         assert outcome.final_thresholds.t_max == 1.662
         hit_ns = (7 * 60 + 3) * NS
-        assert records[-2:] == [
-            (hit_ns, STAGE_CLASSIFIED, {"stage": "NREM", "value": 1.016}),
-            (hit_ns, ALARM_FIRED, {"trigger": "ThresholdHit", "value": 1.016}),
-        ]
-        assert [f["stage"] for _, f in records.of(STAGE_CLASSIFIED)] == ["REM", "REM", "NREM"]
+        assert records == [(hit_ns, ALARM_FIRED, {"trigger": "ThresholdHit", "value": 1.016})]
         with pytest.raises(PhaseViolation):
             det.ingest((7 * 60 + 4) * NS, 1.0)
         with pytest.raises(PhaseViolation):
@@ -246,10 +247,7 @@ class TestFinalPeriod:
         det = self.build(records)
         assert step(det, d(7 * 60 + 1, 0.1)) is None
         assert step(det, d(7 * 60 + 2, 2.5)) is None
-        assert records == [
-            ((7 * 60 + 1) * NS, STAGE_CLASSIFIED, {"stage": "REM", "value": 0.1}),
-            ((7 * 60 + 2) * NS, STAGE_CLASSIFIED, {"stage": "REM", "value": 2.5}),
-        ]
+        assert records == []
 
     def test_session_end_fallback(self):
         records = Records()
@@ -271,7 +269,6 @@ class TestFinalPeriod:
         assert [f["index"] for _, f in records.of(PERIOD_CLOSED)] == list(range(7))
         assert records[-2:] == [(7 * P, FINAL_PERIOD_ENTERED, {}),
                                 (8 * P, ALARM_FIRED, {"trigger": "SessionEnd"})]
-        assert records.of(STAGE_CLASSIFIED) == []
 
     def test_finalize_from_learning_closes_periods_then_fires_at_sleep_end(self):
         records = Records()
@@ -299,7 +296,7 @@ class TestFinalPeriod:
         det = Detector(3 * P, P, emit=records)
         det.advance_to(2 * P)
         assert step(det, d(2 * 60 + 1, 0.0)) is None
-        assert records.of(STAGE_CLASSIFIED) == []
+        assert records[-1] == (2 * P, FINAL_PERIOD_ENTERED, {})
         outcome = det.finalize()
         assert outcome.trigger is AlarmTrigger.SESSION_END
         assert outcome.final_thresholds.t_min is None
@@ -311,7 +308,8 @@ class TestFinalPeriod:
         det = Detector(2 * P, P, emit=records)
         step(det, d(10, 0.6))
         assert step(det, d(60 + 1, 0.59)) is None
-        assert records[-1] == ((60 + 1) * NS, STAGE_CLASSIFIED, {"stage": "REM", "value": 0.59})
+        assert records[-2:] == [(P, THRESHOLDS_UPDATED, {"t_min": 0.6, "t_max": 0.6}),
+                                (P, FINAL_PERIOD_ENTERED, {})]
         hit = step(det, d(60 + 2, 0.6))
         assert hit is not None
         assert hit.trigger is AlarmTrigger.THRESHOLD_HIT
@@ -356,13 +354,11 @@ class TestOrdering:
         det.ingest(2 * P + NS, 0.1)  # the first final-period delta
         refuses(2 * P + NS)
         assert records == [
-            (20 * NS, THRESHOLDS_UPDATED, {"t_min": None, "t_max": 0.5}),
-            (P, PERIOD_CLOSED, {"index": 0, "period_max": 0.5}),  # the boundary's records first
+            (P, PERIOD_CLOSED, {"index": 0, "period_max": 0.5}),
             (P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.5}),
-            (P + 30 * NS, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.7}),
             (2 * P, PERIOD_CLOSED, {"index": 1, "period_max": 0.7}),
+            (2 * P, THRESHOLDS_UPDATED, {"t_min": 0.5, "t_max": 0.7}),
             (2 * P, FINAL_PERIOD_ENTERED, {}),
-            (2 * P + NS, STAGE_CLASSIFIED, {"stage": "REM", "value": 0.1}),
         ]
         assert det.ingest(2 * P + 5 * NS, 0.6).alarm_time_ns == 2 * P + 5 * NS
         for t_ns in (2 * P + 5 * NS, 2 * P + 4 * NS, 2 * P + 6 * NS, 3 * P):
@@ -448,20 +444,29 @@ class TestRandomizedProperties:
                 assert updates == []
 
     def test_t_max_monotone_during_learning(self):
+        """Each band record follows its boundary's PeriodClosed and holds the
+        min and max of the maxima closed so far: t_max never falls, t_min never rises."""
         rng = np.random.default_rng(22)
-        deltas, _ = self.random_stream(rng)
-        records = Records()
-        det = Detector(6 * P, P, emit=records)
-        last = -1.0
-        for delta in deltas:
-            if delta.t_ns >= 5 * P:
-                break
-            step(det, delta)
-            current = records.of(THRESHOLDS_UPDATED)[-1][1]["t_max"]
-            assert current is not None and current >= last
-            last = current
-        logged = [f["t_max"] for _, f in records.of(THRESHOLDS_UPDATED)]
-        assert logged == sorted(logged) and logged[-1] == last
+        for _ in range(20):
+            deltas, _ = self.random_stream(rng)
+            records = Records()
+            det = Detector(6 * P, P, emit=records)
+            for delta in deltas:
+                if delta.t_ns >= 5 * P:
+                    break
+                step(det, delta)
+            det.advance_to(5 * P)
+            maxima = []
+            for i, (t_ns, kind, fields) in enumerate(records):
+                if kind == PERIOD_CLOSED and fields["period_max"] is not None:
+                    maxima.append(fields["period_max"])
+                elif kind == THRESHOLDS_UPDATED:
+                    assert records[i - 1][:2] == (t_ns, PERIOD_CLOSED)
+                    assert fields == {"t_min": min(maxima), "t_max": max(maxima)}
+            logged = [(f["t_min"], f["t_max"]) for _, f in records.of(THRESHOLDS_UPDATED)]
+            assert len(set(logged)) == len(logged)  # written only when the band moved
+            assert [t_max for _, t_max in logged] == sorted(t_max for _, t_max in logged)
+            assert [t_min for t_min, _ in logged] == sorted((t_min for t_min, _ in logged), reverse=True)
 
     def test_within_period_permutation_leaves_period_max(self):
         rng = np.random.default_rng(23)
@@ -561,8 +566,8 @@ class TestRandomizedProperties:
             assert run(True) == run(False)
 
     def test_detector_without_emit_holds_the_same_state(self):
-        """Without emit, learn skips the scan for t_max's rises; the state it
-        leaves, ties and rising maxima within a run included, is the same."""
+        """With or without emit, learn leaves the same state, ties and rising
+        maxima within a run included."""
         rng = np.random.default_rng(27)
         for _ in range(60):
             deltas, _ = self.random_stream(rng)

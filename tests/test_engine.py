@@ -2,6 +2,7 @@ import io
 import json
 import time
 import tracemalloc
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from lightwake.detector import (
     ALARM_FIRED,
     FINAL_PERIOD_ENTERED,
     PERIOD_CLOSED,
-    STAGE_CLASSIFIED,
+    THRESHOLDS_UPDATED,
     AlarmTrigger,
     Detector,
 )
@@ -82,10 +83,10 @@ def check_log_grammar(text: str):
     assert len(alarms) == 1
     assert alarms[0].t_ns <= header["sleep_ns"]
     assert events[-1].kind == SESSION_ENDED
-    final_entries = [i for i, e in enumerate(events) if e.kind == FINAL_PERIOD_ENTERED]
-    stage_indices = [i for i, e in enumerate(events) if e.kind == STAGE_CLASSIFIED]
-    if stage_indices:
-        assert final_entries and final_entries[0] < stage_indices[0]
+    # The band is logged only at a period boundary, right after its PeriodClosed.
+    for i, e in enumerate(events):
+        if e.kind == THRESHOLDS_UPDATED:
+            assert events[i - 1].kind == PERIOD_CLOSED and events[i - 1].t_ns == e.t_ns
     return header, events
 
 
@@ -139,7 +140,7 @@ class TestSessionPaths:
             (P, PERIOD_CLOSED), (2 * P, PERIOD_CLOSED), (2 * P, FINAL_PERIOD_ENTERED),
             (2 * P, SAMPLE_ACCEPTED)]
         assert [e.kind for e in events].count(DELTA_COMPUTED) == 60 * 4 - 1
-        assert not any(e.kind == STAGE_CLASSIFIED for e in events)
+        assert not any(e.kind == THRESHOLDS_UPDATED for e in events)
 
     def test_final_period_moves_the_clock_only_at_boundaries(self):
         """advance_to runs once per period boundary and once in finalize, not per sample."""
@@ -228,7 +229,7 @@ class TestSourceFailures:
         lines = text.splitlines()
         assert json.loads(lines[0])["v"] == LOG_VERSION
         assert [json.loads(line)["kind"] for line in lines[1:]] == [
-            SAMPLE_ACCEPTED, DELTA_COMPUTED, "ThresholdsUpdated"]
+            SAMPLE_ACCEPTED, DELTA_COMPUTED]
 
     @pytest.mark.parametrize("error", [OSError("connection reset"), RuntimeError("bug in the source")])
     def test_error_after_blocks_flushes_the_log_of_the_samples_read(self, error):
@@ -254,6 +255,26 @@ class TestSourceFailures:
             last_ns = samples[-1].t_ns
             assert text == header + "".join(r for r in records if json.loads(r)["t_ns"] <= last_ns)
 
+    def test_boundary_records_are_flushed_before_any_later_line(self):
+        """A tailed log is current up to its last boundary: every record the
+        detector writes at a period boundary is flushed before a line of a
+        later time is written."""
+        samples = generate_trace(SleepModelParams(rng_seed=4), TraceHeader(4.0, HOUR_NS))
+        # 20-minute periods at 4 Hz: 4,800 samples, more than one learning block each.
+        period_ns = HOUR_NS // 3
+        sink = FlushRecorder()
+        run_session(SessionConfig(HOUR_NS, period_ns), samples, event_sink=sink)
+        header, *lines = sink.getvalue().splitlines(keepends=True)
+        ends = list(accumulate(map(len, lines), initial=len(header)))
+        records = [json.loads(line) for line in lines]
+        at_boundaries = [i for i, r in enumerate(records) if r["t_ns"] % period_ns == 0
+                         and r["kind"] in (PERIOD_CLOSED, THRESHOLDS_UPDATED, FINAL_PERIOD_ENTERED)]
+        assert len(at_boundaries) >= 2 + 2  # both closes, a band at each, the final period's entry
+        for i in at_boundaries:
+            later = next((j for j in range(i + 1, len(lines)) if records[j]["t_ns"] > records[i]["t_ns"]),
+                         len(lines))
+            assert any(ends[i + 1] <= end <= ends[later] for end in sink.flushes), lines[i]
+
     def test_flushes_fall_on_line_ends_at_period_boundaries(self):
         triggers = set()
         for final_deltas in ([0.2, 0.31, 1.016, 0.8], []):
@@ -264,13 +285,15 @@ class TestSourceFailures:
             triggers.add(result.outcome.trigger)
             text = sink.getvalue()
             assert all(text[end - 1] == "\n" for end in sink.flushes)
-            assert len(sink.flushes) <= 8 + 2
+            # A PeriodClosed and at most one ThresholdsUpdated per learning period,
+            # FinalPeriodEntered, SessionEnded and the flush as the session stops.
+            assert len(sink.flushes) <= 2 * 7 + 3
             assert sink.flushes[-1] == len(text)
             lines = text.splitlines(keepends=True)
             line_end = len(lines[0])
             for line in lines[1:]:
                 line_end += len(line)
-                if json.loads(line)["kind"] in (PERIOD_CLOSED, FINAL_PERIOD_ENTERED):
+                if json.loads(line)["kind"] in (PERIOD_CLOSED, THRESHOLDS_UPDATED, FINAL_PERIOD_ENTERED):
                     assert line_end in sink.flushes
         assert triggers == {AlarmTrigger.THRESHOLD_HIT, AlarmTrigger.SESSION_END}
 
@@ -418,6 +441,23 @@ def oracle_cases(draw):
 
 
 class TestOracleProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(case=oracle_cases())
+    def test_log_replays_to_its_own_decision_records(self, case):
+        """The log explains itself: a fresh Detector fed only the log's DeltaComputed
+        records, then finalize if none fired, writes exactly the log's decision records."""
+        samples, sleep_ns, period_ns = case
+        buf = io.StringIO()
+        run_session(SessionConfig(sleep_ns, period_ns), samples, event_sink=buf)
+        _, events = check_log_grammar(buf.getvalue())
+        replayed = []
+        detector = Detector(sleep_ns, period_ns,
+                            emit=lambda t_ns, kind, **data: replayed.append(SessionEvent(t_ns, kind, data)))
+        if not any(detector.ingest(e.t_ns, e.data["value"]) for e in events if e.kind == DELTA_COMPUTED):
+            detector.finalize()
+        decisions = (PERIOD_CLOSED, THRESHOLDS_UPDATED, FINAL_PERIOD_ENTERED, ALARM_FIRED)
+        assert replayed == [e for e in events if e.kind in decisions]
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(case=oracle_cases())
     def test_run_session_matches_offline_outcome(self, case):

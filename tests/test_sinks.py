@@ -32,6 +32,45 @@ from trace_builders import scripted_trace
 P = 60 * NS_PER_S
 
 
+def as_v2_log(log: bytes) -> bytes:
+    """The v2 encoding of a v3 log: v 2 in the header; the band written where
+    v2 moved it, after each learning DeltaComputed that raises its running
+    maximum and after each PeriodClosed that lowers t_min, instead of at the
+    v3 boundaries; and a StageClassified record after each final-period
+    DeltaComputed once the band is set."""
+    assert log.startswith(b'{"v":3,')
+    header, *lines = log.splitlines(keepends=True)
+    out = [b'{"v":2,' + header[len(b'{"v":3,'):]]
+
+    def add(**record):
+        out.append(json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n")
+
+    t_min = t_max = None
+    final = False
+    for line in lines:
+        record = json.loads(line)
+        t_ns, kind = record["t_ns"], record["kind"]
+        if kind == "ThresholdsUpdated":
+            continue
+        out.append(line)
+        if kind == "FinalPeriodEntered":
+            final = True
+        elif kind == "PeriodClosed":
+            period_max = record["period_max"]
+            if period_max is not None and (t_min is None or period_max < t_min):
+                t_min = period_max
+                add(t_ns=t_ns, kind="ThresholdsUpdated", t_min=t_min, t_max=t_max)
+        elif kind == DELTA_COMPUTED:
+            value = record["value"]
+            if not final and (t_max is None or value > t_max):
+                t_max = value
+                add(t_ns=t_ns, kind="ThresholdsUpdated", t_min=t_min, t_max=t_max)
+            elif final and t_min is not None:
+                add(t_ns=t_ns, kind="StageClassified",
+                    stage="NREM" if t_min <= value <= t_max else "REM", value=value)
+    return b"".join(out)
+
+
 def as_v1_log(log: bytes) -> bytes:
     """The v1 encoding of a v2 log: v 1 in the header, and a SampleAccepted
     line before each DeltaComputed line, at its time."""
@@ -39,6 +78,13 @@ def as_v1_log(log: bytes) -> bytes:
     return re.sub(rb'^(\{"t_ns":(\d+),"kind":"DeltaComputed",)',
                   rb'{"t_ns":\2,"kind":"SampleAccepted"}\n\1',
                   b'{"v":1,' + log[len(b'{"v":2,'):], flags=re.M)
+
+
+def log_versions(log: bytes) -> tuple[bytes, bytes, bytes]:
+    """The v1, v2 and v3 encodings of a v3 log."""
+    v2 = as_v2_log(log)
+    return as_v1_log(v2), v2, log
+
 
 # Logs the engine could not have written; each must be a MalformedLog.
 BAD_HEADER_LINES = [
@@ -50,7 +96,7 @@ BAD_HEADER_LINES = [
     b'{"v":1.0,"sleep_ns":240000000000,"period_ns":60000000000}\n',
     b'{"v":1,"sleep_ns":240000000000,"period_ns":60000000000}{}\n',
     b'{"v":0,"sleep_ns":240000000000,"period_ns":60000000000}\n',
-    b'{"v":3,"sleep_ns":240000000000,"period_ns":60000000000}\n',
+    b'{"v":4,"sleep_ns":240000000000,"period_ns":60000000000}\n',
 ]
 BAD_RECORD_LINES = [
     b'{"t_ns":5,"kind":"DeltaComputed"}\n',
@@ -244,8 +290,8 @@ class TestCharts:
         with pytest.raises(MalformedLog):
             read_event_log(empty)
         bad_version = tmp_path / "bad.jsonl"
-        bad_version.write_text('{"v":3,"sleep_ns":240,"period_ns":60}\n', encoding="utf-8")
-        with pytest.raises(MalformedLog, match="unsupported log version 3"):
+        bad_version.write_text('{"v":4,"sleep_ns":240,"period_ns":60}\n', encoding="utf-8")
+        with pytest.raises(MalformedLog, match="unsupported log version 4"):
             read_event_log(bad_version)
         bad_header = tmp_path / "bad_header.jsonl"
         for line in BAD_HEADER_LINES:
@@ -258,12 +304,13 @@ class TestCharts:
             read_event_log(bad_header)
 
     def test_v1_and_v2_logs_chart_alike(self, tmp_path):
-        v1_log, v2_log = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
-        v2_log.write_bytes(ENGINE_LOG)
-        v1_log.write_bytes(as_v1_log(ENGINE_LOG))
+        """The v1, v2 and v3 logs of one session give the same chart bytes."""
+        logs = [tmp_path / f"v{v}.jsonl" for v in (1, 2, 3)]
+        for log, data in zip(logs, log_versions(ENGINE_LOG)):
+            log.write_bytes(data)
         charts = [[path.read_bytes() for path in export_period_charts(log, tmp_path / log.stem)]
-                  for log in (v1_log, v2_log)]
-        assert charts[0] == charts[1]
+                  for log in logs]
+        assert charts[0] == charts[1] == charts[2]
 
     def test_chart_series_points_are_in_period_and_ordered(self, tmp_path):
         _, log_path, _ = self.small_case(tmp_path)
@@ -305,7 +352,7 @@ ENGINE_LOG = engine_log()
 HEADER_END = ENGINE_LOG.index(b"\n") + 1
 LINE_ENDS = [i + 1 for i, byte in enumerate(ENGINE_LOG) if byte == ord("\n")]
 
-SMALL_HEADERS = ['{"v":1,"sleep_ns":240,"period_ns":60}', '{"v":2,"sleep_ns":240,"period_ns":60}']
+SMALL_HEADERS = ['{"v":%d,"sleep_ns":240,"period_ns":60}' % v for v in (1, 2, 3)]
 _ANY = st.one_of(st.none(), st.booleans(), st.integers(-10, 300), st.floats(), st.text(max_size=4))
 _RECORDS = st.fixed_dictionaries(
     {"t_ns": st.one_of(st.integers(0, 250), _ANY),
