@@ -15,9 +15,9 @@ import sys
 from .engine import HOUR_NS, MINUTE_NS, NS_PER_S, SessionConfig, run_session
 from .errors import ConfigInvalid, InvalidMelody, LightwakeError
 from .sinks import DEFAULT_ALARM_MELODY, export_period_charts, melody_to_wav, parse_melody
-from .sources import SleepModelParams, TraceHeader, listen_live, read_trace, write_generated_trace
+from .sources import SleepModelParams, TraceHeader, listen_live, read_trace_blocks, write_generated_trace
 # Unused here, but the benchmark's per-layer tracer wraps them on this module.
-from .sources import generate_trace, write_trace  # noqa: F401
+from .sources import generate_trace, read_trace, write_trace  # noqa: F401
 
 
 def _fmt(value: float | None) -> str:
@@ -116,7 +116,8 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         melody = parse_melody(text, name=os.path.basename(args.melody))
 
     if args.trace:
-        _, source = read_trace(args.trace)
+        # Read whole before the session, so a bad row after the alarm is reported too.
+        _, source = read_trace_blocks(args.trace)
     else:
         source = listen_live(args.listen)
 

@@ -22,29 +22,33 @@ full one. Without a sink none is built, so a session holds memory by
 periods, never by samples.
 
 Nothing in a learning period can stop the session, so learning samples are
-decided a block at a time. The engine reads them one by one, with the same
-order check, pacing and session-end test as every sample, and collects
-them. A block ends where its records are due: with a sink at the current
-period's end, whose boundary lines are written and flushed then, and
-without one at the final period's start, since nothing is due before it.
-It also ends at _BLOCK_SIZE samples and when the source ends or raises.
-block_deltas gives the block's deltas in one numpy pass, Detector.learn
-takes each run of them between skipped samples and period boundaries (the
-clock first moves to a run that starts a later period), and the run's
-DeltaComputed lines are written together after it, as learning writes no
-record of its own. The records and the outcome are those of deciding each
-sample on its own. The final period, where a delta can fire the alarm,
-decides each sample before it reads the next, so the engine reads no
-sample that deciding one at a time would not have read. Its first sample
-enters it through the block step, and then each delta is one ingest call.
+decided a block at a time. A source of RawSamples is read one by one, with
+the same order check, pacing and session-end test for every sample, and its
+learning samples are collected. A block ends where its records are due:
+with a sink at the current period's end, whose boundary lines are written
+and flushed then, and without one at the final period's start, since
+nothing is due before it. It also ends at _BLOCK_SIZE samples and when the
+source ends or raises. A source of Blocks, as read_trace_blocks gives them,
+must increase strictly across them; unpaced, the rows of each before the
+final period are one block, and paced, its rows go the way of RawSamples.
+block_deltas gives a block's deltas in one numpy pass, Detector.learn takes
+each run of them between skipped samples and period boundaries (the clock
+first moves to a sample that starts a later period), and the run's
+DeltaComputed lines are written together after it. The records and the
+outcome are those of deciding each sample on its own. The final period,
+where a delta can fire the alarm, decides each sample, a Block's rows as
+RawSamples too, before it reads the next, so the engine reads no sample
+that deciding one at a time would not have read.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, IO, Iterable, Iterator
 
 import numpy as np
@@ -57,8 +61,8 @@ from .detector import (
     DetectorOutcome,
     validate_session_shape,
 )
-from .errors import ConfigInvalid, DegenerateSample, LightwakeError, SourceFailed
-from .motion import NS_PER_S, RawSample, Vector, block_deltas, manhattan_delta, normalize
+from .errors import ConfigInvalid, DegenerateSample, LightwakeError, OrderViolation, SourceFailed
+from .motion import NS_PER_S, Block, RawSample, Vector, block_deltas, manhattan_delta, normalize, sample_block
 
 MINUTE_NS = 60 * NS_PER_S
 HOUR_NS = 3600 * NS_PER_S
@@ -150,22 +154,21 @@ class EventLog:
         self._sink.write("".join(map(_DELTA_LINE.__mod__, zip(times, values))))
 
 
-def _learn_block(block: list[RawSample], prev: Vector | None, detector: Detector,
+def _learn_block(times: list[int], xyz: np.ndarray, prev: Vector | None, detector: Detector,
                  log: EventLog | None) -> Vector | None:
-    """Decide and empty a block of learning samples; returns the new prev.
+    """Decide learning samples, given as a Block's columns; returns the new prev.
 
-    The block ends before the final period. A sample without a delta, skipped
-    or the session's first accepted one, ends a run, and so does a period
-    boundary: the detector's clock moves to the first delta of a later period
-    before it learns that period's run.
+    The samples end before the final period. A sample without a delta,
+    skipped or the session's first accepted one, ends a run, and so does a
+    period boundary: the detector's clock moves to a sample that starts a
+    later period before its run or its record.
     """
-    if not block:
+    if not times:
         return prev
-    skipped, deltas, last = block_deltas(prev, block)
-    times = [s.t_ns for s in block]
+    skipped, deltas, last = block_deltas(prev, xyz)
     values = deltas.tolist()
     start = 0
-    for stop in [*np.flatnonzero(np.isnan(deltas)).tolist(), len(block)]:
+    for stop in [*np.flatnonzero(np.isnan(deltas)).tolist(), len(times)]:
         while start < stop:
             if times[start] >= detector.learning_end_ns:
                 detector.advance_to(times[start])
@@ -175,13 +178,14 @@ def _learn_block(block: list[RawSample], prev: Vector | None, detector: Detector
             if log is not None:
                 log.write_deltas(*run)
             start = cut
-        if stop < len(block) and log is not None:
+        if stop < len(times) and log is not None:
+            if times[stop] >= detector.learning_end_ns:
+                detector.advance_to(times[stop])
             if skipped[stop]:
                 log.emit(times[stop], SAMPLE_SKIPPED, reason="degenerate")
             else:
                 log.emit(times[stop], SAMPLE_ACCEPTED)
         start = stop + 1
-    block.clear()
     return last
 
 
@@ -200,11 +204,11 @@ def _block_end(detector: Detector, log: EventLog | None) -> int:
 
 def run_session(
     config: SessionConfig,
-    source: Iterable[RawSample],
+    source: Iterable[RawSample] | Iterable[Block],
     *,
     event_sink: IO[str] | None = None,
 ) -> SessionResult:
-    """Run one sleep session over a sample source and return its outcome.
+    """Run one sleep session over a source of RawSamples or of Blocks and return its outcome.
 
     The pipeline normalizes each sample, computes the Manhattan delta
     against the previous one, and feeds the detector, a block at a time
@@ -230,16 +234,35 @@ def run_session(
     block: list[RawSample] = []
     block_end = _block_end(detector, log)  # learning samples before it join the block
     unpaced = speed == 0.0
-    iterator: Iterator[RawSample] = iter(source)
+
+    def learn_blocks() -> Iterator[RawSample]:
+        """Yield a RawSample source's first sample; decide a Block source's learning rows and yield the rest."""
+        nonlocal prev
+        last_t = -1
+        for item in iterator:
+            if not isinstance(item, tuple):
+                yield item
+                return
+            times, xyz = item
+            if times and not (last_t < times[0] and all(map(operator.lt, times, times[1:]))):
+                raise OrderViolation(f"Block times must be strictly increasing: {times[0]} ns after {last_t} ns")
+            # Paced, every row goes to the loop. (Not `unpaced`: a name read here is slower in the loop.)
+            start = bisect_left(times, _block_end(detector, None)) if config.speed == 0.0 else 0
+            prev = _learn_block(times[:start], xyz[:, :start], prev, detector, log)
+            last_t = times[-1] if times else last_t
+            yield from map(RawSample, times[start:], *xyz[:, start:].tolist())
+
+    iterator: Iterator = iter(source)
+    items = chain(learn_blocks(), iterator)
     try:
         while True:
             try:
-                sample = next(iterator)
+                sample = next(items)
             except StopIteration:
                 break
             except Exception as exc:
                 # Whatever the source raises, the samples it gave are decided and logged first.
-                _learn_block(block, prev, detector, log)
+                _learn_block(*sample_block(block), prev, detector, log)
                 if isinstance(exc, (LightwakeError, OSError)):
                     raise SourceFailed(f"sample source failed: {exc}") from exc
                 raise
@@ -250,10 +273,11 @@ def run_session(
                 last_t_ns = t_ns
                 block.append(sample)
                 if len(block) == _BLOCK_SIZE:
-                    prev = _learn_block(block, prev, detector, log)
+                    prev = _learn_block(*sample_block(block), prev, detector, log)
+                    block.clear()
                 continue
             if t_ns <= last_t_ns:
-                _learn_block(block, prev, detector, log)
+                _learn_block(*sample_block(block), prev, detector, log)
                 raise SourceFailed(f"source timestamps must be non-negative and strictly "
                                    f"increasing: {t_ns} ns after {last_t_ns} ns")
             last_t_ns = t_ns
@@ -264,13 +288,15 @@ def run_session(
                 if delay > 0:
                     time.sleep(delay)
             if block_end and t_ns >= block_end:  # block_end is 0 once learning is over
-                prev = _learn_block(block, prev, detector, log)
+                prev = _learn_block(*sample_block(block), prev, detector, log)
+                block.clear()
                 detector.advance_to(t_ns)
                 block_end = _block_end(detector, log)
             if t_ns < block_end:
                 block.append(sample)
                 if len(block) == _BLOCK_SIZE:
-                    prev = _learn_block(block, prev, detector, log)
+                    prev = _learn_block(*sample_block(block), prev, detector, log)
+                    block.clear()
                 continue
             # Final period: each sample is decided before the next is read.
             try:
@@ -288,7 +314,8 @@ def run_session(
             elif log is not None:
                 log.emit(t_ns, SAMPLE_ACCEPTED)
             prev = norm
-        prev = _learn_block(block, prev, detector, log)
+        if block:  # the session ended while learning
+            _learn_block(*sample_block(block), prev, detector, log)
     finally:
         closer = getattr(iterator, "close", None) or getattr(source, "close", None)
         if closer is not None:

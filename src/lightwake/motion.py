@@ -38,6 +38,8 @@ SENSOR_RANGE_G = 5.0
 
 Vector = tuple[float, float, float]
 
+Block = tuple[list[int], np.ndarray]  # a run of samples as columns (times, xyz); see sample_block
+
 
 @dataclass(frozen=True, slots=True)
 class RawSample:
@@ -65,6 +67,12 @@ def raw_samples(t_ns: list[int], ax: list[float], ay: list[float], az: list[floa
     return samples
 
 
+def sample_block(samples: Sequence[RawSample]) -> Block:
+    """The Block of samples: their times, ints as a time may pass int64, and a 3 x n float64 array."""
+    xyz = np.fromiter([s.ax for s in samples] + [s.ay for s in samples] + [s.az for s in samples], np.float64)
+    return [s.t_ns for s in samples], xyz.reshape(3, len(samples))
+
+
 def normalize(sample: RawSample) -> Vector:
     """Scale a raw sample to a unit vector (nx, ny, nz) by its Euclidean length.
 
@@ -88,8 +96,8 @@ def manhattan_delta(prev: Vector, curr: Vector) -> float:
     return abs(curr[0] - prev[0]) + abs(curr[1] - prev[1]) + abs(curr[2] - prev[2])
 
 
-def block_deltas(prev: Vector | None, samples: Sequence[RawSample]) -> tuple[np.ndarray, np.ndarray, Vector | None]:
-    """normalize and manhattan_delta over a run of samples at once, bit for bit.
+def block_deltas(prev: Vector | None, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, Vector | None]:
+    """normalize and manhattan_delta over a run of samples, given as a Block's xyz, bit for bit.
 
     Returns (degenerate, deltas, last). degenerate masks the samples that
     normalize refuses. deltas[i] is the manhattan_delta of sample i against
@@ -99,23 +107,20 @@ def block_deltas(prev: Vector | None, samples: Sequence[RawSample]) -> tuple[np.
     none was kept. Each element goes through the scalar functions' IEEE
     operations in their order, and numpy fuses none of them.
     """
-    n = len(samples)
-    a = np.fromiter([s.ax for s in samples] + [s.ay for s in samples] + [s.az for s in samples],
-                    np.float64, 3 * n).reshape(3, n)
     with np.errstate(over="ignore"):  # an overflowing square or sum is a degenerate length
-        sq = a * a
+        sq = xyz * xyz
         norm = np.sqrt(sq[0] + sq[1] + sq[2])
     kept = (DEGENERATE_NORM_EPS <= norm) & (norm < math.inf)
     all_kept = kept.all()
     if not all_kept:
-        a, norm = a[:, kept], norm[kept]
+        xyz, norm = xyz[:, kept], norm[kept]
     unit = np.empty((3, len(norm) + 1))
     unit[:, 0] = (math.nan,) * 3 if prev is None else prev
-    np.divide(a, norm, out=unit[:, 1:])
+    np.divide(xyz, norm, out=unit[:, 1:])
     step = np.abs(unit[:, 1:] - unit[:, :-1])
     deltas = step[0] + step[1] + step[2]
     if not all_kept:
-        aligned = np.full(n, math.nan)
+        aligned = np.full(len(kept), math.nan)
         aligned[kept] = deltas
         deltas = aligned
     last = tuple(unit[:, -1].tolist()) if len(norm) else prev

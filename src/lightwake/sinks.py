@@ -119,7 +119,8 @@ def synthesize_melody(melody: Melody) -> np.ndarray:
 
 def melody_to_wav(melody: Melody, path: str | Path) -> None:
     """Write the synthesized melody as an int16 mono RIFF/WAVE file."""
-    with wave.open(str(path), "wb") as wav:
+    # Opened first: a Wave_write that fails to open its own path raises again when freed.
+    with open(path, "wb") as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(DEFAULT_SAMPLE_RATE)

@@ -27,10 +27,11 @@ accepts a single client, replies nothing, and drops the connection on the
 first invalid line. Closing the connection ends the stream; an unterminated
 final line still counts. LiveSource binds a (host, port) tuple.
 
-Rows are decoded in blocks of whole lines, up to 64 KiB each. A block of
-canonical rows, as write_trace and the bench sender write them, is decoded
-in bulk; any other block row by row. The samples and errors are the same,
-and an error comes after every earlier row's sample.
+Rows are decoded in blocks of whole lines, of about 64 KiB each, into the
+columns of a motion.Block, which read_trace and LiveSource give as samples.
+A block of canonical rows, as write_trace and the bench sender write them,
+is decoded in bulk; any other block row by row. The rows and errors are the
+same, and an error comes after the Block of every earlier row.
 TraceHeader and SleepModelParams raise ConfigInvalid when built with a bad value.
 
 The synthetic generator is a fixture factory, not a physiological model:
@@ -53,17 +54,18 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
-from typing import Generator, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BindError, ConfigInvalid, OrderViolation, ParseError
-from .motion import NS_PER_S, RawSample, SENSOR_RANGE_G, raw_samples
+from .errors import BindError, ConfigInvalid, LightwakeError, OrderViolation, ParseError
+from .motion import NS_PER_S, Block, RawSample, SENSOR_RANGE_G, raw_samples, sample_block
 
 TRACE_HEADER_LINE = "t_s,ax_g,ay_g,az_g"
 MAX_LINE_BYTES = 1024
 
 _NS_QUANTUM = Decimal("1e-9")
+_BLOCK_BYTES = 1 << 16  # the trace reader's readlines hint: a block ends at the first line end past it
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,12 +163,11 @@ def _fields_to_sample(t_tok: str, *component_toks: str) -> RawSample:
     return RawSample(t_ns, *components)
 
 
-def _samples(lines: Iterable[tuple[int, str]], sep: str | None, prev_t: int = -1) -> Generator[RawSample, None, int]:
+def _samples(lines: Iterable[tuple[int, str]], sep: str | None, prev_t: int = -1) -> Iterator[RawSample]:
     """Parse ``t_s ax ay az`` rows, split on sep, into samples time-ordered after prev_t.
 
     The one row grammar for trace files and the live wire: blank rows are
     skipped, and a ParseError or OrderViolation names its 1-based line.
-    Returns the last time read, or prev_t.
     """
     for lineno, line in lines:
         fields = line.split(sep)
@@ -184,40 +185,48 @@ def _samples(lines: Iterable[tuple[int, str]], sep: str | None, prev_t: int = -1
             )
         prev_t = sample.t_ns
         yield sample
-    return prev_t
 
 
-def _rows(blocks: Iterable[str], sep: str | None, lineno: int) -> Iterator[RawSample]:
-    """Parse blocks of whole lines, the first one numbered lineno, as _samples does.
+def _rows(blocks: Iterable[str], sep: str | None, lineno: int) -> Iterator[Block]:
+    """Parse blocks of whole lines, the first one numbered lineno, as _samples does, into Blocks.
 
     A block of canonical rows (a time as format_seconds writes it, then three
     short float tokens, one separator each) is decoded in bulk. Any other goes
-    through _samples lazily, so every row before a bad one yields its sample.
+    through _samples; on a bad row the Block of the rows before it comes first,
+    and the error is raised when the reader is resumed.
     """
     canonical = re.compile(rf"(?:[0-9]{{1,12}}\.[0-9]{{9}}(?:{sep or ' '}[-.0-9e]{{1,24}}){{3}}\n)+")
     prev_t = -1  # timestamps are non-negative, so the first row always passes
     for block in blocks:
-        samples = canonical.fullmatch(block) and _canonical_block(block, prev_t)
-        if samples is None:
-            prev_t = yield from _samples(enumerate(block.removesuffix("\n").split("\n"), lineno), sep, prev_t)
-        else:
-            yield from samples
-            prev_t = samples[-1].t_ns
+        columns = canonical.fullmatch(block) and _canonical_block(block, prev_t)
+        if columns is None:
+            samples: list[RawSample] = []
+            try:
+                for sample in _samples(enumerate(block.removesuffix("\n").split("\n"), lineno), sep, prev_t):
+                    samples.append(sample)
+            except LightwakeError:
+                if samples:
+                    yield sample_block(samples)
+                raise
+            columns = sample_block(samples)
+        if columns[0]:  # a block of blank rows has none
+            yield columns
+            prev_t = columns[0][-1]
         lineno += block.count("\n")  # only the final block may end unterminated
 
 
-def _canonical_block(block: str, prev_t: int) -> list[RawSample] | None:
-    """The samples of a block of canonical rows in range and order after prev_t, else None."""
+def _canonical_block(block: str, prev_t: int) -> Block | None:
+    """The Block of a block of canonical rows in range and order after prev_t, else None."""
     tokens = block.replace(",", " ").split()  # a canonical block has one kind of separator
+    t_ns = list(map(int, " ".join(tokens[::4]).replace(".", "").split()))
+    del tokens[::4]
     try:
-        ax, ay, az = (list(map(float, tokens[i::4])) for i in (1, 2, 3))
+        xyz = np.fromiter(map(float, tokens), np.float64, len(tokens)).reshape(-1, 3).T
     except ValueError:  # the pattern admits a few non-numbers, such as "1-2"
         return None
-    t_ns = list(map(int, " ".join(tokens[::4]).replace(".", "").split()))
-    # No token the pattern admits reads as NaN, so min and max see +/-inf too.
-    if prev_t < t_ns[0] and all(map(operator.lt, t_ns, t_ns[1:])) and all(
-            -SENSOR_RANGE_G <= min(column) and max(column) <= SENSOR_RANGE_G for column in (ax, ay, az)):
-        return raw_samples(t_ns, ax, ay, az)
+    # No token the pattern admits reads as NaN, so max sees +/-inf too.
+    if prev_t < t_ns[0] and all(map(operator.lt, t_ns, t_ns[1:])) and np.abs(xyz).max() <= SENSOR_RANGE_G:
+        return t_ns, xyz
     return None
 
 
@@ -238,8 +247,8 @@ def _utf8_chunks(chunks: Iterable[str], path: Path, lineno: int) -> Iterator[str
         lineno += chunk.count("\n")
 
 
-def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
-    """Parse a trace CSV into its header and time-ordered samples.
+def read_trace_blocks(path: str | Path) -> tuple[TraceHeader, list[Block]]:
+    """Parse a trace CSV into its header and its rows as time-ordered Blocks.
 
     Raises ParseError (with the offending line number) on malformed or
     out-of-range rows or on bytes that are not UTF-8, or OrderViolation on
@@ -267,14 +276,15 @@ def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
             raise ParseError(f"{path}: missing {TRACE_HEADER_LINE!r} header line")
         if line.strip() != TRACE_HEADER_LINE:
             raise ParseError(f"line {lineno}: expected header {TRACE_HEADER_LINE!r}, got {line!r}")
-        blocks = map("".join, iter(lambda: fh.readlines(1 << 16), []))
-        samples = list(_rows(_utf8_chunks(blocks, path, lineno + 1), ",", lineno + 1))
-    header = TraceHeader(
-        sample_rate_hz=rate,
-        duration_ns=samples[-1].t_ns if samples else 0,
-        label=label,
-    )
-    return header, samples
+        chunks = map("".join, iter(lambda: fh.readlines(_BLOCK_BYTES), []))
+        blocks = list(_rows(_utf8_chunks(chunks, path, lineno + 1), ",", lineno + 1))
+    return TraceHeader(rate, blocks[-1][0][-1] if blocks else 0, label), blocks
+
+
+def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
+    """read_trace_blocks, with the rows as a list of RawSamples."""
+    header, blocks = read_trace_blocks(path)
+    return header, [sample for t_ns, xyz in blocks for sample in raw_samples(t_ns, *xyz.tolist())]
 
 
 def format_seconds(t_ns: int) -> str:
@@ -505,7 +515,8 @@ class LiveSource:
         conn.settimeout(self._timeout)
         with conn:
             try:
-                yield from _rows(_wire_blocks(conn), None, 1)
+                for t_ns, xyz in _rows(_wire_blocks(conn), None, 1):
+                    yield from raw_samples(t_ns, *xyz.tolist())
             except socket.timeout:
                 raise ParseError("timed out waiting for sample data") from None
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import socket
@@ -152,6 +153,21 @@ class TestGenerate:
 
 
 class TestRun:
+    def test_trace_replay_holds_at_most_100_bytes_a_sample(self, tmp_path):
+        """The tracemalloc peak of run --trace, no log, on an hour at 16 Hz."""
+        trace = tmp_path / "night.csv"
+        assert main_in_process("generate", "--seed", "3", "--hours", "1", "--rate-hz", "16",
+                               "--out", str(trace))[0] == 0
+        tracemalloc.start()
+        try:
+            code, err = main_in_process("run", "--trace", str(trace), "--sleep-hours", "1",
+                                        "--period-min", "15")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak <= 100 * 16 * 3600, peak / (16 * 3600)
+
     def test_fixture_trace_summary_values(self, paper_case):
         result = cli("run", "--trace", str(paper_case.trace_path))
         assert result.returncode == 0
@@ -450,6 +466,17 @@ class TestInProcess:
             assert err.startswith("lightwake: ") and err.count("\n") == 1, (argv, err)
         else:
             assert " error: " in err.splitlines()[-1] and "Traceback" not in err, (argv, err)
+
+    def test_unwritable_alarm_wav_writes_its_one_line_and_nothing_else(self, cli_root):
+        """A directory, or a path in a missing one: the line, and no error from a half-built writer."""
+        for wav in (_DIR, _ABSENT_DIR / "alarm.wav"):
+            unraisable = []
+            with mock.patch.object(sys, "unraisablehook", unraisable.append):
+                code, err = main_in_process("run", "--trace", str(cli_root / _TRACE), "--sleep-hours", "0.05",
+                                            "--period-min", "1", "--alarm-wav", str(cli_root / wav))
+                gc.collect()
+            assert code == 1 and err.startswith("lightwake: ") and err.count("\n") == 1, (wav, err)
+            assert unraisable == [], (wav, [str(u.exc_value) for u in unraisable])
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(body=st.binary(max_size=200) | st.builds(

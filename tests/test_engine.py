@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import time
 import tracemalloc
 from itertools import accumulate
@@ -37,7 +38,9 @@ from lightwake.engine import (
     SessionEvent,
 )
 from lightwake.errors import ConfigInvalid, OrderViolation, SourceFailed
-from lightwake.motion import block_deltas
+from lightwake import sources
+from lightwake.motion import block_deltas, sample_block
+from lightwake.sources import read_trace, read_trace_blocks, write_trace
 from reference import offline_outcome
 from trace_builders import scripted_trace
 
@@ -301,8 +304,10 @@ class TestSourceFailures:
         # The last repeats a time inside the final period, after a delta there.
         for times in ([0, 0], [0, 2 * NS, 1 * NS], [-1], [0, 2 * P + NS, 2 * P + 2 * NS, 2 * P + 2 * NS]):
             samples = [RawSample(t, 0.0, 0.0, 1.0) for t in times]
-            with pytest.raises(SourceFailed, match="strictly increasing"):
-                run_session(SessionConfig(3 * P, P), samples)
+            # As samples, as one block, and as a block a sample.
+            for source in (samples, [sample_block(samples)], [sample_block([s]) for s in samples]):
+                with pytest.raises(SourceFailed, match="strictly increasing"):
+                    run_session(SessionConfig(3 * P, P), source)
 
     def test_source_closed_on_alarm(self):
         closed = []
@@ -327,6 +332,20 @@ class TestVirtualClock:
         run_session(config, samples)
         elapsed = time.perf_counter() - start
         assert 0.2 <= elapsed <= 2.0  # 250 ms nominal, host scheduler slack
+
+    def test_paced_blocks_are_read_row_by_row(self):
+        """Paced, a Block's learning rows are paced too: period 0 is closed when its end comes."""
+        dt = 100_000_000
+        closes = []
+
+        class Sink(io.StringIO):
+            def flush(self):
+                closes.append((time.monotonic(), PERIOD_CLOSED in self.getvalue()))
+
+        start = time.monotonic()
+        run_session(SessionConfig(4 * dt, dt, speed=1.0), [sample_block(quiescent_samples(4, dt))],
+                    event_sink=Sink())
+        assert next(t for t, closed in closes if closed) - start >= 0.09
 
     def test_speed_invariance_single_trace(self):
         samples = generate_trace(SleepModelParams(rng_seed=6),
@@ -523,3 +542,49 @@ class TestOracleProperty:
                     repeated = sorted(samples + [at], key=lambda s: s.t_ns)
                     with pytest.raises(SourceFailed, match="strictly increasing"):
                         run_session(config, repeated)
+
+
+# -- trace blocks against their samples -------------------------------------------
+
+def loose_trace(path, samples):
+    """Write a trace of the samples that is read row by row: CRLF line ends,
+    padded fields, and each t_ns written as that many milliseconds, with 3 decimals."""
+    rows = "".join(f" {s.t_ns // 1000}.{s.t_ns % 1000:03d} , {s.ax!r},  {s.ay!r} ,{s.az!r}\r\n"
+                   for s in samples)
+    path.write_text("t_s,ax_g,ay_g,az_g\r\n" + rows, encoding="utf-8", newline="")
+
+
+@pytest.fixture(scope="module")
+def block_trace(tmp_path_factory):
+    return tmp_path_factory.mktemp("blocks") / "trace.csv"
+
+
+class TestTraceBlocks:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(case=oracle_cases(), loose=st.booleans())
+    def test_blocks_decide_like_their_samples(self, block_trace, case, loose):
+        """run_session over the reader's Blocks logs and decides as over read_trace's
+        samples: at any reader block size, paced or not, with a sink or without."""
+        samples, sleep_ns, period_ns = case
+        # A vector that is not finite cannot be written; the zero vector is degenerate too.
+        samples = [s if all(map(math.isfinite, (s.ax, s.ay, s.az))) else RawSample(s.t_ns, 0.0, 0.0, 0.0)
+                   for s in samples]
+        scale = 10**6 if loose else 1
+        if loose:
+            loose_trace(block_trace, samples)
+        else:
+            write_trace(block_trace, TraceHeader(), samples)
+
+        def run(config, source):
+            buf = io.StringIO()
+            return run_session(config, source, event_sink=buf).outcome, buf.getvalue()
+
+        for block_bytes in (1, 64, sources._BLOCK_BYTES):
+            with mock.patch.object(sources, "_BLOCK_BYTES", block_bytes):
+                blocks, rows = read_trace_blocks(block_trace)[1], read_trace(block_trace)[1]
+            assert [s.t_ns for s in rows] == [s.t_ns * scale for s in samples]
+            assert block_bytes > 1 or len(blocks) == len(rows)
+            for speed in (0.0, 1e6):
+                config = SessionConfig(sleep_ns * scale, period_ns * scale, speed)
+                assert run(config, blocks) == run(config, rows)
+                assert run_session(config, blocks).outcome == run_session(config, rows).outcome

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lightwake import RawSample, manhattan_delta, normalize
 from lightwake.errors import DegenerateSample
-from lightwake.motion import MAX_DELTA, block_deltas, raw_samples
+from lightwake.motion import MAX_DELTA, block_deltas, raw_samples, sample_block
 
 
 def unit(x, y, z):
@@ -184,7 +184,7 @@ class TestBlockDeltas:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got_degenerate, got_deltas, got_last = block_deltas(prev, samples)
+            got_degenerate, got_deltas, got_last = block_deltas(prev, sample_block(samples)[1])
         assert got_degenerate.tolist() == degenerate
         assert [v.hex() for v in got_deltas.tolist()] == [v.hex() for v in deltas]
         if last is None:

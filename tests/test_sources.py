@@ -28,6 +28,7 @@ from lightwake import (
 )
 from lightwake.engine import MINUTE_NS
 from lightwake.errors import BindError, ConfigInvalid, OrderViolation, ParseError
+from lightwake.motion import raw_samples
 from lightwake.sources import (
     MAX_LINE_BYTES,
     TRACE_HEADER_LINE,
@@ -592,6 +593,12 @@ def canonical_samples(draw):
     return samples
 
 
+def flat(blocks):
+    """The samples of _rows' Blocks, one per row, as LiveSource yields them."""
+    for t_ns, xyz in blocks:
+        yield from raw_samples(t_ns, *xyz.tolist())
+
+
 def refuse_rows(lines, sep, prev_t=-1):
     """A stand-in for sources._samples that fails on any row that is not blank."""
     for lineno, line in lines:
@@ -610,7 +617,7 @@ class TestBlockDecoding:
         wire = "".join(f"{format_seconds(s.t_ns)} {s.ax!r} {s.ay!r} {s.az!r}\n" for s in samples)
         with mock.patch("lightwake.sources._samples", refuse_rows):
             from_trace = read_trace(scratch_trace)[1]
-            from_wire = list(_rows(_wire_blocks(ChunkedConnection(wire.encode("ascii"), sizes)), None, 1))
+            from_wire = list(flat(_rows(_wire_blocks(ChunkedConnection(wire.encode("ascii"), sizes)), None, 1)))
         # repr tells -0.0 from 0.0.
         assert list(map(repr, from_trace)) == list(map(repr, from_wire)) == list(map(repr, samples))
 
@@ -619,7 +626,7 @@ class TestBlockDecoding:
            sizes=st.lists(st.one_of(st.integers(1, 16), st.integers(1, 4000)), min_size=1, max_size=6))
     def test_wire_blocks_decode_like_the_row_reader(self, payload, sizes):
         blocks = _wire_blocks(ChunkedConnection(payload, sizes))
-        assert drain(_rows(blocks, None, 1)) == drain(_samples(readline_rows(payload), None))
+        assert drain(flat(_rows(blocks, None, 1))) == drain(_samples(readline_rows(payload), None))
 
     def test_trace_blocks_decode_like_the_row_reader(self, tmp_path):
         """A fault on, just before or just after the first row of each of read_trace's blocks."""
