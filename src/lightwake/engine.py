@@ -202,6 +202,36 @@ def _block_end(detector: Detector, log: EventLog | None) -> int:
     return learning_end_ns
 
 
+def _ordered(blocks: Iterable[Block]) -> Iterator[Block]:
+    """Pass on Blocks whose times increase strictly, within and across them; else OrderViolation."""
+    last_t = -1
+    for times, xyz in blocks:
+        if times and not (last_t < times[0] and all(map(operator.lt, times, times[1:]))):
+            raise OrderViolation(f"Block times must be strictly increasing: {times[0]} ns after {last_t} ns")
+        last_t = times[-1] if times else last_t
+        yield times, xyz
+
+
+def _start(source: Iterable, iterator: Iterator, detector: Detector, log: EventLog | None,
+           unpaced: bool) -> tuple[Vector | None, Iterator[RawSample]]:
+    """Return prev and the samples left for the sample loop: all of a RawSample source, or the rows of
+    a Block source (told by its first item) left once, unpaced, those before the final period are decided."""
+    if isinstance(source, (list, tuple)):  # read by index, so no item is taken from iterator
+        first = source[0] if source else None
+    elif (first := next(iterator, iterator)) is not iterator:  # the iterator itself marks the end
+        iterator = chain((first,), iterator)
+    if not isinstance(first, tuple):
+        return None, iterator
+    prev, blocks = None, _ordered(iterator)
+    for times, xyz in blocks if unpaced else ():
+        start = bisect_left(times, _block_end(detector, None))
+        prev = _learn_block(times[:start], xyz[:, :start], prev, detector, log)
+        if start < len(times):
+            blocks = chain([(times[start:], xyz[:, start:])], blocks)
+            break
+    return prev, chain.from_iterable(map(RawSample, times, *xyz.tolist()) for times, xyz in blocks)
+
+
 def run_session(
     config: SessionConfig,
     source: Iterable[RawSample] | Iterable[Block],
@@ -229,32 +259,16 @@ def run_session(
     wall_start = time.monotonic()
 
     outcome: DetectorOutcome | None = None
-    prev: Vector | None = None
     last_t_ns = -1
     block: list[RawSample] = []
     block_end = _block_end(detector, log)  # learning samples before it join the block
     unpaced = speed == 0.0
-
-    def learn_blocks() -> Iterator[RawSample]:
-        """Yield a RawSample source's first sample; decide a Block source's learning rows and yield the rest."""
-        nonlocal prev
-        last_t = -1
-        for item in iterator:
-            if not isinstance(item, tuple):
-                yield item
-                return
-            times, xyz = item
-            if times and not (last_t < times[0] and all(map(operator.lt, times, times[1:]))):
-                raise OrderViolation(f"Block times must be strictly increasing: {times[0]} ns after {last_t} ns")
-            # Paced, every row goes to the loop. (Not `unpaced`: a name read here is slower in the loop.)
-            start = bisect_left(times, _block_end(detector, None)) if config.speed == 0.0 else 0
-            prev = _learn_block(times[:start], xyz[:, :start], prev, detector, log)
-            last_t = times[-1] if times else last_t
-            yield from map(RawSample, times[start:], *xyz[:, start:].tolist())
-
     iterator: Iterator = iter(source)
-    items = chain(learn_blocks(), iterator)
     try:
+        try:
+            prev, items = _start(source, iterator, detector, log, unpaced)
+        except (LightwakeError, OSError) as exc:
+            raise SourceFailed(f"sample source failed: {exc}") from exc
         while True:
             try:
                 sample = next(items)

@@ -9,26 +9,28 @@ files. Melodies are plain text, one note per line as
 The chart sink projects a session event log into one CSV per period (every
 DeltaComputed event, timestamped in seconds within its period) plus a
 key/value summary holding the per-period maxima, the learned thresholds,
-and the alarm. Logs stream one record at a time in time order, so chart
-memory is bounded by the number of periods.
+and the alarm. Logs stream a block of lines at a time, in time order, so
+chart memory is bounded by the number of periods.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import wave
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import IO, Iterator
 
 import numpy as np
 
 from .detector import ALARM_FIRED, THRESHOLDS_UPDATED, validate_session_shape
-from .engine import DELTA_COMPUTED, LOG_VERSION
+from .engine import DELTA_COMPUTED, LOG_VERSION, NS_PER_S
 from .errors import ConfigInvalid, InvalidMelody, MalformedLog
-from .sources import format_seconds
+from .sources import _utf8_blocks, format_seconds
 
 # 0.8 of full scale: loud but clear of clipping artifacts.
 _AMPLITUDE = np.int16(26214)
@@ -140,53 +142,69 @@ def read_event_log(path: str | Path) -> tuple[dict, list[tuple[int, str, dict]]]
     A log cut off anywhere after its header line still reads: the engine
     flushes whole lines only, so an unterminated last line is a truncation
     and is dropped, and the events are a prefix of the full log's. Whatever
-    the engine could not have written raises MalformedLog: a header whose v
-    is not the int 1, 2 or 3 or that is no session shape, a line that is no
-    event record, an event before the previous one or outside 0..sleep_ns,
-    or a DeltaComputed at sleep_ns or without a finite float value >= 0.
+    the engine could not have written raises MalformedLog naming its line: a
+    header whose v is not the int 1, 2 or 3 or that is no session shape, a
+    line that is not UTF-8 or no event record, an event before the previous
+    one or outside 0..sleep_ns, or a DeltaComputed at sleep_ns or without a
+    finite float value >= 0.
     """
     records = _log_records(Path(path))
     header = next(records)
-    return header, list(records)
+    events: list[tuple[int, str, dict]] = []
+    for record in records:  # a run of deltas, or one event
+        events += [(t, DELTA_COMPUTED, {"value": v}) for t, v in zip(*record)] if len(record) == 2 else [record]
+    return header, events
 
 
 _raw_decode = json.JSONDecoder().raw_decode
 
+# Runs of whole DeltaComputed lines as engine._DELTA_LINE writes them; int() reads a 30-digit t_ns.
+_VALUE_KEY = ',"kind":"DeltaComputed","value":'
+_DELTA_RUN = re.compile(r'(?m)^((?:\{"t_ns":(?:0|[1-9][0-9]{0,29})' + _VALUE_KEY +
+                        r'(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)\}\n)+)')
 
-def _log_records(path: Path) -> Iterator[dict | tuple[int, str, dict]]:
-    """Yield a log's validated header record, then each validated event as a
-    (t_ns, kind, fields) tuple, one line at a time; see read_event_log for
-    what is rejected."""
+
+def _log_records(path: Path) -> Iterator[dict | tuple[int, str, dict] | tuple[list[int], list[float]]]:
+    """Yield a log's validated header record, then its events, read in blocks of whole lines:
+    a run of _DELTA_RUN lines that passes every check as one (times, values) pair, and any
+    other line, or a run that fails one, as (t_ns, kind, fields) tuples; see read_event_log."""
     header: dict | None = None
-    last_t_ns = 0
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if line[-1] != "\n":
-                    break  # the unterminated last line of a truncated log
-                line = line.strip()
-                if not line:
-                    continue
-                if header is None:
-                    header = _parse_header(path, line, lineno)
-                    sleep_ns = header["sleep_ns"]
-                    yield header
-                    continue
-                try:
-                    t_ns, kind, fields = _event_fields(line)
-                except (ValueError, RecursionError) as exc:
-                    raise MalformedLog(f"{path}: line {lineno}: {exc}") from None
-                if not last_t_ns <= t_ns <= sleep_ns:
-                    raise MalformedLog(f"{path}: line {lineno}: t_ns {t_ns} is before the "
-                                       f"previous event's or past the session end")
-                last_t_ns = t_ns
-                if kind == DELTA_COMPUTED:
-                    value = fields.get("value")
-                    if t_ns == sleep_ns or type(value) is not float or not 0.0 <= value < math.inf:
-                        raise MalformedLog(f"{path}: line {lineno}: not a delta record: {line!r}")
-                yield t_ns, kind, fields
-    except UnicodeDecodeError as exc:
-        raise MalformedLog(f"{path}: not UTF-8: {exc}") from None
+    sleep_ns = last_t_ns = lineno = 0  # lineno: the number of the last line read
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for block in _utf8_blocks(fh, path, 1, MalformedLog):
+            for piece, text in enumerate(_DELTA_RUN.split(block)):  # text, then each run and the text after it
+                if piece % 2:  # a run; before the header, sleep_ns is 0 and it fails the checks below
+                    fields = text[len('{"t_ns":'):-len("}\n")].replace('}\n{"t_ns":', _VALUE_KEY).split(_VALUE_KEY)
+                    times, values = list(map(int, fields[::2])), list(map(float, fields[1::2]))
+                    if last_t_ns <= times[0] and times[-1] < sleep_ns and max(values) < math.inf \
+                            and sorted(times) == times:
+                        lineno += len(times)
+                        last_t_ns = times[-1]
+                        yield times, values
+                        continue
+                for line in text.split("\n")[:-1]:  # a truncated log's unterminated last line is dropped
+                    lineno += 1
+                    line = line.strip()
+                    if not line:
+                        continue
+                    if header is None:
+                        header = _parse_header(path, line, lineno)
+                        sleep_ns = header["sleep_ns"]
+                        yield header
+                        continue
+                    try:
+                        t_ns, kind, fields = _event_fields(line)
+                    except (ValueError, RecursionError) as exc:
+                        raise MalformedLog(f"{path}: line {lineno}: {exc}") from None
+                    if not last_t_ns <= t_ns <= sleep_ns:
+                        raise MalformedLog(f"{path}: line {lineno}: t_ns {t_ns} is before the "
+                                           f"previous event's or past the session end")
+                    last_t_ns = t_ns
+                    if kind == DELTA_COMPUTED:
+                        value = fields.get("value")
+                        if t_ns == sleep_ns or type(value) is not float or not 0.0 <= value < math.inf:
+                            raise MalformedLog(f"{path}: line {lineno}: not a delta record: {line!r}")
+                    yield t_ns, kind, fields
     if header is None:
         raise MalformedLog(f"{path}: empty log (no version header)")
 
@@ -228,9 +246,9 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
 
     Chart rows are a lossless projection of the log's DeltaComputed events.
     The summary holds each period's maximum delta (the final period's too),
-    the last logged band, and the alarm. The log is streamed: each delta row
-    is written as it is read, and only the per-period maxima are held. A
-    MalformedLog stops the export before summary.csv is written.
+    the last logged band, and the alarm. The log is streamed: each run of
+    delta rows is written as it is read, and only the per-period maxima are
+    held. A MalformedLog stops the export before summary.csv is written.
     """
     records = _log_records(Path(log_path))
     header = next(records)
@@ -247,25 +265,33 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
     chart: IO[str] | None = None
     index = period_start = period_end = 0  # the period whose chart is open
     try:
-        for t_ns, kind, fields in records:
-            if kind == DELTA_COMPUTED:
-                value = fields["value"]
-                if t_ns >= period_end:
+        for record in records:
+            if len(record) == 3 and record[1] != DELTA_COMPUTED:
+                t_ns, kind, fields = record
+                if kind == THRESHOLDS_UPDATED:
+                    t_min, t_max = fields.get("t_min"), fields.get("t_max")
+                elif kind == ALARM_FIRED:
+                    alarm_t_ns, alarm_fields = t_ns, fields
+                continue
+            times, values = record if len(record) == 2 else ([record[0]], [record[2]["value"]])
+            start = 0
+            while start < len(times):
+                if times[start] >= period_end:
                     # A later period's first delta: events never go back in
                     # time, so the chart open so far is complete.
                     if chart is not None:
                         chart.close()
-                    index = t_ns // period_ns
+                    index = times[start] // period_ns
                     period_start, period_end = index * period_ns, (index + 1) * period_ns
                     chart = written[index].open("a", encoding="utf-8", newline="\n")
-                    maxima[index] = value
-                elif value > maxima[index]:
-                    maxima[index] = value
-                chart.write(f"{format_seconds(t_ns - period_start)},{value!r}\n")
-            elif kind == THRESHOLDS_UPDATED:
-                t_min, t_max = fields.get("t_min"), fields.get("t_max")
-            elif kind == ALARM_FIRED:
-                alarm_t_ns, alarm_fields = t_ns, fields
+                    maxima[index] = values[start]
+                stop = bisect_left(times, period_end, start)
+                maxima[index] = max(maxima[index], *values[start:stop])  # the first of equal maxima stays
+                offsets = [t - period_start for t in times[start:stop]]
+                rows = zip([t // NS_PER_S for t in offsets], [t % NS_PER_S for t in offsets], values[start:stop])
+                # Each row is format_seconds(t - period_start), then repr(value); one % formats them all.
+                chart.write(("%d.%09d,%r\n" * len(offsets)) % tuple(chain.from_iterable(rows)))
+                start = stop
     finally:
         if chart is not None:
             chart.close()

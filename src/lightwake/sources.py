@@ -54,7 +54,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -65,7 +65,7 @@ TRACE_HEADER_LINE = "t_s,ax_g,ay_g,az_g"
 MAX_LINE_BYTES = 1024
 
 _NS_QUANTUM = Decimal("1e-9")
-_BLOCK_BYTES = 1 << 16  # the trace reader's readlines hint: a block ends at the first line end past it
+_BLOCK_BYTES = 1 << 16  # the readlines hint of the trace and log readers
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,9 +232,10 @@ def _canonical_block(block: str, prev_t: int) -> Block | None:
 
 # -- trace files ------------------------------------------------------------
 
-def _utf8_chunks(chunks: Iterable[str], path: Path, lineno: int) -> Iterator[str]:
-    """Pass on chunks of whole lines, the first numbered lineno, up to a line that is not UTF-8."""
-    for chunk in chunks:
+def _utf8_blocks(fh: IO[str], path: Path, lineno: int, error: type = ParseError, hint: int = 0) -> Iterator[str]:
+    """Read the rest of fh, its first line numbered lineno, in blocks of whole lines, each ending at the
+    first line end past hint (by default _BLOCK_BYTES) bytes, up to a line that is not UTF-8: error."""
+    for chunk in map("".join, iter(lambda: fh.readlines(hint or _BLOCK_BYTES), [])):
         try:
             chunk.encode("utf-8")  # a byte that is not UTF-8 was read as a lone surrogate, which this refuses
         except UnicodeEncodeError as exc:
@@ -242,7 +243,7 @@ def _utf8_chunks(chunks: Iterable[str], path: Path, lineno: int) -> Iterator[str
             if cut:  # the lines before it go first, so that an earlier bad row is the error reported
                 yield chunk[:cut]
             lineno += chunk.count("\n", 0, cut)
-            raise ParseError(f"{path}: not UTF-8 text on line {lineno}") from None
+            raise error(f"{path}: not UTF-8 text on line {lineno}") from None
         yield chunk
         lineno += chunk.count("\n")
 
@@ -258,7 +259,7 @@ def read_trace_blocks(path: str | Path) -> tuple[TraceHeader, list[Block]]:
     rate = 4.0
     label = ""
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(_utf8_chunks(fh, path, 1), start=1):
+        for lineno, line in enumerate(_utf8_blocks(fh, path, 1, hint=1), start=1):  # a line a block
             line = line.rstrip("\r\n")
             if not line.startswith("#"):
                 break
@@ -276,8 +277,7 @@ def read_trace_blocks(path: str | Path) -> tuple[TraceHeader, list[Block]]:
             raise ParseError(f"{path}: missing {TRACE_HEADER_LINE!r} header line")
         if line.strip() != TRACE_HEADER_LINE:
             raise ParseError(f"line {lineno}: expected header {TRACE_HEADER_LINE!r}, got {line!r}")
-        chunks = map("".join, iter(lambda: fh.readlines(_BLOCK_BYTES), []))
-        blocks = list(_rows(_utf8_chunks(chunks, path, lineno + 1), ",", lineno + 1))
+        blocks = list(_rows(_utf8_blocks(fh, path, lineno + 1), ",", lineno + 1))
     return TraceHeader(rate, blocks[-1][0][-1] if blocks else 0, label), blocks
 
 

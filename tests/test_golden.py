@@ -11,6 +11,8 @@ longer writes. A v3 log differs from the v2 one only by its version, the
 band records it writes once per boundary instead of at each move, and the
 StageClassified records it no longer writes: as_v2_log rebuilds the v2 log
 from it, so the old pins still check every record the v3 log left out.
+The chart files of two logs are pinned too, by name and bytes, so a change
+to the chart rows or the summary fails here by name.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ import io
 
 import pytest
 
-from lightwake import NS_PER_S, RawSample, SessionConfig, run_session
+from lightwake import NS_PER_S, RawSample, SessionConfig, export_period_charts, run_session
 from test_engine import quiescent_samples
 from test_sinks import log_versions
 from trace_builders import scripted_trace
@@ -28,6 +30,14 @@ P = 60 * NS_PER_S
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def charts_sha256(log_path, out_dir) -> str:
+    """The digest of the charts of a log: each file's name and bytes, in name order,
+    as the benchmark takes a directory's."""
+    export_period_charts(log_path, out_dir)
+    return sha256(b"".join(path.name.encode() + b"\0" + path.read_bytes() + b"\0"
+                           for path in sorted(out_dir.iterdir())))
 
 
 def degenerate_sample_skipped():
@@ -94,3 +104,13 @@ def test_cli_seed_42_night_log(seed42_night):
         "639b0c79cbd8774a239d67bacb79bd7fd8d9ae9aa9ef61c5f2992b81629379dd",
         "130879f933286a5c7989a4cdbd7bc52c51304cba7d16a34e435fb3cf093c9440",
         "2fb6e77095c04fb9944529e2213219562f6e66fe5b7e47afa914b49e71e7e005")
+
+
+def test_paper_fixture_charts(paper_case, tmp_path):
+    assert charts_sha256(paper_case.log_path, tmp_path / "charts") == (
+        "35a582f3573e1cc7a78d1c68d913e62ad6d40f082ef2367c0b5e14cc1a4f47f4")
+
+
+def test_cli_seed_42_night_charts(seed42_night, tmp_path):
+    assert charts_sha256(seed42_night.log_path, tmp_path / "charts") == (
+        "04c3a90e03c849fe416d8ac7a0d74fe34afdd50da50fda159bd5e525c107f911")

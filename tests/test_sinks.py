@@ -2,8 +2,10 @@ import hashlib
 import io
 import json
 import re
+import shutil
 import tracemalloc
 import wave
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +26,7 @@ from lightwake.engine import HOUR_NS
 from lightwake.sources import SleepModelParams, TraceHeader, generate_trace
 from lightwake.engine import DELTA_COMPUTED
 from lightwake.errors import InvalidMelody, MalformedLog
+from lightwake import sinks, sources
 from lightwake.sinks import Melody
 from lightwake.sources import seconds_to_ns
 from reference import per_period_maxima
@@ -428,3 +431,122 @@ class TestReaderProperties:
             log.write_bytes(header + line)
             with pytest.raises(MalformedLog, match=r"line [23]\b|not UTF-8"):
                 read_event_log(log)
+
+
+def night_log() -> bytes:
+    """A seeded engine log of 71 kB, longer than one block of the reader: a
+    4-minute night at 4 Hz in 2-minute periods."""
+    samples = generate_trace(SleepModelParams(rng_seed=4), TraceHeader(4.0, 4 * P))
+    buf = io.StringIO()
+    run_session(SessionConfig(4 * P, 2 * P), samples, event_sink=buf)
+    return buf.getvalue().encode("utf-8")
+
+
+NIGHT_LOG = night_log()
+_DELTA_LINE = re.compile(rb'\{"t_ns":(\d+),"kind":"DeltaComputed","value":([^}]+)\}')
+
+
+def delta(t_ns: bytes, value: bytes, colon: bytes = b":", kind: bytes = b"DeltaComputed") -> bytes:
+    return b'{"t_ns"%s%s,"kind":"%s","value":%s}' % (colon, t_ns, kind, value)
+
+
+# Each mutation of a DeltaComputed line, made from its t_ns and value text, the
+# previous event's t_ns and sleep_ns; and whether the mutated log still reads.
+LINE_MUTATIONS = {
+    "minus zero": (lambda t, v, prev, end: delta(t, b"-0.0"), True),
+    "int value": (lambda t, v, prev, end: delta(t, b"1"), False),
+    "negative value": (lambda t, v, prev, end: delta(t, b"-0.5"), False),
+    "1E400": (lambda t, v, prev, end: delta(t, b"1E400"), False),
+    "1e-400": (lambda t, v, prev, end: delta(t, b"1e-400"), True),
+    "leading zero": (lambda t, v, prev, end: delta(b"0" + t, v), False),
+    "space after a colon": (lambda t, v, prev, end: delta(t, v, colon=b": "), True),
+    "CRLF line end": (lambda t, v, prev, end: delta(t, v) + b"\r", True),
+    "blank line": (lambda t, v, prev, end: b"\n" + delta(t, v), True),
+    "t_ns goes back": (lambda t, v, prev, end: delta(b"%d" % (prev - 1), v), False),
+    "delta at sleep_ns": (lambda t, v, prev, end: delta(b"%d" % end, v), False),
+    "two records on a line": (lambda t, v, prev, end: b'{"t_ns":%s,"kind":"SampleAccepted"}' % t + delta(t, v), False),
+    "xff byte": (lambda t, v, prev, end: delta(t, v, kind=b"Delta\xffComputed"), False),
+    "unterminated last line": (None, True),
+}
+
+
+def mutated(log: bytes, n: int, mutation: str) -> bytes:
+    """log with its line n, a DeltaComputed line, mutated."""
+    lines = log.split(b"\n")
+    make, _ = LINE_MUTATIONS[mutation]
+    if make is None:
+        return b"\n".join(lines[:n])
+    prev_t = int(re.search(rb'"t_ns":(\d+)', lines[n - 2]).group(1))
+    lines[n - 1] = make(*_DELTA_LINE.fullmatch(lines[n - 1]).groups(), prev_t, json.loads(lines[0])["sleep_ns"])
+    return b"\n".join(lines)
+
+
+def read_and_chart(path, out):
+    """read_event_log's result or MalformedLog message, then export_period_charts'
+    message or None (its paths name out), and the chart files it leaves, even when
+    it stops on an error."""
+    shutil.rmtree(out, ignore_errors=True)
+    results = []
+    for reader in (read_event_log, lambda log: export_period_charts(log, out) and None):
+        try:
+            results.append(reader(path))
+        except MalformedLog as exc:
+            results.append(str(exc))
+    return results, {chart.name: chart.read_bytes() for chart in sorted(out.iterdir())}
+
+
+def delta_lines(log: bytes) -> list[int]:
+    return [n for n, line in enumerate(log.split(b"\n"), 1) if _DELTA_LINE.fullmatch(line)]
+
+
+# (log, line) pairs to mutate: the first, a middle and the last DeltaComputed line of
+# each rendering of ENGINE_LOG, and one of NIGHT_LOG's past the reader's first block.
+MUTATED_LINES = [(log, n) for log in log_versions(ENGINE_LOG)
+                 for deltas in [delta_lines(log)] for n in (deltas[0], deltas[len(deltas) // 2], deltas[-1])]
+MUTATED_LINES.append((NIGHT_LOG, delta_lines(NIGHT_LOG)[-40]))
+
+
+class TestBlockReader:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("block_reader")
+
+    def test_runs_past_the_first_block_are_decoded_in_bulk(self, workdir):
+        path = workdir / "night.jsonl"
+        path.write_bytes(NIGHT_LOG)
+        log, n = MUTATED_LINES[-1]
+        assert len(b"\n".join(log.split(b"\n")[:n - 1])) > sources._BLOCK_BYTES  # past the first block
+        runs = [len(record[0]) for record in sinks._log_records(path) if len(record) == 2]
+        assert max(runs, default=0) > 40, runs
+
+    def test_runs_are_cut_at_period_ends(self, workdir):
+        """Without its boundary records a log's runs cross period ends, and each
+        period's rows still go to its own chart."""
+        path = workdir / "deltas.jsonl"
+        lines = NIGHT_LOG.split(b"\n")
+        path.write_bytes(b"\n".join([lines[0], *(line for line in lines if _DELTA_LINE.fullmatch(line))]) + b"\n")
+        with mock.patch.object(sinks, "_DELTA_RUN", re.compile("(?!)")):
+            by_line = read_and_chart(path, workdir / "by_line")
+        for block_bytes in (1, 64, 4096, sources._BLOCK_BYTES):  # at 4096 a run holds the end of period 0
+            with mock.patch.object(sources, "_BLOCK_BYTES", block_bytes):
+                assert read_and_chart(path, workdir / "by_block") == by_line, block_bytes
+        assert by_line[1]["period_1.csv"].startswith(b"t_s,delta\n0.000000000,")
+
+    @pytest.mark.parametrize("mutation", LINE_MUTATIONS)
+    def test_blocks_read_like_lines(self, workdir, mutation):
+        """With one DeltaComputed line mutated, the block reader gives the events
+        or the MalformedLog message, and the chart bytes, of a reading one line
+        at a time, at any block size."""
+        path, reads = workdir / "mutated.jsonl", LINE_MUTATIONS[mutation][1]
+        for log, n in MUTATED_LINES:
+            path.write_bytes(mutated(log, n, mutation))
+            with mock.patch.object(sinks, "_DELTA_RUN", re.compile("(?!)")):  # no run: every line alone
+                by_line = read_and_chart(path, workdir / "by_line")
+            for block_bytes in (1, 64, sources._BLOCK_BYTES):
+                with mock.patch.object(sources, "_BLOCK_BYTES", block_bytes):
+                    assert read_and_chart(path, workdir / "by_block") == by_line, (mutation, n, block_bytes)
+            (events, _), _ = by_line
+            if reads:
+                assert isinstance(events, tuple)
+            else:
+                assert re.search(rf"line {n}\b", events), events
