@@ -21,24 +21,22 @@ off, is therefore current up to the last boundary and a prefix of the
 full one. Without a sink none is built, so a session holds memory by
 periods, never by samples.
 
-Nothing in a learning period can stop the session, so learning samples are
-decided a block at a time. A source of RawSamples is read one by one, with
-the same order check, pacing and session-end test for every sample, and its
-learning samples are collected. A block ends where its records are due:
-with a sink at the current period's end, whose boundary lines are written
-and flushed then, and without one at the final period's start, since
-nothing is due before it. It also ends at _BLOCK_SIZE samples and when the
-source ends or raises. A source of Blocks, as read_trace_blocks gives them,
-must increase strictly across them; unpaced, the rows of each before the
-final period are one block, and paced, its rows go the way of RawSamples.
-block_deltas gives a block's deltas in one numpy pass, Detector.learn takes
-each run of them between skipped samples and period boundaries (the clock
-first moves to a sample that starts a later period), and the run's
-DeltaComputed lines are written together after it. The records and the
-outcome are those of deciding each sample on its own. The final period,
-where a delta can fire the alarm, decides each sample, a Block's rows as
-RawSamples too, before it reads the next, so the engine reads no sample
-that deciding one at a time would not have read.
+A session has two phases, each with one reader. Paced (speed above 0),
+the source is wrapped by _paced, which gives each sample, a Block's rows
+as RawSamples, once its time has come; none at or past the session end is
+waited for. Nothing in a learning period can stop the session, so one loop
+decides its rows a Block at a time: a source's Blocks cut at the final
+period's start (_cut), or its RawSamples batched where their records are
+due (_batched): with a sink after the first sample of a later period, so
+a boundary's lines are written and flushed as it is crossed, else at the
+final period's start. Times must increase strictly, within and across
+Blocks too. block_deltas gives a Block's deltas in one numpy pass,
+Detector.learn takes each run of them between skipped samples and period
+boundaries, and the run's DeltaComputed lines are written together after
+it: the records and outcome of deciding each sample on its own. The final
+period, where a delta can fire the alarm, is one sample loop for every
+source, which decides each sample before it reads the next. Only an error
+raised while the source is read becomes SourceFailed.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, IO, Iterable, Iterator
+from typing import Any, Generator, IO, Iterable, Iterator
 
 import numpy as np
 
@@ -61,8 +59,9 @@ from .detector import (
     DetectorOutcome,
     validate_session_shape,
 )
-from .errors import ConfigInvalid, DegenerateSample, LightwakeError, OrderViolation, SourceFailed
-from .motion import NS_PER_S, Block, RawSample, Vector, block_deltas, manhattan_delta, normalize, sample_block
+from .errors import ConfigInvalid, DegenerateSample, LightwakeError, SourceFailed
+from .motion import (NS_PER_S, Block, RawSample, Vector, block_deltas, block_rows, manhattan_delta,
+                     normalize, sample_block)
 
 MINUTE_NS = 60 * NS_PER_S
 HOUR_NS = 3600 * NS_PER_S
@@ -79,6 +78,9 @@ _DELTA_LINE = '{"t_ns":%d,"kind":"DeltaComputed","value":%r}\n'
 
 # Learning samples decided at once, at most; it bounds the memory a block holds.
 _BLOCK_SIZE = 4096
+
+# The SourceFailed message of a sample out of order, for every kind of source.
+_ORDER = "source timestamps must be non-negative and strictly increasing: %d ns after %d ns"
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,8 +165,6 @@ def _learn_block(times: list[int], xyz: np.ndarray, prev: Vector | None, detecto
     period boundary: the detector's clock moves to a sample that starts a
     later period before its run or its record.
     """
-    if not times:
-        return prev
     skipped, deltas, last = block_deltas(prev, xyz)
     values = deltas.tolist()
     start = 0
@@ -189,47 +189,67 @@ def _learn_block(times: list[int], xyz: np.ndarray, prev: Vector | None, detecto
     return last
 
 
-def _block_end(detector: Detector, log: EventLog | None) -> int:
-    """Where the learning block must be decided next: where its records are due.
+def _read(items: Iterator) -> Iterator:
+    """The source's items; an error it raises of a kind a source may raise becomes SourceFailed."""
+    try:
+        yield from items
+    except (LightwakeError, OSError) as exc:
+        raise SourceFailed(f"sample source failed: {exc}") from exc
 
-    A sink's are due at each period end, whose lines are written and flushed
-    there; without a sink nothing is due before the final period. 0 once
-    learning is over.
+
+def _paced(items: Iterator, speed: float, sleep_ns: int) -> Iterator[RawSample]:
+    """The samples of items, a Block's rows as RawSamples, each once its time has come at speed;
+    none at or past sleep_ns, which the session does not decide, is waited for."""
+    wall_start = time.monotonic()
+    for item in items:
+        for sample in block_rows((item,)) if isinstance(item, tuple) else (item,):
+            if sample.t_ns < sleep_ns:
+                time.sleep(max(0.0, wall_start + (sample.t_ns / NS_PER_S) / speed - time.monotonic()))
+            yield sample
+
+
+def _batched(samples: Iterator[RawSample], final_ns: int,
+             step_ns: int) -> Generator[Block, None, Iterable[RawSample]]:
+    """The RawSamples before final_ns as Blocks, in order; returns the samples from there on.
+
+    A Block ends after its first sample at or past a multiple of step_ns,
+    where records are due, at _BLOCK_SIZE samples and at the source's end.
+    Whatever ends the loop, an error or a sample out of order too, the samples held go first.
     """
-    learning_end_ns = detector.learning_end_ns
-    if log is None and learning_end_ns:
-        return detector.final_period_index * detector.period_length_ns
-    return learning_end_ns
+    batch, last_t, due, rest = [], -1, step_ns, ()
+    try:
+        for sample in samples:
+            t_ns = sample.t_ns
+            if t_ns <= last_t:
+                raise SourceFailed(_ORDER % (t_ns, last_t))
+            if t_ns >= final_ns:
+                rest = chain((sample,), samples)
+                break
+            last_t = t_ns
+            batch.append(sample)
+            if t_ns >= due or len(batch) == _BLOCK_SIZE:
+                # Emptied before the yield, so that closing the generator there yields nothing more.
+                held, batch, due = batch, [], (t_ns // step_ns + 1) * step_ns
+                yield sample_block(held)
+    finally:
+        if batch:
+            yield sample_block(batch)
+    return rest
 
 
-def _ordered(blocks: Iterable[Block]) -> Iterator[Block]:
-    """Pass on Blocks whose times increase strictly, within and across them; else OrderViolation."""
+def _cut(blocks: Iterator[Block], final_ns: int) -> Generator[Block, None, Iterable[RawSample]]:
+    """The rows before final_ns of Blocks whose times increase strictly, within and across them,
+    a Block at a time; returns the rows from there on as RawSamples."""
     last_t = -1
     for times, xyz in blocks:
         if times and not (last_t < times[0] and all(map(operator.lt, times, times[1:]))):
-            raise OrderViolation(f"Block times must be strictly increasing: {times[0]} ns after {last_t} ns")
+            raise SourceFailed(_ORDER % next((t, s) for s, t in zip([last_t, *times], times) if s >= t))
         last_t = times[-1] if times else last_t
-        yield times, xyz
-
-
-def _start(source: Iterable, iterator: Iterator, detector: Detector, log: EventLog | None,
-           unpaced: bool) -> tuple[Vector | None, Iterator[RawSample]]:
-    """Return prev and the samples left for the sample loop: all of a RawSample source, or the rows of
-    a Block source (told by its first item) left once, unpaced, those before the final period are decided."""
-    if isinstance(source, (list, tuple)):  # read by index, so no item is taken from iterator
-        first = source[0] if source else None
-    elif (first := next(iterator, iterator)) is not iterator:  # the iterator itself marks the end
-        iterator = chain((first,), iterator)
-    if not isinstance(first, tuple):
-        return None, iterator
-    prev, blocks = None, _ordered(iterator)
-    for times, xyz in blocks if unpaced else ():
-        start = bisect_left(times, _block_end(detector, None))
-        prev = _learn_block(times[:start], xyz[:, :start], prev, detector, log)
-        if start < len(times):
-            blocks = chain([(times[start:], xyz[:, start:])], blocks)
-            break
-    return prev, chain.from_iterable(map(RawSample, times, *xyz.tolist()) for times, xyz in blocks)
+        cut = bisect_left(times, final_ns)
+        yield times[:cut], xyz[:, :cut]
+        if cut < len(times):
+            return block_rows(chain([(times[cut:], xyz[:, cut:])], blocks))
+    return ()
 
 
 def run_session(
@@ -250,69 +270,43 @@ def run_session(
 
     Raises SourceFailed if the source errors mid-session or yields a
     negative or non-increasing timestamp; the partial event log is flushed
-    first, as it is at every period boundary and at the session end.
+    first, as it is at every period boundary and at the session end. An
+    error of the sink propagates as it is, after the same flush.
     """
     log = None if event_sink is None else EventLog(config, event_sink)
     detector = Detector(config.sleep_duration_ns, config.period_length_ns,
                         emit=None if log is None else log.emit)
-    sleep_ns, speed = config.sleep_duration_ns, config.speed
-    wall_start = time.monotonic()
-
+    sleep_ns = config.sleep_duration_ns
+    final_ns = detector.final_period_index * detector.period_length_ns
     outcome: DetectorOutcome | None = None
-    last_t_ns = -1
-    block: list[RawSample] = []
-    block_end = _block_end(detector, log)  # learning samples before it join the block
-    unpaced = speed == 0.0
     iterator: Iterator = iter(source)
     try:
+        # Reading a list or tuple cannot fail, so only another source pays for _read's guard.
+        items = iterator if isinstance(source, (list, tuple)) else _read(iterator)
+        if config.speed > 0.0:
+            items = _paced(items, config.speed, sleep_ns)
+        # Learning: its rows as Blocks, decided a Block at a time; the source's first item tells its kind.
+        first = next(items, None)
+        rows = items if first is None else chain((first,), items)
+        step_ns = final_ns if log is None else config.period_length_ns  # where records are due
+        blocks = _cut(rows, final_ns) if isinstance(first, tuple) else _batched(rows, final_ns, step_ns)
+        prev = None
         try:
-            prev, items = _start(source, iterator, detector, log, unpaced)
-        except (LightwakeError, OSError) as exc:
-            raise SourceFailed(f"sample source failed: {exc}") from exc
-        while True:
-            try:
-                sample = next(items)
-            except StopIteration:
-                break
-            except Exception as exc:
-                # Whatever the source raises, the samples it gave are decided and logged first.
-                _learn_block(*sample_block(block), prev, detector, log)
-                if isinstance(exc, (LightwakeError, OSError)):
-                    raise SourceFailed(f"sample source failed: {exc}") from exc
-                raise
+            while True:
+                prev = _learn_block(*next(blocks), prev, detector, log)
+        except StopIteration as end:  # blocks returns the rows from the final period's start on
+            rest = end.value
+        # The boundary records left, as finalize would write them, come before any final-period record.
+        detector.advance_to(final_ns)
+        # The final period: each sample is decided before the next is read.
+        last_t = -1
+        for sample in rest:
             t_ns = sample.t_ns
-            # Unpaced, a sample in order and before block_end passes every check below,
-            # as block_end is at most the final period's start, before sleep_ns.
-            if last_t_ns < t_ns < block_end and unpaced:
-                last_t_ns = t_ns
-                block.append(sample)
-                if len(block) == _BLOCK_SIZE:
-                    prev = _learn_block(*sample_block(block), prev, detector, log)
-                    block.clear()
-                continue
-            if t_ns <= last_t_ns:
-                _learn_block(*sample_block(block), prev, detector, log)
-                raise SourceFailed(f"source timestamps must be non-negative and strictly "
-                                   f"increasing: {t_ns} ns after {last_t_ns} ns")
-            last_t_ns = t_ns
+            if t_ns <= last_t:
+                raise SourceFailed(_ORDER % (t_ns, last_t))
+            last_t = t_ns
             if t_ns >= sleep_ns:
                 break
-            if speed > 0.0:
-                delay = wall_start + (t_ns / NS_PER_S) / speed - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-            if block_end and t_ns >= block_end:  # block_end is 0 once learning is over
-                prev = _learn_block(*sample_block(block), prev, detector, log)
-                block.clear()
-                detector.advance_to(t_ns)
-                block_end = _block_end(detector, log)
-            if t_ns < block_end:
-                block.append(sample)
-                if len(block) == _BLOCK_SIZE:
-                    prev = _learn_block(*sample_block(block), prev, detector, log)
-                    block.clear()
-                continue
-            # Final period: each sample is decided before the next is read.
             try:
                 norm = normalize(sample)
             except DegenerateSample:
@@ -328,8 +322,6 @@ def run_session(
             elif log is not None:
                 log.emit(t_ns, SAMPLE_ACCEPTED)
             prev = norm
-        if block:  # the session ended while learning
-            _learn_block(*sample_block(block), prev, detector, log)
     finally:
         closer = getattr(iterator, "close", None) or getattr(source, "close", None)
         if closer is not None:

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +65,11 @@ def raw_samples(t_ns: list[int], ax: list[float], ay: list[float], az: list[floa
     for slot, column in zip((RawSample.t_ns, RawSample.ax, RawSample.ay, RawSample.az), (t_ns, ax, ay, az)):
         deque(map(slot.__set__, samples, column), maxlen=0)
     return samples
+
+
+def block_rows(blocks: Iterable[Block]) -> Iterator[RawSample]:
+    """The rows of Blocks as RawSamples, a Block at a time."""
+    return chain.from_iterable(raw_samples(times, *xyz.tolist()) for times, xyz in blocks)
 
 
 def sample_block(samples: Sequence[RawSample]) -> Block:

@@ -59,7 +59,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import BindError, ConfigInvalid, LightwakeError, OrderViolation, ParseError
-from .motion import NS_PER_S, Block, RawSample, SENSOR_RANGE_G, raw_samples, sample_block
+from .motion import NS_PER_S, Block, RawSample, SENSOR_RANGE_G, block_rows, raw_samples, sample_block
 
 TRACE_HEADER_LINE = "t_s,ax_g,ay_g,az_g"
 MAX_LINE_BYTES = 1024
@@ -284,7 +284,7 @@ def read_trace_blocks(path: str | Path) -> tuple[TraceHeader, list[Block]]:
 def read_trace(path: str | Path) -> tuple[TraceHeader, list[RawSample]]:
     """read_trace_blocks, with the rows as a list of RawSamples."""
     header, blocks = read_trace_blocks(path)
-    return header, [sample for t_ns, xyz in blocks for sample in raw_samples(t_ns, *xyz.tolist())]
+    return header, list(block_rows(blocks))
 
 
 def format_seconds(t_ns: int) -> str:
@@ -515,8 +515,7 @@ class LiveSource:
         conn.settimeout(self._timeout)
         with conn:
             try:
-                for t_ns, xyz in _rows(_wire_blocks(conn), None, 1):
-                    yield from raw_samples(t_ns, *xyz.tolist())
+                yield from block_rows(_rows(_wire_blocks(conn), None, 1))
             except socket.timeout:
                 raise ParseError("timed out waiting for sample data") from None
 

@@ -278,6 +278,30 @@ class TestSourceFailures:
                          len(lines))
             assert any(ends[i + 1] <= end <= ends[later] for end in sink.flushes), lines[i]
 
+    def test_boundary_is_flushed_before_a_later_sample_is_read(self):
+        """A log tailed while a live source streams is current up to its last
+        boundary: a period's PeriodClosed is flushed once the first sample past
+        it is read, before the source is asked for the next."""
+        samples = quiescent_samples(12, P // 2)  # two samples a period
+        read = []
+
+        def live():
+            for sample in samples:
+                read.append(sample.t_ns)
+                yield sample
+
+        class Sink(io.StringIO):
+            def flush(self):
+                flushed.append((self.getvalue().count(PERIOD_CLOSED), len(read)))
+
+        for block_size in (2, engine._BLOCK_SIZE):
+            read, flushed = [], []
+            with mock.patch.object(engine, "_BLOCK_SIZE", block_size):
+                run_session(SessionConfig(6 * P, P), live(), event_sink=Sink())
+            # Period k closes at sample 2 (k + 1), the (2 k + 3)th read.
+            for closed in range(1, 6):
+                assert (closed, 2 * closed + 1) in flushed, flushed
+
     def test_flushes_fall_on_line_ends_at_period_boundaries(self):
         triggers = set()
         for final_deltas in ([0.2, 0.31, 1.016, 0.8], []):
@@ -304,10 +328,35 @@ class TestSourceFailures:
         # The last repeats a time inside the final period, after a delta there.
         for times in ([0, 0], [0, 2 * NS, 1 * NS], [-1], [0, 2 * P + NS, 2 * P + 2 * NS, 2 * P + 2 * NS]):
             samples = [RawSample(t, 0.0, 0.0, 1.0) for t in times]
+            messages = set()
             # As samples, as one block, and as a block a sample.
             for source in (samples, [sample_block(samples)], [sample_block([s]) for s in samples]):
-                with pytest.raises(SourceFailed, match="strictly increasing"):
+                with pytest.raises(SourceFailed, match="strictly increasing") as failed:
                     run_session(SessionConfig(3 * P, P), source)
+                messages.add(str(failed.value))
+            assert len(messages) == 1, messages  # one text, naming the same pair of times
+
+    def test_sink_error_is_not_a_source_failure(self):
+        """A sink that fails to write stops the session with its own OSError, whatever
+        the source's kind, and what was written before it is flushed."""
+
+        class FullDisk(FlushRecorder):
+            writes = 0
+
+            def write(self, text):
+                if self.writes == 3:  # the header and two more
+                    raise OSError(28, "No space left on device")
+                self.writes += 1
+                return super().write(text)
+
+        samples = generate_trace(SleepModelParams(rng_seed=4), TraceHeader(4.0, HOUR_NS))
+        for source in (samples, [sample_block(samples)], [sample_block(samples[i:i + 900])
+                                                          for i in range(0, len(samples), 900)]):
+            sink = FullDisk()
+            with pytest.raises(OSError, match="No space left") as failed:
+                run_session(SessionConfig(HOUR_NS, HOUR_NS // 3), source, event_sink=sink)
+            assert not isinstance(failed.value, SourceFailed)
+            assert sink.getvalue() and sink.flushes[-1] == len(sink.getvalue())
 
     def test_source_closed_on_alarm(self):
         closed = []
@@ -334,18 +383,30 @@ class TestVirtualClock:
         assert 0.2 <= elapsed <= 2.0  # 250 ms nominal, host scheduler slack
 
     def test_paced_blocks_are_read_row_by_row(self):
-        """Paced, a Block's learning rows are paced too: period 0 is closed when its end comes."""
+        """Paced, learning rows are paced too, a Block's as RawSamples': period 0 is
+        closed when its end comes, and its PeriodClosed is flushed then."""
         dt = 100_000_000
-        closes = []
+        samples = quiescent_samples(4, dt)
 
         class Sink(io.StringIO):
             def flush(self):
                 closes.append((time.monotonic(), PERIOD_CLOSED in self.getvalue()))
 
-        start = time.monotonic()
-        run_session(SessionConfig(4 * dt, dt, speed=1.0), [sample_block(quiescent_samples(4, dt))],
-                    event_sink=Sink())
-        assert next(t for t, closed in closes if closed) - start >= 0.09
+        for source in ([sample_block(samples)], samples):
+            closes = []
+            start = time.monotonic()
+            run_session(SessionConfig(4 * dt, dt, speed=1.0), source, event_sink=Sink())
+            assert next(t for t, closed in closes if closed) - start >= 0.09
+
+    def test_pacing_waits_for_no_sample_past_the_session_end(self):
+        """A sample at or past the session end is not decided, so pacing does not wait for it."""
+        dt = 100_000_000
+        # Nothing in the final period fires the alarm, so the session reads the last sample.
+        samples = quiescent_samples(2, dt) + [RawSample(4 * dt + 100 * NS, 0.0, 0.0, 1.0)]
+        for source in (samples, [sample_block(samples)]):
+            start = time.monotonic()
+            run_session(SessionConfig(4 * dt, dt, speed=1.0), source, event_sink=io.StringIO())
+            assert time.monotonic() - start < 2.0
 
     def test_speed_invariance_single_trace(self):
         samples = generate_trace(SleepModelParams(rng_seed=6),
