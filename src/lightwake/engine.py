@@ -25,18 +25,21 @@ A session has two phases, each with one reader. Paced (speed above 0),
 the source is wrapped by _paced, which gives each sample, a Block's rows
 as RawSamples, once its time has come; none at or past the session end is
 waited for. Nothing in a learning period can stop the session, so one loop
-decides its rows a Block at a time: a source's Blocks cut at the final
-period's start (_cut), or its RawSamples batched where their records are
-due (_batched): with a sink after the first sample of a later period, so
-a boundary's lines are written and flushed as it is crossed, else at the
-final period's start. Times must increase strictly, within and across
-Blocks too. block_deltas gives a Block's deltas in one numpy pass,
-Detector.learn takes each run of them between skipped samples and period
-boundaries, and the run's DeltaComputed lines are written together after
-it: the records and outcome of deciding each sample on its own. The final
-period, where a delta can fire the alarm, is one sample loop for every
-source, which decides each sample before it reads the next. Only an error
-raised while the source is read becomes SourceFailed.
+decides its rows a Block at a time. A source's Blocks are cut at the final
+period's start (_cut), and so is an unpaced RawSample list or tuple, as the
+Blocks of its slices up to that start, found by bisection (_sliced). Other
+RawSamples are batched where their records are due (_batched): with a sink
+after the first sample of a later period, so a boundary's lines are
+written and flushed as it is crossed, else at the final period's start.
+Times must increase strictly, within and across Blocks too; the rows
+before a pair out of order are decided first. block_deltas gives a
+Block's deltas in one numpy pass, Detector.learn takes each run of them
+between skipped samples and period boundaries, and the run's
+DeltaComputed lines are written together after it: the records and
+outcome of deciding each sample on its own. The final period, where a
+delta can fire the alarm, is one sample loop for every source, a list's
+own samples from its start on, which decides each sample before it reads
+the next. Only an error raised while the source is read becomes SourceFailed.
 """
 
 from __future__ import annotations
@@ -238,18 +241,33 @@ def _batched(samples: Iterator[RawSample], final_ns: int,
 
 
 def _cut(blocks: Iterator[Block], final_ns: int) -> Generator[Block, None, Iterable[RawSample]]:
-    """The rows before final_ns of Blocks whose times increase strictly, within and across them,
-    a Block at a time; returns the rows from there on as RawSamples."""
+    """The rows before final_ns of Blocks, a Block at a time; returns the rows from there on as
+    RawSamples. Times are checked up to and including the first at or past final_ns, the rest by
+    the final loop; the rows before a pair out of order are yielded before its error is raised."""
     last_t = -1
     for times, xyz in blocks:
-        if times and not (last_t < times[0] and all(map(operator.lt, times, times[1:]))):
-            raise SourceFailed(_ORDER % next((t, s) for s, t in zip([last_t, *times], times) if s >= t))
-        last_t = times[-1] if times else last_t
-        cut = bisect_left(times, final_ns)
+        bad = len(times) if all(map(operator.lt, chain((last_t,), times), times)) else next(
+            i for i, (s, t) in enumerate(zip(chain((last_t,), times), times)) if s >= t)
+        cut = bisect_left(times, final_ns, 0, bad)
         yield times[:cut], xyz[:, :cut]
+        if cut == bad < len(times):
+            raise SourceFailed(_ORDER % (times[bad], times[bad - 1] if bad else last_t))
         if cut < len(times):
             return block_rows(chain([(times[cut:], xyz[:, cut:])], blocks))
+        last_t = times[-1] if times else last_t
     return ()
+
+
+def _sliced(samples: list[RawSample] | tuple[RawSample, ...],
+            final_ns: int) -> Generator[Block, None, Iterable[RawSample]]:
+    """_cut over the Blocks of a RawSample list's _BLOCK_SIZE slices before final_ns, found by
+    bisection; returns the list's own samples from there on, after any rows _cut returns. A list
+    out of order is checked as a row-by-row reader checks it: the bisection ends between a row
+    before final_ns and one at or past it, so _cut checks every row before the latter."""
+    learning = bisect_left(samples, final_ns, key=operator.attrgetter("t_ns"))
+    slices = (samples[i:min(i + _BLOCK_SIZE, learning)] for i in range(0, learning, _BLOCK_SIZE))
+    rest = yield from _cut(map(sample_block, slices), final_ns)
+    return chain(rest, samples[learning:])
 
 
 def run_session(
@@ -262,16 +280,19 @@ def run_session(
 
     The pipeline normalizes each sample, computes the Manhattan delta
     against the previous one, and feeds the detector, a block at a time
-    while the detector is learning. On a threshold hit
-    the source is stopped immediately; if the stream or the session ends
-    without one, the virtual clock fast-forwards and the fallback alarm
-    fires at exactly the configured sleep duration. Event records go to a
-    sink or nowhere: to `event_sink` when one is given, else none is built.
+    while the detector is learning; unpaced, a list or tuple of RawSamples
+    is read in slices, and its own samples from the final period's start
+    on go to the final loop. On a threshold hit the source is stopped
+    immediately; if the stream or the session ends without one, the
+    virtual clock fast-forwards and the fallback alarm fires at exactly the
+    configured sleep duration. Event records go to a sink or nowhere: to
+    `event_sink` when one is given, else none is built.
 
     Raises SourceFailed if the source errors mid-session or yields a
-    negative or non-increasing timestamp; the partial event log is flushed
-    first, as it is at every period boundary and at the session end. An
-    error of the sink propagates as it is, after the same flush.
+    negative or non-increasing timestamp, once the samples before it are
+    decided; the partial event log is flushed first, as it is at every
+    period boundary and at the session end. An error of the sink
+    propagates as it is, after the same flush.
     """
     log = None if event_sink is None else EventLog(config, event_sink)
     detector = Detector(config.sleep_duration_ns, config.period_length_ns,
@@ -281,15 +302,18 @@ def run_session(
     outcome: DetectorOutcome | None = None
     iterator: Iterator = iter(source)
     try:
-        # Reading a list or tuple cannot fail, so only another source pays for _read's guard.
-        items = iterator if isinstance(source, (list, tuple)) else _read(iterator)
+        items = _read(iterator)
         if config.speed > 0.0:
             items = _paced(items, config.speed, sleep_ns)
         # Learning: its rows as Blocks, decided a Block at a time; the source's first item tells its kind.
         first = next(items, None)
         rows = items if first is None else chain((first,), items)
-        step_ns = final_ns if log is None else config.period_length_ns  # where records are due
-        blocks = _cut(rows, final_ns) if isinstance(first, tuple) else _batched(rows, final_ns, step_ns)
+        if isinstance(first, tuple):
+            blocks = _cut(rows, final_ns)
+        elif isinstance(source, (list, tuple)) and config.speed == 0.0:  # in memory, and no row is waited for
+            blocks = _sliced(source, final_ns)
+        else:  # batched where records are due
+            blocks = _batched(rows, final_ns, final_ns if log is None else config.period_length_ns)
         prev = None
         try:
             while True:

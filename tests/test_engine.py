@@ -372,6 +372,71 @@ class TestSourceFailures:
         assert closed == [True]
 
 
+def _kind_case(name):
+    """(samples, config, expected) of a case the source kinds must agree on; expected is the
+    outcome's trigger, or the SourceFailed text."""
+    hit = generate_trace(SleepModelParams(rng_seed=2), TraceHeader(4.0, 260 * NS))  # alarm at 210.5 s
+    still = generate_trace(SleepModelParams(rng_seed=0), TraceHeader(4.0, 260 * NS))  # no alarm
+    config = SessionConfig(4 * P, P)
+
+    def moved(samples, i, t_ns):  # row i at t_ns instead
+        return samples[:i] + [RawSample(t_ns, samples[i].ax, samples[i].ay, samples[i].az)] + samples[i + 1:]
+
+    if name == "learning row out of order":
+        return moved(hit, 300, hit[299].t_ns), config, engine._ORDER % (hit[299].t_ns, hit[299].t_ns)
+    if name == "row out of order after the alarm":
+        return moved(hit, 845, hit[843].t_ns), config, AlarmTrigger.THRESHOLD_HIT
+    if name == "row out of order after the final period's first":
+        return moved(hit, 721, 3 * P), config, engine._ORDER % (3 * P, 3 * P)
+    if name == "final-period row among learning rows":  # so the final period starts at row 300
+        return moved(hit, 300, 3 * P + NS), config, engine._ORDER % (hit[301].t_ns, 3 * P + NS)
+    if name == "degenerate rows":
+        zero, nan = (0.0, 0.0, 0.0), (math.nan, 0.0, 1.0)
+        for i, vector in ((0, zero), (240, zero), (241, nan), (500, zero), (720, zero), (721, nan)):
+            hit = hit[:i] + [RawSample(hit[i].t_ns, *vector)] + hit[i + 1:]
+        return hit, config, AlarmTrigger.THRESHOLD_HIT
+    if name == "rows past sleep_ns":
+        return still, config, AlarmTrigger.SESSION_END
+    if name == "empty":
+        return [], config, AlarmTrigger.SESSION_END
+    if name == "first row in the final period":
+        return [s for s in still if s.t_ns >= 3 * P], config, AlarmTrigger.SESSION_END
+    assert name == "final period at row 4096"  # 4,096 rows at 4 Hz are 1,024 s
+    samples = generate_trace(SleepModelParams(rng_seed=2), TraceHeader(4.0, 1100 * NS))
+    assert samples[engine._BLOCK_SIZE].t_ns == 1024 * NS > samples[engine._BLOCK_SIZE - 1].t_ns
+    return samples, SessionConfig(1536 * NS, 512 * NS), AlarmTrigger.SESSION_END
+
+
+class TestSourceKinds:
+    @pytest.mark.parametrize("case", [
+        "learning row out of order", "row out of order after the alarm",
+        "row out of order after the final period's first", "final-period row among learning rows",
+        "degenerate rows", "rows past sleep_ns",
+        "empty", "first row in the final period", "final period at row 4096"])
+    def test_every_source_kind_logs_and_decides_alike(self, case):
+        """The same samples as a list, a tuple, a generator, Blocks of 1, 7 and 4,096 rows and
+        one Block give the same log bytes, flush points, and outcome or SourceFailed text."""
+        samples, config, expected = _kind_case(case)
+        sources_of_kind = {"list": samples, "tuple": tuple(samples), "generator": (s for s in samples),
+                           "one Block": [sample_block(samples)]}
+        for size in (1, 7, engine._BLOCK_SIZE):
+            sources_of_kind[f"Blocks of {size}"] = [sample_block(samples[i:i + size])
+                                                    for i in range(0, len(samples), size)]
+        results = {}
+        for kind, source in sources_of_kind.items():
+            sink = FlushRecorder()
+            try:
+                outcome = run_session(config, source, event_sink=sink).outcome
+            except SourceFailed as exc:
+                outcome = str(exc)
+            results[kind] = sink.getvalue(), sink.flushes, outcome
+        want = results["list"]
+        assert {kind for kind, got in results.items() if got != want} == set()
+        text, flushes, outcome = want
+        assert flushes[-1] == len(text) and text.count("\n") > 1
+        assert (outcome if isinstance(outcome, str) else outcome.trigger) == expected
+
+
 class TestVirtualClock:
     def test_real_time_pacing(self):
         dt = 250_000_000
