@@ -24,15 +24,18 @@ periods, never by samples.
 A session has two phases, each with one reader. Paced (speed above 0),
 the source is wrapped by _paced, which gives each sample, a Block's rows
 as RawSamples, once its time has come; none at or past the session end is
-waited for. Nothing in a learning period can stop the session, so one loop
-decides its rows a Block at a time. A source's Blocks are cut at the final
-period's start (_cut), and so is an unpaced RawSample list or tuple, as the
-Blocks of its slices up to that start, found by bisection (_sliced). Other
-RawSamples are batched where their records are due (_batched): with a sink
-after the first sample of a later period, so a boundary's lines are
-written and flushed as it is crossed, else at the final period's start.
-Times must increase strictly, within and across Blocks too; the rows
-before a pair out of order are decided first. block_deltas gives a
+waited for. Nothing in a learning period can stop the session, so every
+source is learned by one rule, _learn, a Block at a time: it checks each
+Block's times, cuts it at the final period's start and decides the rows
+before the cut. A source of Blocks gives its own. An unpaced RawSample
+list or tuple gives the Blocks of its slices up to that start, found by
+bisection. Other RawSamples are batched where their records are due
+(_batched): with a sink after the first sample of a later period, so a
+boundary's lines are written and flushed as it is crossed, else at the
+final period's start. Times must increase strictly, within and across
+Blocks too; the rows before a pair out of order are decided first, and
+its error is raised when its Block is learned: for batched samples, once
+the batch is due or the source ends or fails. block_deltas gives a
 Block's deltas in one numpy pass, Detector.learn takes each run of them
 between skipped samples and period boundaries, and the run's
 DeltaComputed lines are written together after it: the records and
@@ -50,7 +53,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Generator, IO, Iterable, Iterator
+from typing import Any, IO, Iterable, Iterator
 
 import numpy as np
 
@@ -211,63 +214,47 @@ def _paced(items: Iterator, speed: float, sleep_ns: int) -> Iterator[RawSample]:
             yield sample
 
 
-def _batched(samples: Iterator[RawSample], final_ns: int,
-             step_ns: int) -> Generator[Block, None, Iterable[RawSample]]:
-    """The RawSamples before final_ns as Blocks, in order; returns the samples from there on.
+def _batched(samples: Iterator[RawSample], final_ns: int, step_ns: int) -> Iterator[Block]:
+    """The RawSamples as Blocks, in order, up to and including the first at or past final_ns.
 
     A Block ends after its first sample at or past a multiple of step_ns,
     where records are due, at _BLOCK_SIZE samples and at the source's end.
-    Whatever ends the loop, an error or a sample out of order too, the samples held go first.
+    final_ns is such a multiple. Whatever ends the loop, an error too, the samples held go first.
     """
-    batch, last_t, due, rest = [], -1, step_ns, ()
+    batch, due = [], step_ns
     try:
         for sample in samples:
-            t_ns = sample.t_ns
-            if t_ns <= last_t:
-                raise SourceFailed(_ORDER % (t_ns, last_t))
-            if t_ns >= final_ns:
-                rest = chain((sample,), samples)
-                break
-            last_t = t_ns
             batch.append(sample)
+            t_ns = sample.t_ns
             if t_ns >= due or len(batch) == _BLOCK_SIZE:
                 # Emptied before the yield, so that closing the generator there yields nothing more.
                 held, batch, due = batch, [], (t_ns // step_ns + 1) * step_ns
                 yield sample_block(held)
+                if t_ns >= final_ns:
+                    return
     finally:
         if batch:
             yield sample_block(batch)
-    return rest
 
 
-def _cut(blocks: Iterator[Block], final_ns: int) -> Generator[Block, None, Iterable[RawSample]]:
-    """The rows before final_ns of Blocks, a Block at a time; returns the rows from there on as
-    RawSamples. Times are checked up to and including the first at or past final_ns, the rest by
-    the final loop; the rows before a pair out of order are yielded before its error is raised."""
-    last_t = -1
+def _learn(blocks: Iterator[Block], final_ns: int, detector: Detector,
+           log: EventLog | None) -> tuple[Iterable[RawSample], Vector | None]:
+    """Decide the rows before final_ns of Blocks, a Block at a time; returns the rows from there
+    on as RawSamples, and the vector of the last sample kept. Times are checked up to and
+    including the first at or past final_ns, the rest by the final loop; the rows before a pair
+    out of order are decided before its error is raised."""
+    last_t, prev = -1, None
     for times, xyz in blocks:
         bad = len(times) if all(map(operator.lt, chain((last_t,), times), times)) else next(
             i for i, (s, t) in enumerate(zip(chain((last_t,), times), times)) if s >= t)
         cut = bisect_left(times, final_ns, 0, bad)
-        yield times[:cut], xyz[:, :cut]
+        prev = _learn_block(times[:cut], xyz[:, :cut], prev, detector, log)
         if cut == bad < len(times):
             raise SourceFailed(_ORDER % (times[bad], times[bad - 1] if bad else last_t))
         if cut < len(times):
-            return block_rows(chain([(times[cut:], xyz[:, cut:])], blocks))
+            return block_rows(chain([(times[cut:], xyz[:, cut:])], blocks)), prev
         last_t = times[-1] if times else last_t
-    return ()
-
-
-def _sliced(samples: list[RawSample] | tuple[RawSample, ...],
-            final_ns: int) -> Generator[Block, None, Iterable[RawSample]]:
-    """_cut over the Blocks of a RawSample list's _BLOCK_SIZE slices before final_ns, found by
-    bisection; returns the list's own samples from there on, after any rows _cut returns. A list
-    out of order is checked as a row-by-row reader checks it: the bisection ends between a row
-    before final_ns and one at or past it, so _cut checks every row before the latter."""
-    learning = bisect_left(samples, final_ns, key=operator.attrgetter("t_ns"))
-    slices = (samples[i:min(i + _BLOCK_SIZE, learning)] for i in range(0, learning, _BLOCK_SIZE))
-    rest = yield from _cut(map(sample_block, slices), final_ns)
-    return chain(rest, samples[learning:])
+    return (), prev
 
 
 def run_session(
@@ -279,18 +266,22 @@ def run_session(
     """Run one sleep session over a source of RawSamples or of Blocks and return its outcome.
 
     The pipeline normalizes each sample, computes the Manhattan delta
-    against the previous one, and feeds the detector, a block at a time
-    while the detector is learning; unpaced, a list or tuple of RawSamples
-    is read in slices, and its own samples from the final period's start
-    on go to the final loop. On a threshold hit the source is stopped
-    immediately; if the stream or the session ends without one, the
-    virtual clock fast-forwards and the fallback alarm fires at exactly the
-    configured sleep duration. Event records go to a sink or nowhere: to
-    `event_sink` when one is given, else none is built.
+    against the previous one, and feeds the detector. While the detector
+    is learning, every source is decided a Block at a time by one rule;
+    unpaced, a list or tuple of RawSamples is read in slices, and its own
+    samples from the final period's start on go to the final loop. On a
+    threshold hit the source is stopped immediately; if the stream or the
+    session ends without one, the virtual clock fast-forwards and the
+    fallback alarm fires at exactly the configured sleep duration. Event
+    records go to a sink or nowhere: to `event_sink` when one is given,
+    else none is built.
 
     Raises SourceFailed if the source errors mid-session or yields a
     negative or non-increasing timestamp, once the samples before it are
-    decided; the partial event log is flushed first, as it is at every
+    decided. RawSamples other than an unpaced list or tuple are batched,
+    and a learning pair out of order among them is refused when its batch
+    is due, so an error the source raises after the pair gives way to the
+    order error. The partial event log is flushed first, as it is at every
     period boundary and at the session end. An error of the sink
     propagates as it is, after the same flush.
     """
@@ -309,22 +300,23 @@ def run_session(
         first = next(items, None)
         rows = items if first is None else chain((first,), items)
         if isinstance(first, tuple):
-            blocks = _cut(rows, final_ns)
+            blocks, after = rows, ()
         elif isinstance(source, (list, tuple)) and config.speed == 0.0:  # in memory, and no row is waited for
-            blocks = _sliced(source, final_ns)
+            # The slices before final_ns, found by bisection. Out of order, the list is checked as a
+            # row-by-row reader checks it: _learn checks every row up to the first at or past final_ns.
+            learning = bisect_left(source, final_ns, key=operator.attrgetter("t_ns"))
+            blocks = map(sample_block, (source[i:min(i + _BLOCK_SIZE, learning)]
+                                        for i in range(0, learning, _BLOCK_SIZE)))
+            after = source[learning:]
         else:  # batched where records are due
             blocks = _batched(rows, final_ns, final_ns if log is None else config.period_length_ns)
-        prev = None
-        try:
-            while True:
-                prev = _learn_block(*next(blocks), prev, detector, log)
-        except StopIteration as end:  # blocks returns the rows from the final period's start on
-            rest = end.value
+            after = items
+        rest, prev = _learn(blocks, final_ns, detector, log)
         # The boundary records left, as finalize would write them, come before any final-period record.
         detector.advance_to(final_ns)
         # The final period: each sample is decided before the next is read.
         last_t = -1
-        for sample in rest:
+        for sample in chain(rest, after):
             t_ns = sample.t_ns
             if t_ns <= last_t:
                 raise SourceFailed(_ORDER % (t_ns, last_t))

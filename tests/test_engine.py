@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -415,18 +416,24 @@ class TestSourceKinds:
         "empty", "first row in the final period", "final period at row 4096"])
     def test_every_source_kind_logs_and_decides_alike(self, case):
         """The same samples as a list, a tuple, a generator, Blocks of 1, 7 and 4,096 rows and
-        one Block give the same log bytes, flush points, and outcome or SourceFailed text."""
+        one Block, and paced as a list, a generator and Blocks of 7, give the same log bytes,
+        flush points, and outcome or SourceFailed text."""
         samples, config, expected = _kind_case(case)
-        sources_of_kind = {"list": samples, "tuple": tuple(samples), "generator": (s for s in samples),
-                           "one Block": [sample_block(samples)]}
-        for size in (1, 7, engine._BLOCK_SIZE):
-            sources_of_kind[f"Blocks of {size}"] = [sample_block(samples[i:i + size])
-                                                    for i in range(0, len(samples), size)]
+        blocks_of = {size: [sample_block(samples[i:i + size]) for i in range(0, len(samples), size)]
+                     for size in (1, 7, engine._BLOCK_SIZE)}
+        paced = dataclasses.replace(config, speed=1e6)
+        sources_of_kind = {"list": (config, samples), "tuple": (config, tuple(samples)),
+                           "generator": (config, (s for s in samples)),
+                           "one Block": (config, [sample_block(samples)]),
+                           "paced list": (paced, samples), "paced generator": (paced, (s for s in samples)),
+                           "paced Blocks of 7": (paced, blocks_of[7])}
+        for size, blocks in blocks_of.items():
+            sources_of_kind[f"Blocks of {size}"] = config, blocks
         results = {}
-        for kind, source in sources_of_kind.items():
+        for kind, (kind_config, source) in sources_of_kind.items():
             sink = FlushRecorder()
             try:
-                outcome = run_session(config, source, event_sink=sink).outcome
+                outcome = run_session(kind_config, source, event_sink=sink).outcome
             except SourceFailed as exc:
                 outcome = str(exc)
             results[kind] = sink.getvalue(), sink.flushes, outcome
@@ -435,6 +442,25 @@ class TestSourceKinds:
         text, flushes, outcome = want
         assert flushes[-1] == len(text) and text.count("\n") > 1
         assert (outcome if isinstance(outcome, str) else outcome.trigger) == expected
+
+    def test_order_error_in_a_held_batch_comes_before_a_later_source_error(self):
+        """A generator that yields a learning pair out of order, then fails before that
+        pair's batch is due, gives the order error and the log of the list of its rows."""
+        samples, config, expected = _kind_case("learning row out of order")
+        rows = samples[:310]  # past the pair at rows 299 and 300, before period 1 ends at row 480
+
+        def failing():
+            yield from rows
+            raise OSError(5, "Input/output error")
+
+        results = []
+        for source in (rows, failing()):
+            sink = FlushRecorder()
+            with pytest.raises(SourceFailed) as failed:
+                run_session(config, source, event_sink=sink)
+            results.append((sink.getvalue(), sink.flushes, str(failed.value)))
+        assert results[1] == results[0]
+        assert results[0][2] == expected
 
 
 class TestVirtualClock:
@@ -622,18 +648,19 @@ class TestOracleProperty:
     @given(case=oracle_cases())
     def test_block_size_changes_no_byte(self, case):
         """Blocks of 1, 2 or 3 learning samples, cut anywhere in a period, give
-        the log and outcome of the default size."""
+        the log and outcome of the default size, from the list and from an iterator."""
         samples, sleep_ns, period_ns = case
 
-        def run():
+        def run(source):
             buf = io.StringIO()
-            outcome = run_session(SessionConfig(sleep_ns, period_ns), samples, event_sink=buf).outcome
+            outcome = run_session(SessionConfig(sleep_ns, period_ns), source, event_sink=buf).outcome
             return outcome, buf.getvalue()
 
-        want = run()
+        want = run(samples)
         for size in (1, 2, 3):
             with mock.patch.object(engine, "_BLOCK_SIZE", size):
-                assert run() == want
+                assert run(samples) == want
+                assert run(iter(samples)) == want
 
     # Period 10 ns, 7 learning periods: a block of a session without a sink
     # spans them all; period 2 is empty, and periods 1, 3 and 4 start with a
