@@ -209,8 +209,9 @@ def _paced(items: Iterator, speed: float, sleep_ns: int) -> Iterator[RawSample]:
     wall_start = time.monotonic()
     for item in items:
         for sample in block_rows((item,)) if isinstance(item, tuple) else (item,):
-            if sample.t_ns < sleep_ns:
-                time.sleep(max(0.0, wall_start + (sample.t_ns / NS_PER_S) / speed - time.monotonic()))
+            delay = wall_start + (sample.t_ns / NS_PER_S) / speed - time.monotonic()
+            if delay > 0.0 and sample.t_ns < sleep_ns:  # behind its clock, no sleep(0): it costs tens of µs
+                time.sleep(delay)
             yield sample
 
 

@@ -9,12 +9,14 @@ and every component lands in [-1, 1].
 
 The math is time-unaware: normalize() returns a plain (nx, ny, nz) tuple
 and manhattan_delta() a float. Timestamps stay on the RawSample.
-block_deltas() does both over a run of samples in one numpy pass.
+block_deltas() does both in one numpy pass over a Block's components,
+which sample_block() packs from RawSamples with one struct.pack_into call.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -73,9 +75,16 @@ def block_rows(blocks: Iterable[Block]) -> Iterator[RawSample]:
 
 
 def sample_block(samples: Sequence[RawSample]) -> Block:
-    """The Block of samples: their times, ints as a time may pass int64, and a 3 x n float64 array."""
-    xyz = np.fromiter([s.ax for s in samples] + [s.ay for s in samples] + [s.az for s in samples], np.float64)
-    return [s.t_ns for s in samples], xyz.reshape(3, len(samples))
+    """The Block of samples: their times, ints as a time may pass int64, and a 3 x n float64 array
+    of their ax, ay and az, filled by one struct.pack_into; a component that is not a real number
+    in float's range raises TypeError."""
+    xyz = np.empty((3, len(samples)))
+    try:
+        struct.pack_into(f"{xyz.size}d", xyz, 0, *[s.ax for s in samples], *[s.ay for s in samples],
+                         *[s.az for s in samples])
+    except struct.error:
+        raise TypeError("a sample component is not a real number in float's range") from None
+    return [s.t_ns for s in samples], xyz
 
 
 def normalize(sample: RawSample) -> Vector:

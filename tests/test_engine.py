@@ -4,7 +4,8 @@ import json
 import math
 import time
 import tracemalloc
-from itertools import accumulate
+import types
+from itertools import accumulate, count
 from unittest import mock
 
 import numpy as np
@@ -462,6 +463,19 @@ class TestSourceKinds:
         assert results[1] == results[0]
         assert results[0][2] == expected
 
+    @pytest.mark.parametrize("component", [None, "1.0"])
+    @pytest.mark.parametrize("row", [100, 800], ids=["learning", "final period"])
+    def test_a_component_that_is_not_a_number_is_refused_in_every_period(self, component, row):
+        """A RawSample component that is not a real number raises TypeError wherever it is
+        read: in learning, where sample_block refuses it, as in the final period."""
+        samples, config, _ = _kind_case("rows past sleep_ns")  # no alarm: every row is read
+        assert (row < 720) == (samples[row].t_ns < 3 * P)  # the final period starts at row 720
+        samples[row] = dataclasses.replace(samples[row], ay=component)
+        for kind_config, source in ((config, samples), (config, iter(samples)),
+                                    (dataclasses.replace(config, speed=1e6), samples)):
+            with pytest.raises(TypeError):
+                run_session(kind_config, source, event_sink=io.StringIO())
+
 
 class TestVirtualClock:
     def test_real_time_pacing(self):
@@ -488,6 +502,22 @@ class TestVirtualClock:
             start = time.monotonic()
             run_session(SessionConfig(4 * dt, dt, speed=1.0), source, event_sink=Sink())
             assert next(t for t, closed in closes if closed) - start >= 0.09
+
+    def test_a_session_behind_its_clock_does_not_sleep(self, monkeypatch):
+        """Paced, a sample whose time has passed is given at once, with no time.sleep call,
+        and the session logs and decides as unpaced."""
+        samples, config, _ = _kind_case("degenerate rows")
+        want = FlushRecorder()
+        outcome = run_session(config, samples, event_sink=want).outcome
+        clock, sleeps = count(0.0, 1e6), []  # a million seconds pass between readings
+        monkeypatch.setattr(engine, "time", types.SimpleNamespace(monotonic=clock.__next__,
+                                                                  sleep=sleeps.append))
+        paced = dataclasses.replace(config, speed=1.0)
+        for source in (samples, (s for s in samples), [sample_block(samples)]):
+            sink = FlushRecorder()
+            assert run_session(paced, source, event_sink=sink).outcome == outcome
+            assert (sink.getvalue(), sink.flushes) == (want.getvalue(), want.flushes)
+        assert sleeps == []
 
     def test_pacing_waits_for_no_sample_past_the_session_end(self):
         """A sample at or past the session end is not decided, so pacing does not wait for it."""

@@ -191,3 +191,53 @@ class TestBlockDeltas:
             assert got_last is None
         else:
             assert [(type(v), v.hex()) for v in got_last] == [(float, v.hex()) for v in last]
+
+
+# Anything a component may be that float() reads as a number: floats of every class (NaN with
+# its payload, infinities, signed zeros, subnormals), ints, bools and numpy scalars.
+_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+                     True, False, 2**1000, np.float64(-0.0), np.float32(math.nan)]),
+    st.floats(),
+    st.integers(-2**1000, 2**1000),
+    st.floats(width=32).map(np.float32),
+    st.floats(width=16).map(np.float16),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+
+
+def _assert_block_of(samples):
+    """sample_block(samples) is their times and each component's float, bit for bit, in a
+    C-contiguous, writable 3 x n float64 array that owns its data."""
+    times, xyz = sample_block(samples)
+    assert times == [s.t_ns for s in samples] and all(type(t) is int for t in times)
+    assert (xyz.dtype, xyz.shape) == (np.float64, (3, len(samples)))
+    assert xyz.flags.c_contiguous and xyz.flags.writeable and xyz.flags.owndata
+    want = np.array([[float(getattr(s, axis)) for s in samples] for axis in ("ax", "ay", "az")], np.float64)
+    assert xyz.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+class TestSampleBlock:
+    """sample_block reads each component as float() does, into a fresh float64 array."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.integers(0, 2**70), _NUMBERS, _NUMBERS, _NUMBERS), max_size=12))
+    def test_columns_are_the_components_floats(self, rows):
+        _assert_block_of([RawSample(*row) for row in rows])
+
+    @pytest.mark.parametrize("n", [0, 1, 4096])
+    def test_any_bit_pattern_at_block_sizes(self, n):
+        """Every float64 bit pattern, NaN payloads too, with an int, a bool or a numpy scalar
+        in every fifth component."""
+        bits = np.random.default_rng(n).integers(-2**63, 2**63, 3 * n, dtype=np.int64)
+        components = bits.view(np.float64).tolist()
+        for i in range(0, 3 * n, 5):
+            components[i] = (7, True, np.float32(-0.0), np.int64(-3), np.float16(6e-8))[i // 5 % 5]
+        columns = [components[k * n:(k + 1) * n] for k in range(3)]
+        _assert_block_of(raw_samples(list(range(0, 250 * n, 250)), *columns))
+
+    @pytest.mark.parametrize("component", [None, "1.0", object(), 2**1024])
+    def test_a_component_that_is_not_a_number_is_refused(self, component):
+        samples = [RawSample(0, 0.0, 0.0, 1.0), RawSample(1, 0.0, component, 1.0)]
+        with pytest.raises(TypeError, match="^a sample component is not a real number in float's range$"):
+            sample_block(samples)
