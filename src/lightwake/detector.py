@@ -27,13 +27,16 @@ machine, and ingest(t_ns, value) moves it to its delta, by the order checks
 alone in the final period. A learning period that saw no deltas contributes
 no entry to the maxima array (it does not drag t_min to zero).
 
-learn(times, values) feeds a run of learning deltas in one call, with the
-same records and state as ingest(t, value) for each pair.
-It checks that the run belongs to the current learning period: the phase
-is learning (else PhaseViolation), and the times increase strictly, start
-after the last delta and at or after the clock, and end before
+learn_run(first_ns, last_ns, top) feeds a run of learning deltas in one
+O(1) step, with the same records and state as ingest(t, value) for each of
+them, since a period keeps only its max and its last time. It checks that
+the run belongs to the current learning period: the phase is learning
+(else PhaseViolation), and first_ns is after the last delta and at or
+after the clock, and last_ns at or after first_ns and before
 learning_end_ns, so that no period boundary falls inside the run (else
-OrderViolation). Crossing a boundary stays advance_to's job.
+OrderViolation). The run's own order is the caller's to check:
+learn(times, values) checks it pairwise for a caller that has not, then
+takes the same step. Crossing a boundary stays advance_to's job.
 
 Every transition is written as an event-log record through the emit
 callable the detector is given, emit(t_ns, kind, **fields): PeriodClosed
@@ -217,11 +220,10 @@ class Detector:
             self._clock_ns = t_ns  # the final period: advance_to would cross nothing
         else:
             self.advance_to(t_ns)  # crosses the boundaries, or raises
-        self._last_delta_ns = t_ns
-
         if self._period_index < self.final_period_index:
-            self._learn((value,))
+            self.learn_run(t_ns, t_ns, value)  # the clock is at t_ns, inside its period
             return None
+        self._last_delta_ns = t_ns
 
         # Final period: the band is frozen. Every learning period is closed,
         # so t_min and t_max are both set or, with no learning data at all,
@@ -240,26 +242,31 @@ class Detector:
     def learn(self, times: list[int], values: list[float]) -> None:
         """Feed learning deltas values[i] at times[i], all inside the current period.
 
-        The same as ingest(t, value) for each pair in turn; see the module
-        docstring for the checks.
+        The same as ingest(t, value) for each pair in turn: the times must
+        increase strictly (else OrderViolation), then learn_run checks and
+        takes the run. An empty run changes nothing.
+        """
+        if len(times) != len(values):
+            raise ValueError(f"{len(times)} times for {len(values)} values")
+        if not all(map(lt, times, times[1:])):
+            raise OrderViolation(f"deltas at {times[0]}..{times[-1]} ns do not increase strictly")
+        if times:
+            self.learn_run(times[0], times[-1], max(values))
+
+    def learn_run(self, first_ns: int, last_ns: int, top: float) -> None:
+        """Feed a run of learning deltas from first_ns to last_ns whose largest is top.
+
+        The same as ingest(t, value) for each delta of a run whose times
+        increase strictly; see the module docstring for the checks. A
+        refused run changes nothing.
         """
         end = self.learning_end_ns
         if not end:
             raise PhaseViolation("learn takes learning deltas only; final-period ones go to ingest")
-        if len(times) != len(values):
-            raise ValueError(f"{len(times)} times for {len(values)} values")
-        if not times:
-            return
-        if not (self._last_delta_ns < times[0] and self._clock_ns <= times[0]
-                and times[-1] < end and all(map(lt, times, times[1:]))):
-            raise OrderViolation(f"deltas at {times[0]}..{times[-1]} ns do not increase strictly "
-                                 f"from the clock at {self._clock_ns} ns to before the period "
-                                 f"end at {end} ns")
-        self._clock_ns = self._last_delta_ns = times[-1]
-        self._learn(values)
-
-    def _learn(self, values) -> None:
-        top = max(values)
+        if not (self._last_delta_ns < first_ns <= last_ns < end and self._clock_ns <= first_ns):
+            raise OrderViolation(f"deltas at {first_ns}..{last_ns} ns do not run from after the "
+                                 f"clock at {self._clock_ns} ns to before the period end at {end} ns")
+        self._clock_ns = self._last_delta_ns = last_ns
         if self._period_max is None or top > self._period_max:
             self._period_max = top
 

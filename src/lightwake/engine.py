@@ -35,14 +35,14 @@ boundary's lines are written and flushed as it is crossed, else at the
 final period's start. Times must increase strictly, within and across
 Blocks too; the rows before a pair out of order are decided first, and
 its error is raised when its Block is learned: for batched samples, once
-the batch is due or the source ends or fails. block_deltas gives a
-Block's deltas in one numpy pass, Detector.learn takes each run of them
-between skipped samples and period boundaries, and the run's
-DeltaComputed lines are written together after it: the records and
-outcome of deciding each sample on its own. The final period, where a
-delta can fire the alarm, is one sample loop for every source, a list's
-own samples from its start on, which decides each sample before it reads
-the next. Only an error raised while the source is read becomes SourceFailed.
+the batch is due or the source ends or fails. block_deltas gives a Block's
+deltas in one numpy pass, Detector.learn_run takes each run of them
+between skipped samples and period boundaries as (first, last, max), and a
+sink's DeltaComputed lines follow: the records and outcome of deciding
+each sample on its own. The final period, where a delta can fire the
+alarm, is one sample loop for every source, a list's own samples from its
+start on, which decides each sample before it reads the next. Only an
+error raised while the source is read becomes SourceFailed.
 """
 
 from __future__ import annotations
@@ -172,17 +172,17 @@ def _learn_block(times: list[int], xyz: np.ndarray, prev: Vector | None, detecto
     later period before its run or its record.
     """
     skipped, deltas, last = block_deltas(prev, xyz)
-    values = deltas.tolist()
+    values = None if log is None else deltas.tolist()
     start = 0
     for stop in [*np.flatnonzero(np.isnan(deltas)).tolist(), len(times)]:
         while start < stop:
             if times[start] >= detector.learning_end_ns:
                 detector.advance_to(times[start])
             cut = bisect_left(times, detector.learning_end_ns, start, stop)
-            run = times[start:cut], values[start:cut]
-            detector.learn(*run)
+            # Ordered by _learn; non-negative and no NaN, so numpy's max is max()'s.
+            detector.learn_run(times[start], times[cut - 1], float(deltas[start:cut].max()))
             if log is not None:
-                log.write_deltas(*run)
+                log.write_deltas(times[start:cut], values[start:cut])
             start = cut
         if stop < len(times) and log is not None:
             if times[stop] >= detector.learning_end_ns:

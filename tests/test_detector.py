@@ -45,6 +45,16 @@ def step(det: Detector, delta: Delta):
     return det.ingest(delta.t_ns, delta.value)
 
 
+def learn_pairs(det: Detector, deltas: list[Delta]) -> None:
+    """Feed a run of deltas through learn, which checks their order pairwise."""
+    det.learn([dl.t_ns for dl in deltas], [dl.value for dl in deltas])
+
+
+def learn_as_run(det: Detector, deltas: list[Delta]) -> None:
+    """Feed a run of deltas as the engine does: its first and last time and its max."""
+    det.learn_run(deltas[0].t_ns, deltas[-1].t_ns, max(dl.value for dl in deltas))
+
+
 def feed_periods(det: Detector, period_values: list[list[float]], period_ns: int = P):
     """Ingest each period's values at 1 s spacing from its start."""
     outcomes = []
@@ -402,6 +412,48 @@ class TestOrdering:
             det.learn([2 * P + NS], [0.6])
         assert det.finalize().final_thresholds == ThresholdState((0.7,), 0.7, 0.7)
 
+    def test_learn_run_checks_its_run_and_a_refusal_changes_nothing(self):
+        """learn_run(first_ns, last_ns, top) keeps learn's O(1) guards, and a refused run
+        leaves the detector as it was: the same state, records and outcome after."""
+
+        def build(refuse):
+            records = Records()
+            det = Detector(3 * P, P, emit=records)
+            det.learn_run(10 * NS, 20 * NS, 0.7)
+            with pytest.raises(OrderViolation):
+                det.advance_to(15 * NS)  # the clock is at the run's last delta
+            det.advance_to(25 * NS)
+            refusals = [
+                (20 * NS, 30 * NS),   # not after the last delta
+                (22 * NS, 30 * NS),   # before the clock
+                (40 * NS, 30 * NS),   # last before first
+                (30 * NS, P),         # the period boundary lies inside the run
+                (P + NS, P + 2 * NS),  # a later period: advance_to's job
+            ]
+            for first_ns, last_ns in refusals if refuse else ():
+                state, before = dict(vars(det)), list(records)
+                with pytest.raises(OrderViolation):
+                    det.learn_run(first_ns, last_ns, 9.0)
+                assert vars(det) == state and records == before
+            det.learn_run(25 * NS, 25 * NS, 0.5)  # a one-delta run at the clock
+            det.learn_run(P - 1, P - 1, 0.6)
+            det.advance_to(2 * P)
+            if refuse:
+                state, before = dict(vars(det)), list(records)
+                with pytest.raises(PhaseViolation):
+                    det.learn_run(2 * P + NS, 2 * P + NS, 0.6)  # the final period
+                assert vars(det) == state and records == before
+            outcome = det.finalize()
+            if refuse:
+                with pytest.raises(PhaseViolation):
+                    det.learn_run(2 * P + NS, 2 * P + NS, 0.6)  # after the alarm
+            return outcome, records
+
+        outcome, records = build(refuse=True)
+        assert (outcome, records) == build(refuse=False)
+        assert outcome.final_thresholds == ThresholdState((0.7,), 0.7, 0.7)
+        assert records.of(PERIOD_CLOSED)[0] == (P, {"index": 0, "period_max": 0.7})
+
 
 class TestRandomizedProperties:
     def random_stream(self, rng, n_periods=6, period_ns=P):
@@ -543,27 +595,28 @@ class TestRandomizedProperties:
         for _ in range(40):
             deltas, _ = self.random_stream(rng)
 
-            def run(use_learn):
+            def run(learn):
                 records = Records()
                 det = Detector(6 * P, P, emit=records)
                 outcome = None
                 i = 0
                 while i < len(deltas) and outcome is None:
                     k = deltas[i].t_ns // P
-                    if use_learn and k < 5:
+                    if learn is not None and k < 5:
                         # A run of 1..4 deltas of period k, as an engine block would cut it.
                         j, stop = i + 1, min(i + int(rng.integers(1, 5)), len(deltas))
                         while j < stop and deltas[j].t_ns // P == k:
                             j += 1
                         det.advance_to(deltas[i].t_ns)
-                        det.learn([dl.t_ns for dl in deltas[i:j]], [dl.value for dl in deltas[i:j]])
+                        learn(det, deltas[i:j])
                         i = j
                     else:
                         outcome = step(det, deltas[i])
                         i += 1
                 return outcome or det.finalize(), records
 
-            assert run(True) == run(False)
+            assert run(learn_pairs) == run(None)
+            assert run(learn_as_run) == run(None)
 
     def test_detector_without_emit_holds_the_same_state(self):
         """With or without emit, learn leaves the same state, ties and rising
@@ -576,7 +629,7 @@ class TestRandomizedProperties:
             deltas = [Delta(dl.t_ns, float(rng.choice(pool))) for dl in deltas]
             cuts = rng.integers(1, 5, size=len(deltas)).tolist()
 
-            def run(emit, steps):
+            def run(emit, steps, learn=learn_pairs):
                 """Outcome after the first steps learn runs or final deltas, then finalize."""
                 det = Detector(6 * P, P, emit=emit)
                 outcome, i = None, 0
@@ -589,7 +642,7 @@ class TestRandomizedProperties:
                         while j < stop and deltas[j].t_ns // P == k:
                             j += 1
                         det.advance_to(deltas[i].t_ns)
-                        det.learn([dl.t_ns for dl in deltas[i:j]], [dl.value for dl in deltas[i:j]])
+                        learn(det, deltas[i:j])
                         i = j
                     else:
                         outcome = step(det, deltas[i])
@@ -597,7 +650,8 @@ class TestRandomizedProperties:
                 return outcome or det.finalize()
 
             for steps in range(len(deltas) + 1):
-                records = Records()
-                assert run(None, steps) == run(records, steps)
+                records, as_runs = Records(), Records()
+                assert run(None, steps) == run(records, steps) == run(as_runs, steps, learn_as_run)
+                assert as_runs == records
             rises = [f["t_max"] for _, f in records.of(THRESHOLDS_UPDATED)]
             assert rises == sorted(rises)

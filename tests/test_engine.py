@@ -727,6 +727,68 @@ class TestOracleProperty:
                         run_session(config, repeated)
 
 
+def stretched_session(rng):
+    """(samples, sleep_ns, period_ns): rows in stretches of one kind each, a repeated vector
+    (a run of all-zero deltas), fresh vectors, or one degenerate row, which splits a run, so a
+    kept row between two degenerate ones is a one-delta run."""
+    period_ns = int(rng.integers(5, 60))
+    sleep_ns = int(rng.integers(2, 6)) * period_ns + int(rng.integers(0, period_ns))
+    times = accumulate(rng.integers(1, 4, size=sleep_ns + period_ns).tolist())
+    degenerate = [(0.0, 0.0, 0.0), (1e-12, 0.0, 0.0), (_NAN, 0.0, 1.0), (0.0, _INF, 1.0)]
+    rows = []
+    while len(rows) < sleep_ns // 2 + period_ns:
+        kind = int(rng.integers(3))
+        if kind == 0:
+            rows += [tuple(rng.uniform(-2.0, 2.0, size=3).tolist())] * int(rng.integers(1, 9))
+        elif kind == 1:
+            rows += map(tuple, rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 4)), 3)).tolist())
+        else:
+            rows.append(degenerate[int(rng.integers(len(degenerate)))])
+    return [RawSample(t, *row) for t, row in zip(times, rows)], sleep_ns, period_ns
+
+
+def _hex(value):
+    return None if value is None else float.hex(value)
+
+
+class TestRunsWithoutASink:
+    def test_runs_decide_bit_for_bit_with_and_without_a_sink(self):
+        """Without a sink a learning run reaches the detector as (first, last, max) and builds no
+        list of its deltas; at any block size, from a list or an iterator, the outcome is the one
+        with a sink and the oracle's, its band and trigger delta equal by float.hex."""
+        rng = np.random.default_rng(2027)
+        zero_deltas = one_delta_runs = 0
+        # The engine has checked the order of every learning row: it never calls the pairwise learn.
+        no_learn = mock.patch.object(Detector, "learn", side_effect=AssertionError("Detector.learn called"))
+        for _ in range(60):
+            samples, sleep_ns, period_ns = stretched_session(rng)
+            config = SessionConfig(sleep_ns, period_ns)
+            ref = offline_outcome(samples, sleep_ns, period_ns)
+            want = (ref.trigger, ref.alarm_time_ns, _hex(ref.trigger_delta), _hex(ref.t_min),
+                    _hex(ref.t_max), tuple(_hex(ref.learning_maxima[k]) for k in sorted(ref.learning_maxima)))
+
+            def key(source, sink):
+                outcome = run_session(config, source, event_sink=sink).outcome
+                band = outcome.final_thresholds
+                return (outcome.trigger.value, outcome.alarm_time_ns, _hex(outcome.trigger_delta),
+                        _hex(band.t_min), _hex(band.t_max), tuple(map(_hex, band.period_maxima)))
+
+            for size in (1, 2, 3, engine._BLOCK_SIZE):
+                with mock.patch.object(engine, "_BLOCK_SIZE", size), no_learn:
+                    for source in (lambda: samples, lambda: iter(samples)):
+                        assert key(source(), io.StringIO()) == key(source(), None) == want
+            # What the learning rows held, from the log: zero deltas and runs of one delta.
+            log = io.StringIO()
+            run_session(config, samples, event_sink=log)
+            final_ns = (-(-sleep_ns // period_ns) - 1) * period_ns
+            kinds = [(e["kind"], e.get("value")) for e in map(json.loads, log.getvalue().splitlines()[1:])
+                     if e["t_ns"] < final_ns]
+            zero_deltas += kinds.count((DELTA_COMPUTED, 0.0))
+            one_delta_runs += sum(a[0] == c[0] == SAMPLE_SKIPPED and b[0] == DELTA_COMPUTED
+                                  for a, b, c in zip(kinds, kinds[1:], kinds[2:]))
+        assert zero_deltas > 100 and one_delta_runs > 10
+
+
 # -- trace blocks against their samples -------------------------------------------
 
 def loose_trace(path, samples):
