@@ -25,13 +25,17 @@ whitespace-separated decimal fields ``t_s ax ay az``, validated like trace
 rows: blank lines are skipped and an error names its line. The server
 accepts a single client, replies nothing, and drops the connection on the
 first invalid line. Closing the connection ends the stream; an unterminated
-final line still counts. LiveSource binds a (host, port) tuple.
+final line still counts. LiveSource binds a (host, port) tuple, and
+iter(source) is its sample stream.
 
 Rows are decoded in blocks of whole lines, of about 64 KiB each, into the
 columns of a motion.Block, which read_trace and LiveSource give as samples.
 A block of canonical rows, as write_trace and the bench sender write them,
 is decoded in bulk; any other block row by row. The rows and errors are the
-same, and an error comes after the Block of every earlier row.
+same, and an error comes after the Block of every earlier row. The wire's
+1,024-byte rule is enforced in two places: _wire_blocks refuses an
+unterminated line over it as it buffers, and _rows' row-by-row path a
+terminated one, which no canonical block holds. Trace lines have no limit.
 TraceHeader and SleepModelParams raise ConfigInvalid when built with a bad value.
 
 The synthetic generator is a fixture factory, not a physiological model:
@@ -53,6 +57,7 @@ import socket
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -187,23 +192,30 @@ def _samples(lines: Iterable[tuple[int, str]], sep: str | None, prev_t: int = -1
         yield sample
 
 
-def _rows(blocks: Iterable[str], sep: str | None, lineno: int) -> Iterator[Block]:
+def _rows(blocks: Iterable[str], sep: str | None, lineno: int, limit: int | None = None) -> Iterator[Block]:
     """Parse blocks of whole lines, the first one numbered lineno, as _samples does, into Blocks.
 
     A block of canonical rows (a time as format_seconds writes it, then three
     short float tokens, one separator each) is decoded in bulk. Any other goes
     through _samples; on a bad row the Block of the rows before it comes first,
-    and the error is raised when the reader is resumed.
+    and the error is raised when the reader is resumed. Given a limit, the
+    first terminated line over limit bytes with its newline is a bad row,
+    whatever it holds (the blocks' source checks an unterminated one). Only
+    this path checks it: a canonical row is at most 98 bytes.
     """
     canonical = re.compile(rf"(?:[0-9]{{1,12}}\.[0-9]{{9}}(?:{sep or ' '}[-.0-9e]{{1,24}}){{3}}\n)+")
     prev_t = -1  # timestamps are non-negative, so the first row always passes
     for block in blocks:
         columns = canonical.fullmatch(block) and _canonical_block(block, prev_t)
         if columns is None:
+            lines = block.split("\n")  # the last one is unterminated, or blank
+            long = next((i for i, line in enumerate(lines[:-1]) if len(line) >= limit), None) if limit else None
             samples: list[RawSample] = []
             try:
-                for sample in _samples(enumerate(block.removesuffix("\n").split("\n"), lineno), sep, prev_t):
+                for sample in _samples(enumerate(lines[:long], lineno), sep, prev_t):
                     samples.append(sample)
+                if long is not None:
+                    raise ParseError(f"line {lineno + long}: longer than {limit} bytes")
             except LightwakeError:
                 if samples:
                     yield sample_block(samples)
@@ -453,38 +465,66 @@ def write_generated_trace(path: str | Path, params: SleepModelParams, header: Tr
 # -- live listener -----------------------------------------------------------
 
 def _wire_blocks(conn: socket.socket) -> Iterator[str]:
-    """Cut a connection's bytes into blocks of whole lines, as ASCII text.
+    """Cut a connection's bytes into blocks of whole lines, as ASCII text, at each read's last newline.
 
-    Non-ASCII bytes decode to U+FFFD, which no field accepts. The first line
-    longer than MAX_LINE_BYTES with its newline, ended or not, raises
-    ParseError once every line before it is yielded.
+    Non-ASCII bytes decode to U+FFFD, which no field accepts. An unterminated
+    line longer than MAX_LINE_BYTES raises ParseError once every line before
+    it is yielded, so a client that never sends a newline is not buffered;
+    a longer terminated line is left to _rows' limit.
     """
     rest, lineno = b"", 1  # rest holds the first bytes of line lineno
     while data := conn.recv(1 << 16):
-        *lines, rest = (rest + data).split(b"\n")
-        whole = len(lines)
-        if max(map(len, lines), default=0) >= MAX_LINE_BYTES:
-            whole = next(i for i, line in enumerate(lines) if len(line) >= MAX_LINE_BYTES)
-        yield b"\n".join(lines[:whole] + [b""]).decode("ascii", "replace")  # empty if whole is 0
-        if whole < len(lines) or len(rest) > MAX_LINE_BYTES:
-            raise ParseError(f"line {lineno + whole}: longer than {MAX_LINE_BYTES} bytes")
-        lineno += whole
+        data = rest + data
+        cut = data.rfind(b"\n") + 1
+        yield data[:cut].decode("ascii", "replace")  # empty if no line ended
+        rest = data[cut:]
+        lineno += data.count(b"\n")
+        if len(rest) > MAX_LINE_BYTES:
+            raise ParseError(f"line {lineno}: longer than {MAX_LINE_BYTES} bytes")
     yield rest.decode("ascii", "replace")  # the final line, unterminated, or nothing
 
 
+def _wire_samples(listener: socket.socket, timeout: float | None) -> Iterator[list[RawSample]]:
+    """Accept one client on listener, then yield the RawSamples of each of its wire Blocks as a list,
+    which is emptied when the generator is resumed or closed, so that closing ends the stream.
+    A function, not a LiveSource method: the generator holds no reference to its source."""
+    try:
+        conn, _ = listener.accept()
+    except socket.timeout:
+        raise ParseError("timed out waiting for a client connection") from None
+    finally:
+        listener.close()
+    conn.settimeout(timeout)
+    with conn:
+        try:
+            for times, xyz in _rows(_wire_blocks(conn), None, 1, MAX_LINE_BYTES):
+                samples = raw_samples(times, *xyz.tolist())
+                try:
+                    yield samples
+                finally:
+                    samples.clear()
+        except socket.timeout:
+            raise ParseError("timed out waiting for sample data") from None
+
+
 class LiveSource:
-    """Iterator of RawSamples read from a single TCP client on a (host, port).
+    """RawSamples read from a single TCP client on a (host, port).
 
     Binds eagerly (so BindError surfaces at construction, also for a port
     outside 0..65535); accepts the one client lazily on first iteration.
     The actual bound (host, port) is exposed as .address, which is how
     tests bind port 0 and discover the ephemeral port. Closing the
-    connection ends the stream; any protocol violation drops the client
-    and raises.
+    connection ends the stream; any protocol violation, a line over
+    MAX_LINE_BYTES too (refused by _wire_blocks if unterminated, else by
+    _rows), drops the client and raises.
+
+    iter(source) is the sample stream: one itertools.chain, built once, over
+    the RawSample list of each wire Block, so no Python frame runs per sample.
+    next(source) reads the same stream. close() ends it, mid-Block too, and
+    closes the connection.
     """
 
     def __init__(self, bind_address: tuple[str, int], timeout: float | None = None):
-        self._timeout = timeout
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -495,34 +535,18 @@ class LiveSource:
             raise BindError(f"cannot bind {bind_address[0]}:{bind_address[1]}: {exc}") from exc
         self._listener.settimeout(timeout)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._iterator: Iterator[RawSample] | None = None
+        self._blocks = _wire_samples(self._listener, timeout)  # not started: nothing is accepted yet
+        self._samples = chain.from_iterable(self._blocks)
 
     def __iter__(self) -> Iterator[RawSample]:
-        return self
+        return self._samples
 
     def __next__(self) -> RawSample:
-        if self._iterator is None:
-            self._iterator = self._stream()
-        return next(self._iterator)
-
-    def _stream(self) -> Iterator[RawSample]:
-        try:
-            conn, _ = self._listener.accept()
-        except socket.timeout:
-            raise ParseError("timed out waiting for a client connection") from None
-        finally:
-            self._listener.close()
-        conn.settimeout(self._timeout)
-        with conn:
-            try:
-                yield from block_rows(_rows(_wire_blocks(conn), None, 1))
-            except socket.timeout:
-                raise ParseError("timed out waiting for sample data") from None
+        return next(self._samples)
 
     def close(self) -> None:
         self._listener.close()
-        if self._iterator is not None:
-            self._iterator.close()
+        self._blocks.close()
 
 
 def listen_live(bind_address: tuple[str, int], timeout: float | None = None) -> LiveSource:

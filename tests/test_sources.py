@@ -1,3 +1,5 @@
+import errno
+import gc
 import hashlib
 import io
 import itertools
@@ -7,6 +9,7 @@ import socket
 import threading
 import time
 import tracemalloc
+import warnings
 from collections import deque
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from unittest import mock
@@ -354,6 +357,41 @@ def collect_live(payload: bytes, timeout: float = 10.0):
         source.close()
 
 
+def serve_live(payload: bytes, read):
+    """read(source) over a LiveSource whose one client sends payload, and what the client then read.
+
+    The client ends its stream, then reads once: b"" is EOF, and a reset means the
+    source closed with rows unread. The client is joined before the source
+    is closed, so a source that keeps the connection open fails the read.
+    """
+    source = listen_live(("127.0.0.1", 0), timeout=10)
+    received = []
+
+    def client():
+        with socket.create_connection(source.address, timeout=10) as conn:
+            try:
+                conn.sendall(payload)
+                conn.shutdown(socket.SHUT_WR)  # the stream ends here
+                received.append(conn.recv(1))
+            except OSError as exc:  # a timeout, with no errno, is not a close
+                if exc.errno not in (errno.ECONNRESET, errno.EPIPE, errno.ENOTCONN):
+                    raise
+                received.append("reset")
+
+    thread = threading.Thread(target=client)
+    thread.start()
+    try:
+        return read(source), received
+    finally:
+        thread.join(timeout=10)
+        source.close()
+
+
+def wire_lines(samples) -> list[str]:
+    """The samples as the bench sender's canonical wire rows."""
+    return [f"{format_seconds(s.t_ns)} {s.ax!r} {s.ay!r} {s.az!r}\n" for s in samples]
+
+
 class TestLiveSource:
     def test_direct_parse(self):
         samples = collect_live(b"0.000 0.01 0.02 0.99\n\n0.25 0.0 0.0 1.0\n")
@@ -423,6 +461,62 @@ class TestLiveSource:
         for port in (65536, -1):
             with pytest.raises(BindError):
                 listen_live(("127.0.0.1", port))
+
+    def test_final_unterminated_line_of_max_line_bytes_passes(self):
+        rows = wire_lines(generate_trace(SleepModelParams(rng_seed=6), TraceHeader(250.0, 4 * NS_PER_S)))
+        for width, want in ((MAX_LINE_BYTES, (1000, None, None)),
+                            (MAX_LINE_BYTES + 1, (999, ParseError, f"line 1000: longer than {MAX_LINE_BYTES} bytes"))):
+            payload = ("".join(rows[:-1]) + rows[-1][:-1].ljust(width)).encode("ascii")
+            (got, *error), received = serve_live(payload, drain)
+            assert (len(got), *error) == want
+            assert (got, *error) == drain(_samples(readline_rows(payload), None))
+            assert received == [b""]
+
+    def test_for_next_and_close_read_one_stream(self):
+        """for and next read one sample stream, alone or interleaved, across wire Blocks; close ends
+        it, mid-Block too, and closes the connection; closing before reading, or twice, is harmless."""
+        samples = generate_trace(SleepModelParams(rng_seed=9), TraceHeader(250.0, 12 * NS_PER_S))
+        payload = "".join(wire_lines(samples)).encode("ascii")
+        assert len(samples) == 3000 and len(payload) > 3 * (1 << 16)
+
+        def by_next(source):
+            got = [next(source) for _ in samples]
+            with pytest.raises(StopIteration):
+                next(source)
+            return got
+
+        def interleaved(source):
+            got = [next(source), next(source)]
+            for sample in source:
+                got.append(sample)
+                if len(got) == 1500:
+                    break
+            got += [next(source) for _ in range(700)]
+            return got + list(source)
+
+        def closed_mid_block(source):
+            got = [next(source) for _ in range(10)]
+            source.close()
+            source.close()
+            got += list(source)
+            with pytest.raises(StopIteration):
+                next(source)
+            return got
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for read in (list, by_next, interleaved):
+                assert serve_live(payload, read) == (samples, [b""]), read
+            got, received = serve_live(payload, closed_mid_block)
+            assert got == samples[:10]
+            assert received in ([b""], ["reset"])
+            unread = listen_live(("127.0.0.1", 0))
+            unread.close()
+            unread.close()
+            assert list(unread) == []
+            del unread
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # -- one row grammar for both sources ------------------------------------------
@@ -626,7 +720,28 @@ class TestBlockDecoding:
            sizes=st.lists(st.one_of(st.integers(1, 16), st.integers(1, 4000)), min_size=1, max_size=6))
     def test_wire_blocks_decode_like_the_row_reader(self, payload, sizes):
         blocks = _wire_blocks(ChunkedConnection(payload, sizes))
-        assert drain(flat(_rows(blocks, None, 1))) == drain(_samples(readline_rows(payload), None))
+        assert drain(flat(_rows(blocks, None, 1, MAX_LINE_BYTES))) == drain(_samples(readline_rows(payload), None))
+
+    @pytest.mark.parametrize("width", [MAX_LINE_BYTES + 76, MAX_LINE_BYTES + 1, MAX_LINE_BYTES])
+    def test_long_line_inside_a_full_wire_block(self, width):
+        """A line of width bytes with its newline, amid 2,000 canonical rows over a real socket:
+        refused past MAX_LINE_BYTES after every earlier row, and the client dropped."""
+        lines = wire_lines(generate_trace(SleepModelParams(rng_seed=5), TraceHeader(250.0, 8 * NS_PER_S)))
+        lines[1000] = lines[1000][:-1].ljust(width - 1) + "\n"
+        payload = "".join(lines).encode("ascii")
+        assert len(lines) == 2000 and len(payload) > 2 * (1 << 16) and len(lines[1000]) == width
+        want = drain(_samples(readline_rows(payload), None))
+        start = time.monotonic()
+        got, received = serve_live(payload, drain)
+        assert time.monotonic() - start < 5.0  # well before the 10 s timeout
+        assert got == want
+        if width > MAX_LINE_BYTES:
+            assert (len(want[0]), want[1:]) == (1000, (ParseError, f"line 1001: longer than {MAX_LINE_BYTES} bytes"))
+            # Closed with the rows after the long line unread: the client reads EOF or a reset.
+            assert received in ([b""], ["reset"])
+        else:
+            assert (len(want[0]), want[1]) == (2000, None)
+            assert received == [b""]
 
     def test_trace_blocks_decode_like_the_row_reader(self, tmp_path):
         """A fault on, just before or just after the first row of each of read_trace's blocks."""
