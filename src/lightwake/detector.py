@@ -27,16 +27,14 @@ machine, and ingest(t_ns, value) moves it to its delta, by the order checks
 alone in the final period. A learning period that saw no deltas contributes
 no entry to the maxima array (it does not drag t_min to zero).
 
-learn_run(first_ns, last_ns, top) feeds a run of learning deltas in one
-O(1) step, with the same records and state as ingest(t, value) for each of
-them, since a period keeps only its max and its last time. It checks that
-the run belongs to the current learning period: the phase is learning
-(else PhaseViolation), and first_ns is after the last delta and at or
-after the clock, and last_ns at or after first_ns and before
-learning_end_ns, so that no period boundary falls inside the run (else
-OrderViolation). The run's own order is the caller's to check:
-learn(times, values) checks it pairwise for a caller that has not, then
-takes the same step. Crossing a boundary stays advance_to's job.
+learn_run(first_ns, last_ns, top) feeds a run of learning deltas, whose
+times its caller has checked to increase strictly, in one O(1) step with
+the records and state of ingest(t, value) for each, since a period keeps
+only its max and its last time. The run must lie in the current learning
+period: the phase is learning (else PhaseViolation), first_ns is after the
+last delta and at or after the clock, and first_ns <= last_ns <
+learning_end_ns (else OrderViolation). Crossing a boundary stays
+advance_to's job.
 
 Every transition is written as an event-log record through the emit
 callable the detector is given, emit(t_ns, kind, **fields): PeriodClosed
@@ -54,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import lt
 from typing import Any, Callable
 
 from .errors import ConfigInvalid, OrderViolation, PhaseViolation
@@ -239,30 +236,16 @@ class Detector:
             return (self._period_index + 1) * self.period_length_ns
         return 0
 
-    def learn(self, times: list[int], values: list[float]) -> None:
-        """Feed learning deltas values[i] at times[i], all inside the current period.
-
-        The same as ingest(t, value) for each pair in turn: the times must
-        increase strictly (else OrderViolation), then learn_run checks and
-        takes the run. An empty run changes nothing.
-        """
-        if len(times) != len(values):
-            raise ValueError(f"{len(times)} times for {len(values)} values")
-        if not all(map(lt, times, times[1:])):
-            raise OrderViolation(f"deltas at {times[0]}..{times[-1]} ns do not increase strictly")
-        if times:
-            self.learn_run(times[0], times[-1], max(values))
-
     def learn_run(self, first_ns: int, last_ns: int, top: float) -> None:
         """Feed a run of learning deltas from first_ns to last_ns whose largest is top.
 
-        The same as ingest(t, value) for each delta of a run whose times
-        increase strictly; see the module docstring for the checks. A
-        refused run changes nothing.
+        The same as ingest(t, value) for each delta of the run, whose order
+        is the caller's to check; see the module docstring for the checks
+        made here. A refused run changes nothing.
         """
         end = self.learning_end_ns
         if not end:
-            raise PhaseViolation("learn takes learning deltas only; final-period ones go to ingest")
+            raise PhaseViolation("learn_run takes learning deltas only; final-period ones go to ingest")
         if not (self._last_delta_ns < first_ns <= last_ns < end and self._clock_ns <= first_ns):
             raise OrderViolation(f"deltas at {first_ns}..{last_ns} ns do not run from after the "
                                  f"clock at {self._clock_ns} ns to before the period end at {end} ns")

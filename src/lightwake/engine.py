@@ -25,24 +25,19 @@ A session has two phases, each with one reader. Paced (speed above 0),
 the source is wrapped by _paced, which gives each sample, a Block's rows
 as RawSamples, once its time has come; none at or past the session end is
 waited for. Nothing in a learning period can stop the session, so every
-source is learned by one rule, _learn, a Block at a time: it checks each
-Block's times, cuts it at the final period's start and decides the rows
-before the cut. A source of Blocks gives its own. An unpaced RawSample
-list or tuple gives the Blocks of its slices up to that start, found by
-bisection. Other RawSamples are batched where their records are due
-(_batched): with a sink after the first sample of a later period, so a
-boundary's lines are written and flushed as it is crossed, else at the
-final period's start. Times must increase strictly, within and across
-Blocks too; the rows before a pair out of order are decided first, and
-its error is raised when its Block is learned: for batched samples, once
-the batch is due or the source ends or fails. block_deltas gives a Block's
-deltas in one numpy pass, Detector.learn_run takes each run of them
-between skipped samples and period boundaries as (first, last, max), and a
-sink's DeltaComputed lines follow: the records and outcome of deciding
-each sample on its own. The final period, where a delta can fire the
-alarm, is one sample loop for every source, a list's own samples from its
-start on, which decides each sample before it reads the next. Only an
-error raised while the source is read becomes SourceFailed.
+source is learned by one rule, _learn, a Block at a time: it checks that
+times increase strictly, cuts at the final period's start and decides the
+rows before the cut, and a pair out of order is refused once the rows
+before it are decided. A source of Blocks gives its own, an unpaced
+RawSample list or tuple those of its slices, and _batched groups other
+RawSamples: a batch ends after the first sample of a later period, so a
+boundary's records are written and flushed as it is crossed. block_deltas
+gives a Block's deltas in one numpy pass, and Detector.learn_run takes
+each run of them between skipped samples and period boundaries as (first,
+last, max): the records and outcome of deciding each sample on its own.
+The final period is one sample loop for every source, which decides each
+sample before it reads the next. Only an error raised while the source
+is read becomes SourceFailed.
 """
 
 from __future__ import annotations
@@ -215,21 +210,21 @@ def _paced(items: Iterator, speed: float, sleep_ns: int) -> Iterator[RawSample]:
             yield sample
 
 
-def _batched(samples: Iterator[RawSample], final_ns: int, step_ns: int) -> Iterator[Block]:
+def _batched(samples: Iterator[RawSample], final_ns: int, period_ns: int) -> Iterator[Block]:
     """The RawSamples as Blocks, in order, up to and including the first at or past final_ns.
 
-    A Block ends after its first sample at or past a multiple of step_ns,
-    where records are due, at _BLOCK_SIZE samples and at the source's end.
-    final_ns is such a multiple. Whatever ends the loop, an error too, the samples held go first.
+    A Block ends after the first sample of a later period, whose boundary records are then
+    due, at _BLOCK_SIZE samples and at the source's end. final_ns is a period start.
+    Whatever ends the loop, an error too, the samples held go first.
     """
-    batch, due = [], step_ns
+    batch, due = [], period_ns
     try:
         for sample in samples:
             batch.append(sample)
             t_ns = sample.t_ns
             if t_ns >= due or len(batch) == _BLOCK_SIZE:
                 # Emptied before the yield, so that closing the generator there yields nothing more.
-                held, batch, due = batch, [], (t_ns // step_ns + 1) * step_ns
+                held, batch, due = batch, [], (t_ns // period_ns + 1) * period_ns
                 yield sample_block(held)
                 if t_ns >= final_ns:
                     return
@@ -279,12 +274,12 @@ def run_session(
 
     Raises SourceFailed if the source errors mid-session or yields a
     negative or non-increasing timestamp, once the samples before it are
-    decided. RawSamples other than an unpaced list or tuple are batched,
-    and a learning pair out of order among them is refused when its batch
-    is due, so an error the source raises after the pair gives way to the
-    order error. The partial event log is flushed first, as it is at every
-    period boundary and at the session end. An error of the sink
-    propagates as it is, after the same flush.
+    decided. A batched learning pair out of order is refused when its
+    batch ends, by the next period's first sample at the latest, so an
+    error the source raises before then gives way to the order error. The
+    partial event log is flushed first, as it is at every period boundary
+    and at the session end. An error of the sink propagates as it is,
+    after the same flush.
     """
     log = None if event_sink is None else EventLog(config, event_sink)
     detector = Detector(config.sleep_duration_ns, config.period_length_ns,
@@ -309,8 +304,8 @@ def run_session(
             blocks = map(sample_block, (source[i:min(i + _BLOCK_SIZE, learning)]
                                         for i in range(0, learning, _BLOCK_SIZE)))
             after = source[learning:]
-        else:  # batched where records are due
-            blocks = _batched(rows, final_ns, final_ns if log is None else config.period_length_ns)
+        else:  # batched by period
+            blocks = _batched(rows, final_ns, config.period_length_ns)
             after = items
         rest, prev = _learn(blocks, final_ns, detector, log)
         # The boundary records left, as finalize would write them, come before any final-period record.

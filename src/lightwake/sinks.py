@@ -248,7 +248,8 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
     The summary holds each period's maximum delta (the final period's too),
     the last logged band, and the alarm. The log is streamed: each run of
     delta rows is written as it is read, and only the per-period maxima are
-    held. A MalformedLog stops the export before summary.csv is written.
+    held. A MalformedLog stops the export before summary.csv is written, and
+    an earlier export's summary.csv is removed before the period files are.
     """
     records = _log_records(Path(log_path))
     header = next(records)
@@ -257,6 +258,8 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / f"period_{index}.csv" for index in range(n_periods)]
+    summary = out_dir / "summary.csv"
+    summary.unlink(missing_ok=True)
     maxima: list[float | None] = [None] * n_periods
     t_min = t_max = alarm_t_ns = None
     alarm_fields: dict = {}
@@ -296,8 +299,7 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
         if chart is not None:
             chart.close()
 
-    path = out_dir / "summary.csv"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with summary.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("key,value\n")
         for index, period_max in enumerate(maxima):
             fh.write(f"period_{index}_max,{_cell(period_max)}\n")
@@ -306,5 +308,5 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
         fh.write(f"alarm_trigger,{alarm_fields.get('trigger') or ''}\n")
         fh.write(f"alarm_t_s,{'' if alarm_t_ns is None else format_seconds(alarm_t_ns)}\n")
         fh.write(f"alarm_delta,{_cell(alarm_fields.get('value'))}\n")
-    written.append(path)
+    written.append(summary)
     return written

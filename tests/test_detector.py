@@ -45,11 +45,6 @@ def step(det: Detector, delta: Delta):
     return det.ingest(delta.t_ns, delta.value)
 
 
-def learn_pairs(det: Detector, deltas: list[Delta]) -> None:
-    """Feed a run of deltas through learn, which checks their order pairwise."""
-    det.learn([dl.t_ns for dl in deltas], [dl.value for dl in deltas])
-
-
 def learn_as_run(det: Detector, deltas: list[Delta]) -> None:
     """Feed a run of deltas as the engine does: its first and last time and its max."""
     det.learn_run(deltas[0].t_ns, deltas[-1].t_ns, max(dl.value for dl in deltas))
@@ -390,31 +385,10 @@ class TestOrdering:
         with pytest.raises(OrderViolation):
             det.advance_to(2 * P + 1)
 
-    def test_learn_checks_its_run(self):
-        det = Detector(3 * P, P)
-        det.learn([], [])
-        det.learn([10 * NS, 20 * NS], [0.5, 0.7])
-        with pytest.raises(OrderViolation):
-            det.learn([20 * NS], [0.1])  # not after the last delta
-        with pytest.raises(OrderViolation):
-            det.learn([30 * NS, 30 * NS], [0.1, 0.2])  # not strictly increasing
-        with pytest.raises(OrderViolation):
-            det.learn([50 * NS, P], [0.1, 0.2])  # the period boundary lies inside the run
-        with pytest.raises(ValueError):
-            det.learn([30 * NS], [0.1, 0.2])
-        det.advance_to(P + 30 * NS)
-        with pytest.raises(OrderViolation):
-            det.learn([P + 20 * NS], [0.1])  # before the clock
-        assert det.learning_end_ns == 2 * P
-        det.advance_to(2 * P)
-        assert det.learning_end_ns == 0
-        with pytest.raises(PhaseViolation):
-            det.learn([2 * P + NS], [0.6])
-        assert det.finalize().final_thresholds == ThresholdState((0.7,), 0.7, 0.7)
-
     def test_learn_run_checks_its_run_and_a_refusal_changes_nothing(self):
-        """learn_run(first_ns, last_ns, top) keeps learn's O(1) guards, and a refused run
-        leaves the detector as it was: the same state, records and outcome after."""
+        """learn_run(first_ns, last_ns, top) refuses a run that does not lie in the current
+        learning period, and a refused run leaves the detector as it was: the same state,
+        records and outcome after."""
 
         def build(refuse):
             records = Records()
@@ -437,7 +411,10 @@ class TestOrdering:
                 assert vars(det) == state and records == before
             det.learn_run(25 * NS, 25 * NS, 0.5)  # a one-delta run at the clock
             det.learn_run(P - 1, P - 1, 0.6)
+            det.advance_to(P + 30 * NS)
+            assert det.learning_end_ns == 2 * P
             det.advance_to(2 * P)
+            assert det.learning_end_ns == 0
             if refuse:
                 state, before = dict(vars(det)), list(records)
                 with pytest.raises(PhaseViolation):
@@ -595,31 +572,30 @@ class TestRandomizedProperties:
         for _ in range(40):
             deltas, _ = self.random_stream(rng)
 
-            def run(learn):
+            def run(as_runs):
                 records = Records()
                 det = Detector(6 * P, P, emit=records)
                 outcome = None
                 i = 0
                 while i < len(deltas) and outcome is None:
                     k = deltas[i].t_ns // P
-                    if learn is not None and k < 5:
+                    if as_runs and k < 5:
                         # A run of 1..4 deltas of period k, as an engine block would cut it.
                         j, stop = i + 1, min(i + int(rng.integers(1, 5)), len(deltas))
                         while j < stop and deltas[j].t_ns // P == k:
                             j += 1
                         det.advance_to(deltas[i].t_ns)
-                        learn(det, deltas[i:j])
+                        learn_as_run(det, deltas[i:j])
                         i = j
                     else:
                         outcome = step(det, deltas[i])
                         i += 1
                 return outcome or det.finalize(), records
 
-            assert run(learn_pairs) == run(None)
-            assert run(learn_as_run) == run(None)
+            assert run(as_runs=True) == run(as_runs=False)
 
     def test_detector_without_emit_holds_the_same_state(self):
-        """With or without emit, learn leaves the same state, ties and rising
+        """With or without emit, learn_run leaves the same state, ties and rising
         maxima within a run included."""
         rng = np.random.default_rng(27)
         for _ in range(60):
@@ -629,7 +605,7 @@ class TestRandomizedProperties:
             deltas = [Delta(dl.t_ns, float(rng.choice(pool))) for dl in deltas]
             cuts = rng.integers(1, 5, size=len(deltas)).tolist()
 
-            def run(emit, steps, learn=learn_pairs):
+            def run(emit, steps):
                 """Outcome after the first steps learn runs or final deltas, then finalize."""
                 det = Detector(6 * P, P, emit=emit)
                 outcome, i = None, 0
@@ -642,7 +618,7 @@ class TestRandomizedProperties:
                         while j < stop and deltas[j].t_ns // P == k:
                             j += 1
                         det.advance_to(deltas[i].t_ns)
-                        learn(det, deltas[i:j])
+                        learn_as_run(det, deltas[i:j])
                         i = j
                     else:
                         outcome = step(det, deltas[i])
@@ -650,8 +626,7 @@ class TestRandomizedProperties:
                 return outcome or det.finalize()
 
             for steps in range(len(deltas) + 1):
-                records, as_runs = Records(), Records()
-                assert run(None, steps) == run(records, steps) == run(as_runs, steps, learn_as_run)
-                assert as_runs == records
+                records = Records()
+                assert run(None, steps) == run(records, steps)
             rises = [f["t_max"] for _, f in records.of(THRESHOLDS_UPDATED)]
             assert rises == sorted(rises)

@@ -463,6 +463,24 @@ class TestSourceKinds:
         assert results[1] == results[0]
         assert results[0][2] == expected
 
+    def test_a_batched_pair_out_of_order_is_refused_at_the_next_period_with_or_without_a_sink(self):
+        """A generator's learning pair out of order is refused when its batch ends, after the
+        first sample of the next period, whether or not there is a sink."""
+        times = [i * 10 * NS for i in range(18)]  # three one-minute periods, a sample every 10 s
+        times[3] = times[2]  # the sample at 30 s repeats the time 20 s
+        for sink in (io.StringIO(), None):
+            read = 0
+
+            def samples():
+                nonlocal read
+                for t_ns in times:
+                    read += 1
+                    yield RawSample(t_ns, 0.0, 0.0, 1.0)
+
+            with pytest.raises(SourceFailed, match=f"{20 * NS} ns after {20 * NS} ns"):
+                run_session(SessionConfig(3 * P, P), samples(), event_sink=sink)
+            assert read == 7  # through the sample at 60 s, the first of period 1
+
     @pytest.mark.parametrize("component", [None, "1.0"])
     @pytest.mark.parametrize("row", [100, 800], ids=["learning", "final period"])
     def test_a_component_that_is_not_a_number_is_refused_in_every_period(self, component, row):
@@ -758,8 +776,6 @@ class TestRunsWithoutASink:
         with a sink and the oracle's, its band and trigger delta equal by float.hex."""
         rng = np.random.default_rng(2027)
         zero_deltas = one_delta_runs = 0
-        # The engine has checked the order of every learning row: it never calls the pairwise learn.
-        no_learn = mock.patch.object(Detector, "learn", side_effect=AssertionError("Detector.learn called"))
         for _ in range(60):
             samples, sleep_ns, period_ns = stretched_session(rng)
             config = SessionConfig(sleep_ns, period_ns)
@@ -774,7 +790,7 @@ class TestRunsWithoutASink:
                         _hex(band.t_min), _hex(band.t_max), tuple(map(_hex, band.period_maxima)))
 
             for size in (1, 2, 3, engine._BLOCK_SIZE):
-                with mock.patch.object(engine, "_BLOCK_SIZE", size), no_learn:
+                with mock.patch.object(engine, "_BLOCK_SIZE", size):
                     for source in (lambda: samples, lambda: iter(samples)):
                         assert key(source(), io.StringIO()) == key(source(), None) == want
             # What the learning rows held, from the log: zero deltas and runs of one delta.

@@ -287,6 +287,20 @@ class TestCharts:
             with pytest.raises(MalformedLog):
                 export_period_charts(corrupt, tmp_path / "charts")
 
+    def test_malformed_log_leaves_no_earlier_summary(self, tmp_path):
+        """An export into the directory of an earlier one removes its summary.csv before
+        writing the period files, so a MalformedLog leaves none beside the new charts."""
+        _, log_path, _ = self.small_case(tmp_path)
+        out = tmp_path / "charts"
+        export_period_charts(log_path, out)
+        assert (out / "summary.csv").exists()
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        corrupt = tmp_path / "corrupt.jsonl"
+        corrupt.write_text("\n".join(lines[:10]) + '\n{"t_ns": 5, "kind"\n', encoding="utf-8")
+        with pytest.raises(MalformedLog):
+            export_period_charts(corrupt, out)
+        assert not (out / "summary.csv").exists()
+
     def test_missing_or_bad_header_raises(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
