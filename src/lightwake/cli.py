@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 from .engine import HOUR_NS, MINUTE_NS, NS_PER_S, SessionConfig, run_session
 from .errors import ConfigInvalid, InvalidMelody, LightwakeError
@@ -121,12 +122,12 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     else:
         source = listen_live(args.listen)
 
-    sink = open(args.log, "w", encoding="utf-8", newline="\n") if args.log else None
     try:
-        result = run_session(config, source, event_sink=sink)
+        with open(args.log, "w", encoding="utf-8", newline="\n") if args.log else nullcontext() as sink:
+            result = run_session(config, source, event_sink=sink)
     finally:
-        if sink is not None:
-            sink.close()
+        if args.listen:  # run_session closes it too, but a log that cannot be opened stops before it
+            source.close()
     if args.alarm_wav:
         melody_to_wav(melody, args.alarm_wav)
 

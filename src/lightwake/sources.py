@@ -4,7 +4,7 @@ Three interchangeable sources feed a session: replay of a recorded trace
 file, a seeded synthetic sleep-night generator, and a TCP line-protocol
 listener standing in for a body-worn IMU.
 
-Trace file format (UTF-8 CSV):
+Trace file format (UTF-8 CSV; a leading byte-order mark is skipped):
 
     # rate_hz=4.0
     # label=free text
@@ -13,9 +13,10 @@ Trace file format (UTF-8 CSV):
     ...
 
 Optional ``#``-prefixed ``key=value`` comment lines may precede the header;
-``rate_hz`` and ``label`` are recognized. ``t_s`` is seconds from session
-start, below 1e12, and is converted to integer nanoseconds by rounding
-half-up on the text (``seconds_to_ns``), so the text value is authoritative.
+``rate_hz`` and ``label`` are recognized, and a label holds no line break
+and no trailing whitespace. ``t_s`` is seconds from session start, below
+1e12, and is converted to integer nanoseconds by rounding half-up on the
+text (``seconds_to_ns``), so the text value is authoritative.
 Timestamps must be strictly increasing and every component must stay
 within the sensor's +/-5 g range.
 
@@ -31,11 +32,12 @@ iter(source) is its sample stream.
 Rows are decoded in blocks of whole lines, of about 64 KiB each, into the
 columns of a motion.Block, which read_trace and LiveSource give as samples.
 A block of canonical rows, as write_trace and the bench sender write them,
-is decoded in bulk; any other block row by row. The rows and errors are the
-same, and an error comes after the Block of every earlier row. The wire's
-1,024-byte rule is enforced in two places: _wire_blocks refuses an
-unterminated line over it as it buffers, and _rows' row-by-row path a
-terminated one, which no canonical block holds. Trace lines have no limit.
+is decoded in bulk; any other block row by row by _samples, the one
+row-path parser. The rows and errors are the same, and an error comes after
+the Block of every earlier row. The wire's 1,024-byte rule is enforced in
+two places: _wire_blocks refuses an unterminated line over it as it
+buffers, and _rows' row-by-row path a terminated one, which no canonical
+block holds. Trace lines have no limit.
 TraceHeader and SleepModelParams raise ConfigInvalid when built with a bad value.
 
 The synthetic generator is a fixture factory, not a physiological model:
@@ -75,7 +77,8 @@ _BLOCK_BYTES = 1 << 16  # the readlines hint of the trace and log readers
 
 @dataclass(frozen=True, slots=True)
 class TraceHeader:
-    """Trace metadata: sampling rate (1..250 Hz), covered duration (>= 0), label."""
+    """Trace metadata: sampling rate (1..250 Hz), covered duration (>= 0), and a label
+    with no line break or trailing whitespace, so that a trace reads it back as written."""
 
     sample_rate_hz: float = 4.0
     duration_ns: int = 0
@@ -87,6 +90,8 @@ class TraceHeader:
                                 f"1..250 Hz envelope")
         if self.duration_ns < 0:
             raise ConfigInvalid("duration must be non-negative")
+        if "\n" in self.label or "\r" in self.label or self.label != self.label.rstrip():
+            raise ConfigInvalid(f"label {self.label!r} holds a line break or ends in whitespace")
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,51 +150,43 @@ def seconds_to_ns(token: str) -> int:
     return int(value.quantize(_NS_QUANTUM, ROUND_HALF_UP).scaleb(9))
 
 
-def _fields_to_sample(t_tok: str, *component_toks: str) -> RawSample:
-    # Decimal and float ignore surrounding whitespace, so tokens are stripped
-    # only to name them in an error, as the wire, split on whitespace, has them.
-    try:
-        t_ns = seconds_to_ns(t_tok)
-    except ValueError as exc:
-        raise ParseError(f"bad time field {t_tok.strip()!r}: {exc}") from exc
-    if t_ns < 0:
-        raise ParseError(f"negative timestamp {t_tok.strip()!r}")
-    components = []
-    for tok in component_toks:
-        try:
-            value = float(tok)
-        except ValueError:
-            raise ParseError(f"bad acceleration field {tok.strip()!r}") from None
-        if not math.isfinite(value):
-            raise ParseError(f"non-finite acceleration field {tok.strip()!r}")
-        if abs(value) > SENSOR_RANGE_G:
-            raise ParseError(f"acceleration {tok.strip()!r} exceeds +/-{SENSOR_RANGE_G:g} g")
-        components.append(value)
-    return RawSample(t_ns, *components)
-
-
 def _samples(lines: Iterable[tuple[int, str]], sep: str | None, prev_t: int = -1) -> Iterator[RawSample]:
     """Parse ``t_s ax ay az`` rows, split on sep, into samples time-ordered after prev_t.
 
-    The one row grammar for trace files and the live wire: blank rows are
-    skipped, and a ParseError or OrderViolation names its 1-based line.
+    The one row-path parser for trace files and the live wire: blank rows are
+    skipped, and a ParseError or OrderViolation names its 1-based line. A row's
+    first fault is the error: its field count, its time, its components in
+    order, then its order after the row before.
     """
     for lineno, line in lines:
         fields = line.split(sep)
+        if len(fields) != 4:
+            if not line.strip():
+                continue
+            raise ParseError(f"line {lineno}: expected 4 fields (t_s ax ay az), got {len(fields)}")
+        # Decimal and float ignore surrounding whitespace, so tokens are stripped
+        # only to name them in an error, as the wire, split on whitespace, has them.
         try:
-            if len(fields) != 4:
-                if not line.strip():
-                    continue
-                raise ParseError(f"expected 4 fields (t_s ax ay az), got {len(fields)}")
-            sample = _fields_to_sample(*fields)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if sample.t_ns <= prev_t:
-            raise OrderViolation(
-                f"line {lineno}: timestamp {sample.t_ns} ns does not increase past {prev_t} ns"
-            )
-        prev_t = sample.t_ns
-        yield sample
+            t_ns = seconds_to_ns(fields[0])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad time field {fields[0].strip()!r}: {exc}") from None
+        if t_ns < 0:
+            raise ParseError(f"line {lineno}: negative timestamp {fields[0].strip()!r}")
+        components = []
+        for tok in fields[1:]:
+            try:
+                value = float(tok)
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad acceleration field {tok.strip()!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(f"line {lineno}: non-finite acceleration field {tok.strip()!r}")
+            if abs(value) > SENSOR_RANGE_G:
+                raise ParseError(f"line {lineno}: acceleration {tok.strip()!r} exceeds +/-{SENSOR_RANGE_G:g} g")
+            components.append(value)
+        if t_ns <= prev_t:
+            raise OrderViolation(f"line {lineno}: timestamp {t_ns} ns does not increase past {prev_t} ns")
+        prev_t = t_ns
+        yield RawSample(t_ns, *components)
 
 
 def _rows(blocks: Iterable[str], sep: str | None, lineno: int, limit: int | None = None) -> Iterator[Block]:
@@ -197,8 +194,9 @@ def _rows(blocks: Iterable[str], sep: str | None, lineno: int, limit: int | None
 
     A block of canonical rows (a time as format_seconds writes it, then three
     short float tokens, one separator each) is decoded in bulk. Any other goes
-    through _samples; on a bad row the Block of the rows before it comes first,
-    and the error is raised when the reader is resumed. Given a limit, the
+    through _samples, the one row-path parser; on a bad row the Block of the
+    rows before it comes first, and the error is raised when the reader is
+    resumed. Given a limit, the
     first terminated line over limit bytes with its newline is a bad row,
     whatever it holds (the blocks' source checks an unterminated one). Only
     this path checks it: a canonical row is at most 98 bytes.
@@ -270,7 +268,7 @@ def read_trace_blocks(path: str | Path) -> tuple[TraceHeader, list[Block]]:
     path = Path(path)
     rate = 4.0
     label = ""
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:  # a leading BOM is skipped
         for lineno, line in enumerate(_utf8_blocks(fh, path, 1, hint=1), start=1):  # a line a block
             line = line.rstrip("\r\n")
             if not line.startswith("#"):

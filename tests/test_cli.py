@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import wave
 from pathlib import Path, PurePosixPath
 from unittest import mock
@@ -369,6 +370,26 @@ class TestListen:
                 proc.kill()
         assert proc.returncode == 0, stderr
         assert parse_summary(stdout) == parse_summary(file_run.stdout)
+
+    def test_unopenable_log_closes_the_listener_and_a_bad_source_keeps_the_log(self, tmp_path):
+        missing = tmp_path / "missing" / "events.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stderr = main_in_process("run", "--listen", "127.0.0.1:0", "--log", str(missing))
+            gc.collect()
+        assert code == 1
+        assert stderr.startswith(f"lightwake: {missing}: ") and stderr.count("\n") == 1, stderr
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+        # The source is opened before the log, so a bad one leaves an existing log as it was.
+        log = tmp_path / "events.jsonl"
+        log.write_text("kept\n", encoding="utf-8")
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            for source in (("--trace", str(tmp_path / "absent.csv")), ("--listen", f"127.0.0.1:{port}")):
+                assert main_in_process("run", *source, "--log", str(log))[0] == 1, source
+        assert log.read_text(encoding="utf-8") == "kept\n"
 
 
 # -- generated argv, in process -------------------------------------------------

@@ -152,6 +152,15 @@ class TestTraceFiles:
             read_trace(path)
         assert str(err.value) == f"{path}: not UTF-8 text on line 1"
 
+    def test_byte_order_mark_is_read_like_no_mark(self, tmp_path):
+        """A trace saved with a UTF-8 byte-order mark, as spreadsheet tools save CSV, reads as without it."""
+        # First a comment line, then the header line, then a bad row on line 8.
+        for text in (WELL_FORMED, WELL_FORMED.split("\n", 2)[2], WELL_FORMED + "1.0,0,junk,1\n"):
+            plain = outcome(lambda: read_trace(write_text(tmp_path, text)))
+            marked = outcome(lambda: read_trace(write_text(tmp_path, "\ufeff" + text)))
+            assert (marked[0], str(marked[1])) == (plain[0], str(plain[1]))
+        assert str(plain[1]) == "line 8: bad acceleration field 'junk'"
+
     def test_bad_rate_metadata(self, tmp_path):
         with pytest.raises(ParseError):
             read_trace(write_text(tmp_path, "# rate_hz=900\nt_s,ax_g,ay_g,az_g\n"))
@@ -231,6 +240,12 @@ class TestTraceFiles:
         path2 = tmp_path / "rt2.csv"
         write_trace(path2, read_header, read_samples)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_every_accepted_label_reads_back_as_written(self, tmp_path):
+        path = tmp_path / "label.csv"
+        for label in ("", "rt", "  leading spaces", "key=value=x", "a\u2028b", "a\x0cb", "\tx y"):
+            write_trace(path, TraceHeader(4.0, 0, label), [RawSample(0, 0.0, 0.0, 1.0)])
+            assert read_trace(path)[0].label == label
 
 
 # Nights whose write_trace bytes are pinned, with the label "seed=<seed>".
@@ -339,6 +354,10 @@ class TestGenerator:
                 TraceHeader(rate, 60 * NS_PER_S)
         with pytest.raises(ConfigInvalid):
             TraceHeader(4.0, -1)
+        # A line break would split the trace's label line, and trailing whitespace is not read back.
+        for label in ("x\ny", "x\ry", "x\r\n", "tab\t", "space ", " ", "x\u2028"):
+            with pytest.raises(ConfigInvalid):
+                TraceHeader(4.0, 0, label)
 
 
 def run_client(address, payload: bytes):
@@ -587,6 +606,28 @@ class TestOneRowGrammar:
             assert error_line(trace_err) == error_line(wire_err) + 1
             # Both name the token as read, without padding or line end.
             assert str(trace_err).split(": ", 1)[1] == str(wire_err).split(": ", 1)[1]
+
+    @pytest.mark.parametrize("rows, error, message", [
+        (["0,0,1"], ParseError, "expected 4 fields (t_s ax ay az), got 3"),
+        (["abc,0,0,1"], ParseError, "bad time field 'abc': not a decimal number: 'abc'"),
+        (["1e12,0,0,1"], ParseError, "bad time field '1e12': time value '1e12' out of range"),
+        (["inf,0,0,1"], ParseError, "bad time field 'inf': non-finite time value: 'inf'"),
+        (["-1.0,0,0,1"], ParseError, "negative timestamp '-1.0'"),
+        (["2.0,0,0,1", "1.5,0,0,1"], OrderViolation,
+         "timestamp 1500000000 ns does not increase past 2000000000 ns"),
+        # A field error comes before the order error on the same row.
+        (["2.0,0,0,1", "1.5,abc,0,1"], ParseError, "bad acceleration field 'abc'"),
+    ])
+    def test_row_errors_pin_their_type_and_text(self, tmp_path, rows, error, message):
+        """The last row is the bad one, in a trace (after its header line) and on the wire."""
+        trace = write_text(tmp_path, "".join(f"{row}\n" for row in [TRACE_HEADER_LINE, *rows]))
+        with pytest.raises(LightwakeError) as err:
+            read_trace(trace)
+        assert (err.type, str(err.value)) == (error, f"line {len(rows) + 1}: {message}")
+        wire = "".join(row.replace(",", " ") + "\n" for row in rows)
+        with pytest.raises(LightwakeError) as err:
+            list(_rows([wire], None, 1, MAX_LINE_BYTES))
+        assert (err.type, str(err.value)) == (error, f"line {len(rows)}: {message}")
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(body=st.binary(max_size=200))
