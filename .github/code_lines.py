@@ -1,4 +1,5 @@
-"""Count each module's code lines outside comments and docstrings, and their total.
+"""Count each module's physical lines, as wc -l counts them, and its code lines outside
+comments and docstrings; then both totals.
 
 Usage: python .github/code_lines.py src/lightwake/*.py
 """
@@ -8,7 +9,8 @@ import tokenize
 
 skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
         tokenize.ENDMARKER}
-total = 0
+total_lines = total_code = 0
+print(f"{'lines':>6} {'code':>6}")
 for path in sys.argv[1:]:
     with open(path, encoding="utf-8") as f:
         source = f.read()
@@ -19,6 +21,8 @@ for path in sys.argv[1:]:
             docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
     tokens = tokenize.generate_tokens(iter(source.splitlines(True)).__next__)
     lines = {n for tok in tokens if tok.type not in skip for n in range(tok.start[0], tok.end[0] + 1)}
-    print(f"{len(lines - docs):6d} {path}")
-    total += len(lines - docs)
-print(f"{total:6d} total")
+    physical, code = source.count("\n"), len(lines - docs)
+    print(f"{physical:6d} {code:6d} {path}")
+    total_lines += physical
+    total_code += code
+print(f"{total_lines:6d} {total_code:6d} total")

@@ -21,23 +21,24 @@ off, is therefore current up to the last boundary and a prefix of the
 full one. Without a sink none is built, so a session holds memory by
 periods, never by samples.
 
-A session has two phases, each with one reader. Paced (speed above 0),
-the source is wrapped by _paced, which gives each sample, a Block's rows
-as RawSamples, once its time has come; none at or past the session end is
-waited for. Nothing in a learning period can stop the session, so every
-source is learned by one rule, _learn, a Block at a time: it checks that
-times increase strictly, cuts at the final period's start and decides the
-rows before the cut, and a pair out of order is refused once the rows
-before it are decided. A source of Blocks gives its own, an unpaced
-RawSample list or tuple those of its slices, and _batched groups other
-RawSamples: a batch ends after the first sample of a later period, so a
-boundary's records are written and flushed as it is crossed. block_deltas
-gives a Block's deltas in one numpy pass, and Detector.learn_run takes
-each run of them between skipped samples and period boundaries as (first,
-last, max): the records and outcome of deciding each sample on its own.
-The final period is one sample loop for every source, which decides each
-sample before it reads the next. Only an error raised while the source
-is read becomes SourceFailed.
+The source is read by one generator, _read, which both paces and converts
+errors. An error of a kind a source may raise becomes SourceFailed, and
+only one raised while the source is read. Paced (speed above 0), it gives
+each sample, a Block's rows as RawSamples, once its time has come; none at
+or past the session end is waited for. A session has two phases, each with
+one reader of _read's items. Nothing in a learning period can stop the
+session, so every source is learned by one rule, _learn, a Block at a
+time: it checks that times increase strictly, cuts at the final period's
+start and decides the rows before the cut, and a pair out of order is
+refused once the rows before it are decided. A source of Blocks gives its
+own, an unpaced RawSample list or tuple those of its slices, and _batched
+groups other RawSamples: a batch ends after the first sample of a later
+period, so a boundary's records are written and flushed as it is crossed.
+block_deltas gives a Block's deltas in one numpy pass, and
+Detector.learn_run takes each run of them between skipped samples and
+period boundaries as (first, last, max): the records and outcome of
+deciding each sample on its own. The final period is one sample loop for
+every source, which decides each sample before it reads the next.
 """
 
 from __future__ import annotations
@@ -190,24 +191,23 @@ def _learn_block(times: list[int], xyz: np.ndarray, prev: Vector | None, detecto
     return last
 
 
-def _read(items: Iterator) -> Iterator:
-    """The source's items; an error it raises of a kind a source may raise becomes SourceFailed."""
+def _read(items: Iterator, speed: float, sleep_ns: int) -> Iterator:
+    """The source's items; an error it raises of a kind a source may raise becomes SourceFailed.
+    Paced (speed above 0), a Block's rows are given as RawSamples, each sample once its time has
+    come at speed; none at or past sleep_ns, which the session does not decide, is waited for."""
     try:
-        yield from items
+        if speed == 0.0:
+            yield from items
+            return
+        wall_start = time.monotonic()
+        for item in items:
+            for sample in block_rows((item,)) if isinstance(item, tuple) else (item,):
+                delay = wall_start + (sample.t_ns / NS_PER_S) / speed - time.monotonic()
+                if delay > 0.0 and sample.t_ns < sleep_ns:  # behind its clock, no sleep(0): it costs tens of µs
+                    time.sleep(delay)
+                yield sample
     except (LightwakeError, OSError) as exc:
         raise SourceFailed(f"sample source failed: {exc}") from exc
-
-
-def _paced(items: Iterator, speed: float, sleep_ns: int) -> Iterator[RawSample]:
-    """The samples of items, a Block's rows as RawSamples, each once its time has come at speed;
-    none at or past sleep_ns, which the session does not decide, is waited for."""
-    wall_start = time.monotonic()
-    for item in items:
-        for sample in block_rows((item,)) if isinstance(item, tuple) else (item,):
-            delay = wall_start + (sample.t_ns / NS_PER_S) / speed - time.monotonic()
-            if delay > 0.0 and sample.t_ns < sleep_ns:  # behind its clock, no sleep(0): it costs tens of µs
-                time.sleep(delay)
-            yield sample
 
 
 def _batched(samples: Iterator[RawSample], final_ns: int, period_ns: int) -> Iterator[Block]:
@@ -289,9 +289,7 @@ def run_session(
     outcome: DetectorOutcome | None = None
     iterator: Iterator = iter(source)
     try:
-        items = _read(iterator)
-        if config.speed > 0.0:
-            items = _paced(items, config.speed, sleep_ns)
+        items = _read(iterator, config.speed, sleep_ns)
         # Learning: its rows as Blocks, decided a Block at a time; the source's first item tells its kind.
         first = next(items, None)
         rows = items if first is None else chain((first,), items)

@@ -13,12 +13,12 @@ Trace file format (UTF-8 CSV; a leading byte-order mark is skipped):
     ...
 
 Optional ``#``-prefixed ``key=value`` comment lines may precede the header;
-``rate_hz`` and ``label`` are recognized, and a label holds no line break
-and no trailing whitespace. ``t_s`` is seconds from session start, below
-1e12, and is converted to integer nanoseconds by rounding half-up on the
-text (``seconds_to_ns``), so the text value is authoritative.
-Timestamps must be strictly increasing and every component must stay
-within the sensor's +/-5 g range.
+``rate_hz`` and ``label`` are recognized, and a label encodes as UTF-8 and
+holds no line break and no trailing whitespace. ``t_s`` is seconds from
+session start, below 1e12, and is converted to integer nanoseconds by
+rounding half-up on the text (``seconds_to_ns``), so the text value is
+authoritative. Timestamps must be strictly increasing and every component
+must stay within the sensor's +/-5 g range.
 
 Live line protocol (TCP): newline-delimited ASCII, one sample per line of
 at most MAX_LINE_BYTES (1024) bytes with its newline, as four
@@ -27,7 +27,9 @@ rows: blank lines are skipped and an error names its line. The server
 accepts a single client, replies nothing, and drops the connection on the
 first invalid line. Closing the connection ends the stream; an unterminated
 final line still counts. LiveSource binds a (host, port) tuple, and
-iter(source) is its sample stream.
+iter(source) is its sample stream: motion.block_rows over the wire's Blocks.
+Its close() closes the connection and ends the stream for next(source) and
+any later iter(source).
 
 Rows are decoded in blocks of whole lines, of about 64 KiB each, into the
 columns of a motion.Block, which read_trace and LiveSource give as samples.
@@ -59,7 +61,6 @@ import socket
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
-from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -77,8 +78,9 @@ _BLOCK_BYTES = 1 << 16  # the readlines hint of the trace and log readers
 
 @dataclass(frozen=True, slots=True)
 class TraceHeader:
-    """Trace metadata: sampling rate (1..250 Hz), covered duration (>= 0), and a label
-    with no line break or trailing whitespace, so that a trace reads it back as written."""
+    """Trace metadata: sampling rate (1..250 Hz), covered duration (>= 0), and a label that
+    encodes as UTF-8, with no line break or trailing whitespace, so that a trace reads it
+    back as written."""
 
     sample_rate_hz: float = 4.0
     duration_ns: int = 0
@@ -92,6 +94,8 @@ class TraceHeader:
             raise ConfigInvalid("duration must be non-negative")
         if "\n" in self.label or "\r" in self.label or self.label != self.label.rstrip():
             raise ConfigInvalid(f"label {self.label!r} holds a line break or ends in whitespace")
+        if re.search("[\ud800-\udfff]", self.label):  # a lone surrogate, which UTF-8 cannot encode
+            raise ConfigInvalid(f"label {self.label!r} does not encode as UTF-8")
 
 
 @dataclass(frozen=True, slots=True)
@@ -482,9 +486,8 @@ def _wire_blocks(conn: socket.socket) -> Iterator[str]:
     yield rest.decode("ascii", "replace")  # the final line, unterminated, or nothing
 
 
-def _wire_samples(listener: socket.socket, timeout: float | None) -> Iterator[list[RawSample]]:
-    """Accept one client on listener, then yield the RawSamples of each of its wire Blocks as a list,
-    which is emptied when the generator is resumed or closed, so that closing ends the stream.
+def _wire_samples(listener: socket.socket, timeout: float | None) -> Iterator[Block]:
+    """Accept one client on listener, then yield its wire Blocks.
     A function, not a LiveSource method: the generator holds no reference to its source."""
     try:
         conn, _ = listener.accept()
@@ -495,12 +498,7 @@ def _wire_samples(listener: socket.socket, timeout: float | None) -> Iterator[li
     conn.settimeout(timeout)
     with conn:
         try:
-            for times, xyz in _rows(_wire_blocks(conn), None, 1, MAX_LINE_BYTES):
-                samples = raw_samples(times, *xyz.tolist())
-                try:
-                    yield samples
-                finally:
-                    samples.clear()
+            yield from _rows(_wire_blocks(conn), None, 1, MAX_LINE_BYTES)
         except socket.timeout:
             raise ParseError("timed out waiting for sample data") from None
 
@@ -516,10 +514,12 @@ class LiveSource:
     MAX_LINE_BYTES too (refused by _wire_blocks if unterminated, else by
     _rows), drops the client and raises.
 
-    iter(source) is the sample stream: one itertools.chain, built once, over
-    the RawSample list of each wire Block, so no Python frame runs per sample.
-    next(source) reads the same stream. close() ends it, mid-Block too, and
-    closes the connection.
+    iter(source) is the sample stream: motion.block_rows over the wire's
+    Blocks, built once, so no Python frame runs per sample. next(source)
+    reads the same stream. close() closes the connection and ends the
+    stream: next(source) and any later iter(source) give nothing more, but
+    an iterator taken before close() still gives the rest of the Block in
+    hand.
     """
 
     def __init__(self, bind_address: tuple[str, int], timeout: float | None = None):
@@ -534,7 +534,7 @@ class LiveSource:
         self._listener.settimeout(timeout)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._blocks = _wire_samples(self._listener, timeout)  # not started: nothing is accepted yet
-        self._samples = chain.from_iterable(self._blocks)
+        self._samples = block_rows(self._blocks)
 
     def __iter__(self) -> Iterator[RawSample]:
         return self._samples
@@ -544,6 +544,7 @@ class LiveSource:
 
     def close(self) -> None:
         self._listener.close()
+        self._samples = iter(())
         self._blocks.close()
 
 

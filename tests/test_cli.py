@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -18,9 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import child_env
 from lightwake import NS_PER_S, SessionConfig, cli as lightwake_cli, run_session, sources
-from lightwake.sources import TRACE_HEADER_LINE, write_trace
+from lightwake.sources import MAX_LINE_BYTES, TRACE_HEADER_LINE, write_trace
 from test_sinks import BAD_HEADER_LINES, BAD_RECORD_LINES, ENGINE_LOG, log_versions
-from test_sources import PINNED_TRACES, sample_rows
+from test_sources import PINNED_TRACES, sample_rows, wire_payloads
 from trace_builders import scripted_trace
 
 
@@ -390,6 +391,61 @@ class TestListen:
             for source in (("--trace", str(tmp_path / "absent.csv")), ("--listen", f"127.0.0.1:{port}")):
                 assert main_in_process("run", *source, "--log", str(log))[0] == 1, source
         assert log.read_text(encoding="utf-8") == "kept\n"
+
+
+def send_then_end(address, payload: bytes, reset: bool):
+    """Connect, send payload, then close the connection, by a reset if reset."""
+    with socket.create_connection(address, timeout=10) as conn:
+        try:
+            conn.sendall(payload)
+        except OSError:  # the session dropped the client at a bad line, or stopped at its alarm
+            pass
+        if reset:  # no lingering: the close sends a reset
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+
+class TestListenInProcess:
+    @pytest.fixture(scope="class")
+    def frozen_gc(self):
+        """Every object alive so far moved out of the collector's reach for the class, so that
+        a gc.collect() after each example, to free what a leak left in a cycle, scans only its own."""
+        gc.collect()
+        gc.freeze()
+        yield
+        gc.unfreeze()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(payload=st.binary(max_size=200) | wire_payloads(), reset=st.integers(0, 9).map(lambda k: k < 3))
+    @example(payload=b"0.0 0 0 1\n0.25 0 0 1", reset=False)
+    @example(payload=b"0.0 0 0 1\n" + b"0" * (MAX_LINE_BYTES + 1) + b"\n0.5 0 0 1\n", reset=False)
+    @example(payload=b"0.0 0 0 1\n0.25 0 0 1\n", reset=True)
+    def test_any_wire_payload_exits_0_or_1_with_one_line(self, frozen_gc, payload, reset):
+        """run --listen over a client that sends payload, random bytes or wire rows (some odd or
+        over MAX_LINE_BYTES, the last maybe unterminated), then closes or resets: exit 0 or 1,
+        at most one line on stderr, and no ResourceWarning."""
+        clients = []
+
+        def listen_live(address):
+            source = sources.listen_live(address)
+            clients.append(threading.Thread(target=send_then_end, args=(source.address, payload, reset)))
+            clients[-1].start()
+            return source
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with mock.patch.object(lightwake_cli, "listen_live", listen_live):
+                # 3.6 s of sleep in 0.6 s periods; wire_payloads' rows are 0.25 s apart.
+                code, err = main_in_process("run", "--listen", "127.0.0.1:0", "--sleep-hours", "0.001",
+                                            "--period-min", "0.01")
+            for client in clients:
+                client.join(timeout=10)
+            gc.collect()
+        assert len(clients) == 1 and not clients[0].is_alive()
+        if code == 0:
+            assert err == "", (payload, reset, err)
+        else:
+            assert code == 1 and err.startswith("lightwake: ") and err.count("\n") == 1, (payload, reset, code, err)
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # -- generated argv, in process -------------------------------------------------

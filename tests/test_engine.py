@@ -43,7 +43,7 @@ from lightwake.errors import ConfigInvalid, OrderViolation, SourceFailed
 from lightwake import sources
 from lightwake.motion import block_deltas, sample_block
 from lightwake.sources import read_trace, read_trace_blocks, write_trace
-from reference import offline_outcome
+from reference import offline_log, offline_outcome
 from trace_builders import scripted_trace
 
 NS = NS_PER_S
@@ -676,6 +676,19 @@ class TestOracleProperty:
             detector.finalize()
         decisions = (PERIOD_CLOSED, THRESHOLDS_UPDATED, FINAL_PERIOD_ENTERED, ALARM_FIRED)
         assert replayed == [e for e in events if e.kind in decisions]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(case=oracle_cases(), size=st.integers(1, 8))
+    def test_log_is_the_offline_log(self, case, size):
+        """The audit trail is the oracle's: run_session's log equals offline_log byte for byte,
+        from a list, from Blocks of size rows and from a generator paced at speed 1e6."""
+        samples, sleep_ns, period_ns = case
+        want = offline_log(samples, sleep_ns, period_ns)
+        blocks = [sample_block(samples[i:i + size]) for i in range(0, len(samples), size)]
+        for speed, source in ((0.0, samples), (0.0, blocks), (1e6, (s for s in samples))):
+            buf = io.StringIO()
+            run_session(SessionConfig(sleep_ns, period_ns, speed), source, event_sink=buf)
+            assert buf.getvalue() == want, (speed, type(source))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(case=oracle_cases())

@@ -29,7 +29,8 @@ from lightwake.errors import InvalidMelody, MalformedLog
 from lightwake import sinks, sources
 from lightwake.sinks import Melody
 from lightwake.sources import seconds_to_ns
-from reference import per_period_maxima
+from reference import offline_outcome, per_period_maxima
+from test_engine import oracle_cases
 from trace_builders import scripted_trace
 
 P = 60 * NS_PER_S
@@ -397,6 +398,34 @@ def chart_rows(out, n_periods):
             t_s, value = row.split(",")
             rows.append((k * P + seconds_to_ns(t_s), float(value)))
     return rows
+
+
+class TestChartsAgainstTheOracle:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("charts_oracle")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(case=oracle_cases())
+    def test_summary_is_the_oracles(self, workdir, case):
+        """summary.csv holds the oracle's maximum of each period, the final one's up to the
+        alarm, its band and its alarm."""
+        samples, sleep_ns, period_ns = case
+        ref = offline_outcome(samples, sleep_ns, period_ns)
+        maxima = per_period_maxima([s for s in samples if s.t_ns <= ref.alarm_time_ns], sleep_ns, period_ns)
+        log = workdir / "events.jsonl"
+        with log.open("w", encoding="utf-8", newline="\n") as sink:
+            run_session(SessionConfig(sleep_ns, period_ns), samples, event_sink=sink)
+        export_period_charts(log, workdir / "charts")
+
+        def cell(value):
+            return "" if value is None else repr(value)
+
+        want = ["key,value", *(f"period_{k}_max,{cell(maxima.get(k))}" for k in range(-(-sleep_ns // period_ns))),
+                f"t_min,{cell(ref.t_min)}", f"t_max,{cell(ref.t_max)}", f"alarm_trigger,{ref.trigger}",
+                f"alarm_t_s,{ref.alarm_time_ns // NS_PER_S}.{ref.alarm_time_ns % NS_PER_S:09d}",
+                f"alarm_delta,{cell(ref.trigger_delta)}"]
+        assert (workdir / "charts" / "summary.csv").read_text(encoding="utf-8").splitlines() == want
 
 
 class TestReaderProperties:

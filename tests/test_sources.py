@@ -348,16 +348,19 @@ class TestGenerator:
         with pytest.raises(ConfigInvalid):
             SleepModelParams(**bad)
 
-    def test_invalid_rate(self):
+    def test_invalid_rate(self, tmp_path):
         for rate in (0.5, 250.5, float("nan")):
             with pytest.raises(ConfigInvalid):
                 TraceHeader(rate, 60 * NS_PER_S)
         with pytest.raises(ConfigInvalid):
             TraceHeader(4.0, -1)
-        # A line break would split the trace's label line, and trailing whitespace is not read back.
-        for label in ("x\ny", "x\ry", "x\r\n", "tab\t", "space ", " ", "x\u2028"):
+        # A line break would split the trace's label line, trailing whitespace is not read back,
+        # and a lone surrogate cannot be written as UTF-8: the header is refused before any file.
+        path = tmp_path / "refused.csv"
+        for label in ("x\ny", "x\ry", "x\r\n", "tab\t", "space ", " ", "x\u2028", "a\ud800"):
             with pytest.raises(ConfigInvalid):
-                TraceHeader(4.0, 0, label)
+                write_trace(path, TraceHeader(4.0, 0, label), [RawSample(0, 0.0, 0.0, 1.0)])
+            assert not path.exists(), label
 
 
 def run_client(address, payload: bytes):
