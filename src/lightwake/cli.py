@@ -161,7 +161,3 @@ def main(argv: list[str] | None = None) -> int:
     except LightwakeError as exc:
         print(f"lightwake: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -37,8 +37,11 @@ period, so a boundary's records are written and flushed as it is crossed.
 block_deltas gives a Block's deltas in one numpy pass, and
 Detector.learn_run takes each run of them between skipped samples and
 period boundaries as (first, last, max): the records and outcome of
-deciding each sample on its own. The final period is one sample loop for
-every source, which decides each sample before it reads the next.
+deciding each sample on its own. _learn reads no Block past the one it
+cuts at the final period's start, and the final period reads what is left
+of the source: the rest of that Block, then the source's own remaining
+items as rows. It is one sample loop for every source, which decides each
+sample before it reads the next.
 """
 
 from __future__ import annotations
@@ -210,11 +213,12 @@ def _read(items: Iterator, speed: float, sleep_ns: int) -> Iterator:
         raise SourceFailed(f"sample source failed: {exc}") from exc
 
 
-def _batched(samples: Iterator[RawSample], final_ns: int, period_ns: int) -> Iterator[Block]:
-    """The RawSamples as Blocks, in order, up to and including the first at or past final_ns.
+def _batched(samples: Iterator[RawSample], period_ns: int) -> Iterator[Block]:
+    """The RawSamples as Blocks, in order.
 
     A Block ends after the first sample of a later period, whose boundary records are then
-    due, at _BLOCK_SIZE samples and at the source's end. final_ns is a period start.
+    due, at _BLOCK_SIZE samples and at the source's end. Learning reads up to the Block that
+    ends with the final period's first sample; the final period reads what is left of samples.
     Whatever ends the loop, an error too, the samples held go first.
     """
     batch, due = [], period_ns
@@ -226,8 +230,6 @@ def _batched(samples: Iterator[RawSample], final_ns: int, period_ns: int) -> Ite
                 # Emptied before the yield, so that closing the generator there yields nothing more.
                 held, batch, due = batch, [], (t_ns // period_ns + 1) * period_ns
                 yield sample_block(held)
-                if t_ns >= final_ns:
-                    return
     finally:
         if batch:
             yield sample_block(batch)
@@ -235,10 +237,11 @@ def _batched(samples: Iterator[RawSample], final_ns: int, period_ns: int) -> Ite
 
 def _learn(blocks: Iterator[Block], final_ns: int, detector: Detector,
            log: EventLog | None) -> tuple[Iterable[RawSample], Vector | None]:
-    """Decide the rows before final_ns of Blocks, a Block at a time; returns the rows from there
-    on as RawSamples, and the vector of the last sample kept. Times are checked up to and
-    including the first at or past final_ns, the rest by the final loop; the rows before a pair
-    out of order are decided before its error is raised."""
+    """Decide the rows before final_ns of Blocks, a Block at a time; returns the rows of the Block
+    cut at final_ns from there on, as RawSamples, and the vector of the last sample kept. No Block
+    past that one is read: the final period reads what is left of the source. Times are checked
+    up to and including the first at or past final_ns, the rest by the final loop; the rows
+    before a pair out of order are decided before its error is raised."""
     last_t, prev = -1, None
     for times, xyz in blocks:
         bad = len(times) if all(map(operator.lt, chain((last_t,), times), times)) else next(
@@ -248,7 +251,7 @@ def _learn(blocks: Iterator[Block], final_ns: int, detector: Detector,
         if cut == bad < len(times):
             raise SourceFailed(_ORDER % (times[bad], times[bad - 1] if bad else last_t))
         if cut < len(times):
-            return block_rows(chain([(times[cut:], xyz[:, cut:])], blocks)), prev
+            return block_rows([(times[cut:], xyz[:, cut:])]), prev
         last_t = times[-1] if times else last_t
     return (), prev
 
@@ -264,8 +267,8 @@ def run_session(
     The pipeline normalizes each sample, computes the Manhattan delta
     against the previous one, and feeds the detector. While the detector
     is learning, every source is decided a Block at a time by one rule;
-    unpaced, a list or tuple of RawSamples is read in slices, and its own
-    samples from the final period's start on go to the final loop. On a
+    unpaced, a list or tuple of RawSamples is read in slices. The final
+    period reads what is left of the source, each sample before the next. On a
     threshold hit the source is stopped immediately; if the stream or the
     session ends without one, the virtual clock fast-forwards and the
     fallback alarm fires at exactly the configured sleep duration. Event
@@ -291,26 +294,27 @@ def run_session(
     try:
         items = _read(iterator, config.speed, sleep_ns)
         # Learning: its rows as Blocks, decided a Block at a time; the source's first item tells its kind.
+        # left is what the final period reads: the source's own items past those _learn reads.
         first = next(items, None)
         rows = items if first is None else chain((first,), items)
         if isinstance(first, tuple):
-            blocks, after = rows, ()
+            blocks, left = rows, block_rows(rows)
         elif isinstance(source, (list, tuple)) and config.speed == 0.0:  # in memory, and no row is waited for
             # The slices before final_ns, found by bisection. Out of order, the list is checked as a
             # row-by-row reader checks it: _learn checks every row up to the first at or past final_ns.
             learning = bisect_left(source, final_ns, key=operator.attrgetter("t_ns"))
-            blocks = map(sample_block, (source[i:min(i + _BLOCK_SIZE, learning)]
-                                        for i in range(0, learning, _BLOCK_SIZE)))
-            after = source[learning:]
+            starts = iter(range(0, learning, _BLOCK_SIZE))
+            blocks = (sample_block(source[i:min(i + _BLOCK_SIZE, learning)]) for i in starts)
+            # The list from the first slice _learn leaves unread, sliced once _learn is done.
+            left = chain.from_iterable(source[next(unread, learning):] for unread in [starts])
         else:  # batched by period
-            blocks = _batched(rows, final_ns, config.period_length_ns)
-            after = items
+            blocks, left = _batched(rows, config.period_length_ns), rows
         rest, prev = _learn(blocks, final_ns, detector, log)
         # The boundary records left, as finalize would write them, come before any final-period record.
         detector.advance_to(final_ns)
         # The final period: each sample is decided before the next is read.
         last_t = -1
-        for sample in chain(rest, after):
+        for sample in chain(rest, left):
             t_ns = sample.t_ns
             if t_ns <= last_t:
                 raise SourceFailed(_ORDER % (t_ns, last_t))

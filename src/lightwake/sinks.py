@@ -249,7 +249,8 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
     the last logged band, and the alarm. The log is streamed: each run of
     delta rows is written as it is read, and only the per-period maxima are
     held. A MalformedLog stops the export before summary.csv is written, and
-    an earlier export's summary.csv is removed before the period files are.
+    an earlier export's summary.csv is removed before the period files are,
+    as are its period_<k>.csv files with k at or past this log's period count.
     """
     records = _log_records(Path(log_path))
     header = next(records)
@@ -260,6 +261,9 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
     written = [out_dir / f"period_{index}.csv" for index in range(n_periods)]
     summary = out_dir / "summary.csv"
     summary.unlink(missing_ok=True)
+    for stale in out_dir.glob("period_*.csv"):  # an earlier export's charts of periods this log lacks
+        if (k := re.fullmatch("period_(0|[1-9][0-9]*)[.]csv", stale.name)) and int(k[1]) >= n_periods:
+            stale.unlink()
     maxima: list[float | None] = [None] * n_periods
     t_min = t_max = alarm_t_ns = None
     alarm_fields: dict = {}

@@ -58,7 +58,7 @@ import math
 import operator
 import re
 import socket
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
@@ -366,15 +366,13 @@ _CHUNK_ROWS = 16_384
 
 
 def _sample_count(header: TraceHeader) -> int:
-    """The number of grid times int(i * ns_per_sample + 0.5) below the duration."""
-    rate = header.sample_rate_hz
-    ns_per_sample = NS_PER_S / rate
-    n = int(header.duration_ns * rate / NS_PER_S)
-    while int(n * ns_per_sample + 0.5) < header.duration_ns:
-        n += 1
-    while n > 0 and int((n - 1) * ns_per_sample + 0.5) >= header.duration_ns:
-        n -= 1
-    return n
+    """The number of grid times int(i * ns_per_sample + 0.5) below the duration.
+
+    The grid rises with i and, at 250 Hz or less, is at least i, so i = duration_ns is past it.
+    """
+    ns_per_sample = NS_PER_S / header.sample_rate_hz
+    return bisect_left(range(header.duration_ns + 1), header.duration_ns,
+                       key=lambda i: int(i * ns_per_sample + 0.5))
 
 
 def _bursts(params: SleepModelParams, duration_ns: int,

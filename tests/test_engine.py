@@ -403,6 +403,11 @@ def _kind_case(name):
         return [], config, AlarmTrigger.SESSION_END
     if name == "first row in the final period":
         return [s for s in still if s.t_ns >= 3 * P], config, AlarmTrigger.SESSION_END
+    if name == "final-period rows ending a list's first slice":  # read on from there, not from row 5120
+        samples = generate_trace(SleepModelParams(rng_seed=2), TraceHeader(4.0, 2000 * NS))
+        for i in range(4090, 4096):  # at 1280 s + 1-6 ns, before rows 4096-5119 from 1024 s on
+            samples = moved(samples, i, 1280 * NS + i - 4089)
+        return samples, SessionConfig(1920 * NS, 640 * NS), engine._ORDER % (1024 * NS, 1280 * NS + 6)
     assert name == "final period at row 4096"  # 4,096 rows at 4 Hz are 1,024 s
     samples = generate_trace(SleepModelParams(rng_seed=2), TraceHeader(4.0, 1100 * NS))
     assert samples[engine._BLOCK_SIZE].t_ns == 1024 * NS > samples[engine._BLOCK_SIZE - 1].t_ns
@@ -414,7 +419,8 @@ class TestSourceKinds:
         "learning row out of order", "row out of order after the alarm",
         "row out of order after the final period's first", "final-period row among learning rows",
         "degenerate rows", "rows past sleep_ns",
-        "empty", "first row in the final period", "final period at row 4096"])
+        "empty", "first row in the final period", "final period at row 4096",
+        "final-period rows ending a list's first slice"])
     def test_every_source_kind_logs_and_decides_alike(self, case):
         """The same samples as a list, a tuple, a generator, Blocks of 1, 7 and 4,096 rows and
         one Block, and paced as a list, a generator and Blocks of 7, give the same log bytes,
@@ -443,6 +449,24 @@ class TestSourceKinds:
         text, flushes, outcome = want
         assert flushes[-1] == len(text) and text.count("\n") > 1
         assert (outcome if isinstance(outcome, str) else outcome.trigger) == expected
+
+    @pytest.mark.parametrize("size", [1, 7, engine._BLOCK_SIZE])
+    def test_blocks_are_read_up_to_the_one_holding_the_alarm_row(self, size):
+        """A source of Blocks is read no further than the Block that holds the alarm's row."""
+        samples = generate_trace(SleepModelParams(rng_seed=2), TraceHeader(4.0, 260 * NS))
+        read = 0
+
+        def blocks():
+            nonlocal read
+            for i in range(0, len(samples), size):
+                read += 1
+                yield sample_block(samples[i:i + size])
+
+        outcome = run_session(SessionConfig(4 * P, P), blocks()).outcome
+        assert outcome.trigger is AlarmTrigger.THRESHOLD_HIT
+        alarm_row = [s.t_ns for s in samples].index(outcome.alarm_time_ns)
+        assert alarm_row == 842  # at 210.5 s
+        assert read == alarm_row // size + 1
 
     def test_order_error_in_a_held_batch_comes_before_a_later_source_error(self):
         """A generator that yields a learning pair out of order, then fails before that

@@ -302,6 +302,22 @@ class TestCharts:
             export_period_charts(corrupt, out)
         assert not (out / "summary.csv").exists()
 
+    def test_reused_directory_keeps_no_chart_of_an_earlier_exports_later_periods(self, tmp_path):
+        """An export into the directory of one with more periods removes that one's period_<k>.csv
+        for k at or past its own period count, and no file of another name."""
+        samples, log_path, _ = self.small_case(tmp_path)  # 4 one-minute periods
+        out = tmp_path / "charts"
+        eight, _ = run_with_log(tmp_path, samples, 4 * P, P // 2, name="eight.jsonl")
+        assert len(export_period_charts(eight, out)) == 9
+        others = ["period_04.csv", "period_5.csv.bak", "period_x.csv", "period_-5.csv", "period_4.CSV",
+                  "period_.csv", "period_٤.csv", "notes.txt"]
+        for name in others:
+            (out / name).write_text("kept\n", encoding="utf-8")
+        (out / "period_12.csv").write_text("stale\n", encoding="utf-8")
+        written = export_period_charts(log_path, out)
+        assert sorted(p.name for p in out.iterdir()) == sorted([p.name for p in written] + others)
+        assert all((out / name).read_text(encoding="utf-8") == "kept\n" for name in others)
+
     def test_missing_or_bad_header_raises(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")

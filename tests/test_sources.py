@@ -36,6 +36,7 @@ from lightwake.sources import (
     MAX_LINE_BYTES,
     TRACE_HEADER_LINE,
     _rows,
+    _sample_count,
     _samples,
     _wire_blocks,
     format_seconds,
@@ -301,6 +302,17 @@ class TestGenerator:
         assert len(samples) == 2400
         assert samples[-1].t_ns == 599_750_000_000
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(rate=st.one_of(st.sampled_from([1.0, 3.0, 4.0, 7.0, 100 / 3, 250.0]), st.floats(1.0, 250.0)),
+           row=st.integers(0, 800), offset=st.sampled_from([-1, 0, 1, None]))
+    def test_sample_count_is_the_grid_times_below_the_duration(self, rate, row, offset):
+        """Against enumeration of the grid, for durations at a grid time, 1 ns either side of one,
+        and between two."""
+        ns_per_sample = NS_PER_S / rate
+        grid = [int(i * ns_per_sample + 0.5) for i in range(row + 2)]
+        duration_ns = max(0, grid[row] + offset if offset is not None else (grid[row] + grid[row + 1]) // 2)
+        assert _sample_count(TraceHeader(rate, duration_ns)) == sum(t < duration_ns for t in grid)
+
     def test_eight_hour_defaults_track_light_sleep(self):
         # Verified by brute-force per-period scan: every hour moves, and the
         # hours richer in light sleep move more on average.
@@ -549,8 +561,8 @@ _PAD = st.sampled_from(["", "", " ", "  ", "\t"])
 
 
 @st.composite
-def sample_rows(draw):
-    """Rows as token lists (an empty list is a blank row), padded on both sides.
+def sample_rows(draw, max_rows=8):
+    """Up to max_rows rows as token lists (an empty list is a blank row), padded on both sides.
 
     Most rows are valid, so that whole streams parse; some repeat or step
     back in time, and a few carry an odd token or a wrong field count. In
@@ -564,7 +576,7 @@ def sample_rows(draw):
     pad = st.just("") if canonical else _PAD
     rows = []
     t = draw(st.integers(0, 2))
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, max_rows))):
         if draw(st.integers(0, 9)) == 0:
             rows.append([])
             continue
@@ -645,6 +657,18 @@ class TestOneRowGrammar:
 # components out of range, infinite, NaN or not numbers at all.
 _ODD_TIMES = [lambda t: f"{t / 4:.8f}", lambda t: f"{t / 4:.10f}", lambda t: str(t / 4)]
 _ODD_COMPONENTS = st.sampled_from(["5.5", "-6.0", "5.000000000000001", "1e400", "-1e400", "nan", "1-2", "e"])
+_SHORT_COMPONENTS = ["0.0", "-0.0", "5.0", "-5.0", "1.0", "-1.5", "0.25", "1e-05", "5e-324", "-5e-324"]
+
+
+def _component(rnd):
+    """A float in [-5, 5] as repr writes it: mostly of 16 or 17 significant digits, else of a
+    short form, -0.0 among them, or of an exponent form from e-05 down to 5e-324."""
+    form = rnd.randrange(8)
+    if form == 0:
+        return rnd.choice(_SHORT_COMPONENTS)
+    if form == 1:
+        return repr(rnd.uniform(-5.0, 5.0) * 10.0 ** -rnd.randint(5, 323))
+    return repr(rnd.uniform(-5.0, 5.0))
 
 
 @st.composite
@@ -656,11 +680,12 @@ def wire_payloads(draw):
     sample_rows row. The final line may lack its newline.
     """
     lines = []
+    rnd = draw(st.randoms(use_true_random=True))  # the components: a draw for each costs more than a test
     t = draw(st.integers(0, 2))
     for _ in range(draw(st.integers(0, 12))):
         t += draw(st.sampled_from([1, 1, 1, 1, 2, 0, -1]))
         time_token = format_seconds(t * 250_000_000)
-        comps = [repr(draw(st.floats(-5.0, 5.0))) for _ in range(3)]
+        comps = [_component(rnd) for _ in range(3)]
         kind = draw(st.integers(0, 24))
         if kind == 0:
             time_token = draw(st.sampled_from(_ODD_TIMES))(t)
@@ -675,7 +700,7 @@ def wire_payloads(draw):
         elif kind == 4:
             line = draw(_PAD)
         elif kind == 5:
-            rows = draw(sample_rows())
+            rows = draw(sample_rows(max_rows=1))
             line = " ".join(rows[0]) if rows else ""
         lines.append(line.encode("ascii") + b"\n")
     if lines and draw(st.booleans()):
