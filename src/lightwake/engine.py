@@ -34,9 +34,12 @@ refused once the rows before it are decided. A source of Blocks gives its
 own, an unpaced RawSample list or tuple those of its slices, and _batched
 groups other RawSamples: a batch ends after the first sample of a later
 period, so a boundary's records are written and flushed as it is crossed.
-block_deltas gives a Block's deltas in one numpy pass, and
-Detector.learn_run takes each run of them between skipped samples and
-period boundaries as (first, last, max): the records and outcome of
+block_deltas gives a Block's deltas in one numpy pass, and _learn walks
+the rows before the cut in pieces: a row without a delta, skipped or the
+session's first accepted one, or else the run of deltas up to the next
+such row or the period's end, which Detector.learn_run takes as (first,
+last, max). Before each piece the detector's clock moves to its first row
+if that row starts a later period. The records and outcome are those of
 deciding each sample on its own. _learn reads no Block past the one it
 cuts at the final period's start, and the final period reads what is left
 of the source: the rest of that Block, then the source's own remaining
@@ -161,39 +164,6 @@ class EventLog:
         self._sink.write("".join(map(_DELTA_LINE.__mod__, zip(times, values))))
 
 
-def _learn_block(times: list[int], xyz: np.ndarray, prev: Vector | None, detector: Detector,
-                 log: EventLog | None) -> Vector | None:
-    """Decide learning samples, given as a Block's columns; returns the new prev.
-
-    The samples end before the final period. A sample without a delta,
-    skipped or the session's first accepted one, ends a run, and so does a
-    period boundary: the detector's clock moves to a sample that starts a
-    later period before its run or its record.
-    """
-    skipped, deltas, last = block_deltas(prev, xyz)
-    values = None if log is None else deltas.tolist()
-    start = 0
-    for stop in [*np.flatnonzero(np.isnan(deltas)).tolist(), len(times)]:
-        while start < stop:
-            if times[start] >= detector.learning_end_ns:
-                detector.advance_to(times[start])
-            cut = bisect_left(times, detector.learning_end_ns, start, stop)
-            # Ordered by _learn; non-negative and no NaN, so numpy's max is max()'s.
-            detector.learn_run(times[start], times[cut - 1], float(deltas[start:cut].max()))
-            if log is not None:
-                log.write_deltas(times[start:cut], values[start:cut])
-            start = cut
-        if stop < len(times) and log is not None:
-            if times[stop] >= detector.learning_end_ns:
-                detector.advance_to(times[stop])
-            if skipped[stop]:
-                log.emit(times[stop], SAMPLE_SKIPPED, reason="degenerate")
-            else:
-                log.emit(times[stop], SAMPLE_ACCEPTED)
-        start = stop + 1
-    return last
-
-
 def _read(items: Iterator, speed: float, sleep_ns: int) -> Iterator:
     """The source's items; an error it raises of a kind a source may raise becomes SourceFailed.
     Paced (speed above 0), a Block's rows are given as RawSamples, each sample once its time has
@@ -241,13 +211,38 @@ def _learn(blocks: Iterator[Block], final_ns: int, detector: Detector,
     cut at final_ns from there on, as RawSamples, and the vector of the last sample kept. No Block
     past that one is read: the final period reads what is left of the source. Times are checked
     up to and including the first at or past final_ns, the rest by the final loop; the rows
-    before a pair out of order are decided before its error is raised."""
+    before a pair out of order are decided before its error is raised.
+
+    A Block's rows are decided in pieces: a row without a delta, skipped or the session's first
+    accepted one, or else the run of deltas from there up to the next such row or the end of
+    the detector's period. The detector's clock moves to a piece's first row before the piece
+    when that row starts a later period.
+    """
     last_t, prev = -1, None
     for times, xyz in blocks:
         bad = len(times) if all(map(operator.lt, chain((last_t,), times), times)) else next(
             i for i, (s, t) in enumerate(zip(chain((last_t,), times), times)) if s >= t)
         cut = bisect_left(times, final_ns, 0, bad)
-        prev = _learn_block(times[:cut], xyz[:, :cut], prev, detector, log)
+        skipped, deltas, prev = block_deltas(prev, xyz[:, :cut])
+        values = None if log is None else deltas.tolist()
+        gaps = [*np.flatnonzero(np.isnan(deltas)).tolist(), cut]  # the rows without a delta, then cut
+        start = gap = 0
+        while start < cut:
+            if times[start] >= detector.learning_end_ns:
+                detector.advance_to(times[start])
+            if start == gaps[gap]:
+                if log is not None and skipped[start]:
+                    log.emit(times[start], SAMPLE_SKIPPED, reason="degenerate")
+                elif log is not None:
+                    log.emit(times[start], SAMPLE_ACCEPTED)
+                start, gap = start + 1, gap + 1
+                continue
+            stop = bisect_left(times, detector.learning_end_ns, start, gaps[gap])
+            # Ordered above; non-negative and no NaN, so numpy's max is max()'s.
+            detector.learn_run(times[start], times[stop - 1], float(deltas[start:stop].max()))
+            if log is not None:
+                log.write_deltas(times[start:stop], values[start:stop])
+            start = stop
         if cut == bad < len(times):
             raise SourceFailed(_ORDER % (times[bad], times[bad - 1] if bad else last_t))
         if cut < len(times):

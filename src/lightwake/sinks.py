@@ -166,8 +166,9 @@ _DELTA_RUN = re.compile(r'(?m)^((?:\{"t_ns":(?:0|[1-9][0-9]{0,29})' + _VALUE_KEY
 
 def _log_records(path: Path) -> Iterator[dict | tuple[int, str, dict] | tuple[list[int], list[float]]]:
     """Yield a log's validated header record, then its events, read in blocks of whole lines:
-    a run of _DELTA_RUN lines that passes every check as one (times, values) pair, and any
-    other line, or a run that fails one, as (t_ns, kind, fields) tuples; see read_event_log."""
+    deltas as (times, values) lists, a run of _DELTA_RUN lines that passes every check as one
+    pair and any other DeltaComputed line as a pair of one, and every other record as a
+    (t_ns, kind, fields) tuple; see read_event_log."""
     header: dict | None = None
     sleep_ns = last_t_ns = lineno = 0  # lineno: the number of the last line read
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -204,7 +205,7 @@ def _log_records(path: Path) -> Iterator[dict | tuple[int, str, dict] | tuple[li
                         value = fields.get("value")
                         if t_ns == sleep_ns or type(value) is not float or not 0.0 <= value < math.inf:
                             raise MalformedLog(f"{path}: line {lineno}: not a delta record: {line!r}")
-                    yield t_ns, kind, fields
+                    yield ([t_ns], [value]) if kind == DELTA_COMPUTED else (t_ns, kind, fields)
     if header is None:
         raise MalformedLog(f"{path}: empty log (no version header)")
 
@@ -273,14 +274,14 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
     index = period_start = period_end = 0  # the period whose chart is open
     try:
         for record in records:
-            if len(record) == 3 and record[1] != DELTA_COMPUTED:
+            if len(record) == 3:
                 t_ns, kind, fields = record
                 if kind == THRESHOLDS_UPDATED:
                     t_min, t_max = fields.get("t_min"), fields.get("t_max")
                 elif kind == ALARM_FIRED:
                     alarm_t_ns, alarm_fields = t_ns, fields
                 continue
-            times, values = record if len(record) == 2 else ([record[0]], [record[2]["value"]])
+            times, values = record
             start = 0
             while start < len(times):
                 if times[start] >= period_end:

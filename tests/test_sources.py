@@ -558,6 +558,10 @@ class TestLiveSource:
 _ODD_TOKENS = st.sampled_from(["5.5", "-6", "nan", "-inf", "1e400", "1e999999999", "-1",
                                "0x1", "1_0", "+.5", "abc", "#"])
 _PAD = st.sampled_from(["", "", " ", "  ", "\t"])
+# Built once: a fresh strategy object is validated at each draw.
+_COMPONENT = st.floats(-5.0, 5.0).map(repr)
+_TIME_STEP = st.sampled_from([1, 1, 2, 5, 0, -1])
+_N_COMPONENTS = st.sampled_from([3] * 14 + [2, 4])
 
 
 @st.composite
@@ -580,10 +584,10 @@ def sample_rows(draw, max_rows=8):
         if draw(st.integers(0, 9)) == 0:
             rows.append([])
             continue
-        t += draw(st.sampled_from([1, 1, 2, 5, 0, -1]) if draw(st.booleans()) else st.just(1))
+        t += draw(_TIME_STEP if draw(st.booleans()) else st.just(1))
         tokens = [rarely(st.just(format_seconds(t * 250_000_000) if canonical else str(t / 4)))]
-        n_comps = draw(st.sampled_from([3] * 14 + [2, 4]))
-        tokens += [rarely(st.floats(-5.0, 5.0).map(repr)) for _ in range(n_comps)]
+        n_comps = draw(_N_COMPONENTS)
+        tokens += [rarely(_COMPONENT) for _ in range(n_comps)]
         rows.append([draw(pad) + tok + draw(pad) for tok in tokens])
     return rows
 
