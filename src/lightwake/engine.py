@@ -161,7 +161,7 @@ class EventLog:
 
     def write_deltas(self, times: list[int], values: list[float]) -> None:
         """Write the DeltaComputed lines of values[i] at times[i]."""
-        self._sink.write("".join(map(_DELTA_LINE.__mod__, zip(times, values))))
+        self._sink.write((_DELTA_LINE * len(times)) % tuple(chain.from_iterable(zip(times, values))))
 
 
 def _read(items: Iterator, speed: float, sleep_ns: int) -> Iterator:

@@ -7,10 +7,11 @@ files. Melodies are plain text, one note per line as
 ``#`` comments are ignored.
 
 The chart sink projects a session event log into one CSV per period (every
-DeltaComputed event, timestamped in seconds within its period) plus a
-key/value summary holding the per-period maxima, the learned thresholds,
-and the alarm. Logs stream a block of lines at a time, in time order, so
-chart memory is bounded by the number of periods.
+DeltaComputed event, timestamped in seconds within its period, its delta the
+log's token as written) plus a key/value summary holding the per-period
+maxima, the learned thresholds, and the alarm. Logs stream a block of lines
+at a time, in time order, so chart memory is bounded by the number of
+periods.
 """
 
 from __future__ import annotations
@@ -151,12 +152,14 @@ def read_event_log(path: str | Path) -> tuple[dict, list[tuple[int, str, dict]]]
     records = _log_records(Path(path))
     header = next(records)
     events: list[tuple[int, str, dict]] = []
-    for record in records:  # a run of deltas, or one event
-        events += [(t, DELTA_COMPUTED, {"value": v}) for t, v in zip(*record)] if len(record) == 2 else [record]
+    for record in records:  # one event, or a run of deltas
+        events += [record] if type(record[0]) is int \
+            else [(t, DELTA_COMPUTED, {"value": v}) for t, v in zip(*record[:2])]
     return header, events
 
 
 _raw_decode = json.JSONDecoder().raw_decode
+_raw_decode_text = json.JSONDecoder(parse_float=str).raw_decode  # a float's JSON text, as written
 
 # Runs of whole DeltaComputed lines as engine._DELTA_LINE writes them; int() reads a 30-digit t_ns.
 _VALUE_KEY = ',"kind":"DeltaComputed","value":'
@@ -164,11 +167,12 @@ _DELTA_RUN = re.compile(r'(?m)^((?:\{"t_ns":(?:0|[1-9][0-9]{0,29})' + _VALUE_KEY
                         r'(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)\}\n)+)')
 
 
-def _log_records(path: Path) -> Iterator[dict | tuple[int, str, dict] | tuple[list[int], list[float]]]:
+def _log_records(path: Path) -> Iterator[dict | tuple[int, str, dict] | tuple[list[int], list[float], list[str]]]:
     """Yield a log's validated header record, then its events, read in blocks of whole lines:
-    deltas as (times, values) lists, a run of _DELTA_RUN lines that passes every check as one
-    pair and any other DeltaComputed line as a pair of one, and every other record as a
-    (t_ns, kind, fields) tuple; see read_event_log."""
+    deltas as (times, values, tokens) lists, each token a value's JSON text as written, a run
+    of _DELTA_RUN lines that passes every check as one triple and any other DeltaComputed line
+    as a triple of one, and every other record as a (t_ns, kind, fields) tuple; see
+    read_event_log."""
     header: dict | None = None
     sleep_ns = last_t_ns = lineno = 0  # lineno: the number of the last line read
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -176,12 +180,13 @@ def _log_records(path: Path) -> Iterator[dict | tuple[int, str, dict] | tuple[li
             for piece, text in enumerate(_DELTA_RUN.split(block)):  # text, then each run and the text after it
                 if piece % 2:  # a run; before the header, sleep_ns is 0 and it fails the checks below
                     fields = text[len('{"t_ns":'):-len("}\n")].replace('}\n{"t_ns":', _VALUE_KEY).split(_VALUE_KEY)
-                    times, values = list(map(int, fields[::2])), list(map(float, fields[1::2]))
+                    times, tokens = list(map(int, fields[::2])), fields[1::2]
+                    values = list(map(float, tokens))
                     if last_t_ns <= times[0] and times[-1] < sleep_ns and max(values) < math.inf \
                             and sorted(times) == times:
                         lineno += len(times)
                         last_t_ns = times[-1]
-                        yield times, values
+                        yield times, values, tokens
                         continue
                 for line in text.split("\n")[:-1]:  # a truncated log's unterminated last line is dropped
                     lineno += 1
@@ -205,7 +210,8 @@ def _log_records(path: Path) -> Iterator[dict | tuple[int, str, dict] | tuple[li
                         value = fields.get("value")
                         if t_ns == sleep_ns or type(value) is not float or not 0.0 <= value < math.inf:
                             raise MalformedLog(f"{path}: line {lineno}: not a delta record: {line!r}")
-                    yield ([t_ns], [value]) if kind == DELTA_COMPUTED else (t_ns, kind, fields)
+                    yield ([t_ns], [value], [_raw_decode_text(line)[0]["value"]]) if kind == DELTA_COMPUTED \
+                        else (t_ns, kind, fields)
     if header is None:
         raise MalformedLog(f"{path}: empty log (no version header)")
 
@@ -245,13 +251,14 @@ def _cell(value: object) -> str:
 def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path]:
     """Write period_<k>.csv for every period plus summary.csv; returns the paths.
 
-    Chart rows are a lossless projection of the log's DeltaComputed events.
-    The summary holds each period's maximum delta (the final period's too),
-    the last logged band, and the alarm. The log is streamed: each run of
-    delta rows is written as it is read, and only the per-period maxima are
-    held. A MalformedLog stops the export before summary.csv is written, and
-    an earlier export's summary.csv is removed before the period files are,
-    as are its period_<k>.csv files with k at or past this log's period count.
+    Chart rows are a lossless projection of the log's DeltaComputed events:
+    each row's delta is the value's token in the log, as written. The summary
+    holds each period's maximum delta (the final period's too), the last
+    logged band, and the alarm. The log is streamed: each run of delta rows
+    is written as it is read, and only the per-period maxima are held. A
+    MalformedLog stops the export before summary.csv is written, and an
+    earlier export's summary.csv is removed before the period files are, as
+    are its period_<k>.csv files with k at or past this log's period count.
     """
     records = _log_records(Path(log_path))
     header = next(records)
@@ -274,14 +281,14 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
     index = period_start = period_end = 0  # the period whose chart is open
     try:
         for record in records:
-            if len(record) == 3:
+            if type(record[0]) is int:
                 t_ns, kind, fields = record
                 if kind == THRESHOLDS_UPDATED:
                     t_min, t_max = fields.get("t_min"), fields.get("t_max")
                 elif kind == ALARM_FIRED:
                     alarm_t_ns, alarm_fields = t_ns, fields
                 continue
-            times, values = record
+            times, values, tokens = record
             start = 0
             while start < len(times):
                 if times[start] >= period_end:
@@ -296,9 +303,9 @@ def export_period_charts(log_path: str | Path, out_dir: str | Path) -> list[Path
                 stop = bisect_left(times, period_end, start)
                 maxima[index] = max(maxima[index], *values[start:stop])  # the first of equal maxima stays
                 offsets = [t - period_start for t in times[start:stop]]
-                rows = zip([t // NS_PER_S for t in offsets], [t % NS_PER_S for t in offsets], values[start:stop])
-                # Each row is format_seconds(t - period_start), then repr(value); one % formats them all.
-                chart.write(("%d.%09d,%r\n" * len(offsets)) % tuple(chain.from_iterable(rows)))
+                rows = zip([t // NS_PER_S for t in offsets], [t % NS_PER_S for t in offsets], tokens[start:stop])
+                # Each row is format_seconds(t - period_start), then the value's token; one % formats them all.
+                chart.write(("%d.%09d,%s\n" * len(offsets)) % tuple(chain.from_iterable(rows)))
                 start = stop
     finally:
         if chart is not None:

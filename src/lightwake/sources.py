@@ -61,6 +61,7 @@ import socket
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -456,7 +457,7 @@ def write_generated_trace(path: str | Path, params: SleepModelParams, header: Tr
     def chunks() -> Iterator[str]:
         for t_ns, *acc in _trace_chunks(params, header):
             columns = [column.tolist() for column in (*np.divmod(t_ns, NS_PER_S), *acc)]
-            yield "".join(map(_ROW.__mod__, zip(*columns)))
+            yield (_ROW * len(t_ns)) % tuple(chain.from_iterable(zip(*columns)))
 
     _write_rows(path, header, chunks())
     return _sample_count(header)

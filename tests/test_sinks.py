@@ -28,7 +28,7 @@ from lightwake.engine import DELTA_COMPUTED
 from lightwake.errors import InvalidMelody, MalformedLog
 from lightwake import sinks, sources
 from lightwake.sinks import Melody
-from lightwake.sources import seconds_to_ns
+from lightwake.sources import format_seconds, seconds_to_ns
 from reference import offline_outcome, per_period_maxima
 from test_engine import oracle_cases
 from trace_builders import scripted_trace
@@ -517,6 +517,9 @@ LINE_MUTATIONS = {
     "negative value": (lambda t, v, prev, end: delta(t, b"-0.5"), False),
     "1E400": (lambda t, v, prev, end: delta(t, b"1E400"), False),
     "1e-400": (lambda t, v, prev, end: delta(t, b"1e-400"), True),
+    "trailing zero": (lambda t, v, prev, end: delta(t, b"0.50"), True),
+    "upper-case exponent": (lambda t, v, prev, end: delta(t, b"5E-3"), True),
+    "not the shortest repr": (lambda t, v, prev, end: delta(t, b"0.10000000000000001"), True),
     "leading zero": (lambda t, v, prev, end: delta(b"0" + t, v), False),
     "space after a colon": (lambda t, v, prev, end: delta(t, v, colon=b": "), True),
     "CRLF line end": (lambda t, v, prev, end: delta(t, v) + b"\r", True),
@@ -575,7 +578,9 @@ class TestBlockReader:
         path.write_bytes(NIGHT_LOG)
         log, n = MUTATED_LINES[-1]
         assert len(b"\n".join(log.split(b"\n")[:n - 1])) > sources._BLOCK_BYTES  # past the first block
-        runs = [len(record[0]) for record in sinks._log_records(path) if len(record) == 2]
+        records = sinks._log_records(path)
+        next(records)  # the header
+        runs = [len(record[0]) for record in records if type(record[0]) is list]
         assert max(runs, default=0) > 40, runs
 
     def test_runs_are_cut_at_period_ends(self, workdir):
@@ -595,17 +600,25 @@ class TestBlockReader:
     def test_blocks_read_like_lines(self, workdir, mutation):
         """With one DeltaComputed line mutated, the block reader gives the events
         or the MalformedLog message, and the chart bytes, of a reading one line
-        at a time, at any block size."""
+        at a time, at any block size. A mutated line that still reads, is
+        terminated and has the engine's layout charts its value token as
+        written."""
         path, reads = workdir / "mutated.jsonl", LINE_MUTATIONS[mutation][1]
         for log, n in MUTATED_LINES:
             path.write_bytes(mutated(log, n, mutation))
+            lines = path.read_bytes().split(b"\n")[:-1]  # the terminated lines
+            line = _DELTA_LINE.fullmatch(lines[n - 1]) if n <= len(lines) else None
             with mock.patch.object(sinks, "_DELTA_RUN", re.compile("(?!)")):  # no run: every line alone
                 by_line = read_and_chart(path, workdir / "by_line")
             for block_bytes in (1, 64, sources._BLOCK_BYTES):
                 with mock.patch.object(sources, "_BLOCK_BYTES", block_bytes):
                     assert read_and_chart(path, workdir / "by_block") == by_line, (mutation, n, block_bytes)
-            (events, _), _ = by_line
+            (read, _), charts = by_line
             if reads:
-                assert isinstance(events, tuple)
+                assert isinstance(read, tuple)
+                if line:
+                    t_ns, period_ns = int(line[1]), read[0]["period_ns"]
+                    row = b"\n%s,%s\n" % (format_seconds(t_ns % period_ns).encode(), line[2])
+                    assert row in charts[f"period_{t_ns // period_ns}.csv"], (mutation, n, row)
             else:
-                assert re.search(rf"line {n}\b", events), events
+                assert re.search(rf"line {n}\b", read), read
