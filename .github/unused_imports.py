@@ -2,9 +2,9 @@
 and on a module-level private name that none of the given modules reads.
 
 An imported name counts as used when the module reads it anywhere or lists it in __all__. A
-private name, one with a leading underscore that is not a dunder, defined by a module-level
-def, class or assignment, counts as read when any given module reads it as a name or an
-attribute, or imports it with from ... import.
+private name, one with a leading underscore that is not a dunder or the bare _ throwaway,
+defined by a module-level def, class or assignment, counts as read when any given module reads
+it as a name or an attribute, or imports it with from ... import.
 Usage: python .github/unused_imports.py src/lightwake/*.py
 """
 import ast
@@ -39,7 +39,8 @@ for path, tree in trees.items():
         names = [node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
             else [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         for name in names:
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")) and name not in read:
+            if name.startswith("_") and name != "_" and not (name.startswith("__") and name.endswith("__")) \
+                    and name not in read:
                 unused.append(f"{path}:{node.lineno}: private '{name}' is never read")
 print("\n".join(unused) or f"no unused import or private name in {len(sys.argv) - 1} modules")
 sys.exit(1 if unused else 0)

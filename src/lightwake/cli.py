@@ -35,9 +35,9 @@ def finite_float(text: str) -> float:
 
 
 def host_port(text: str) -> tuple[str, int]:
-    """argparse type for --listen: HOST:PORT with a port of 0..65535."""
+    """argparse type for --listen: HOST:PORT with a port of 0..65535 in ASCII digits."""
     host, _, port = text.rpartition(":")
-    if host and port.isdigit() and int(port) <= 65535:
+    if host and port.isascii() and port.isdigit() and int(port) <= 65535:
         return host, int(port)
     raise argparse.ArgumentTypeError(f"{text!r} is not HOST:PORT with a port of 0..65535")
 

@@ -74,7 +74,7 @@ TRACE_HEADER_LINE = "t_s,ax_g,ay_g,az_g"
 MAX_LINE_BYTES = 1024
 
 _NS_QUANTUM = Decimal("1e-9")
-_BLOCK_BYTES = 1 << 16  # the readlines hint of the trace and log readers
+_BLOCK_BYTES = 1 << 16  # sizes every reader's blocks: the trace and log readlines hint, the wire recv
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,27 +101,23 @@ class TraceHeader:
 
 @dataclass(frozen=True, slots=True)
 class SleepModelParams:
-    """Knobs of the synthetic night: cycle layout, noise, and burst process.
+    """Knobs of the synthetic night: cycle length, noise, and burst rates.
 
     Movement bursts arrive at burst_rate_light events/min while the schedule
     is in light sleep and burst_rate_deep otherwise (deep and REM are both
     quiet). Each burst lasts 1..5 s with a per-axis offset drawn uniformly
-    from +/-burst_amplitude g.
+    from +/-0.4 g.
     """
 
     cycle_length_ns: int = 90 * 60 * NS_PER_S
-    rem_fraction: float = 0.20
     quiet_noise_sigma: float = 0.003
     burst_rate_light: float = 3.0
     burst_rate_deep: float = 0.1
-    burst_amplitude: float = 0.4
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.cycle_length_ns < 60 * NS_PER_S:  # stage_schedule holds 3 segments per cycle
             raise ConfigInvalid(f"cycle length must be at least 60 s, got {self.cycle_length_ns} ns")
-        if not 0.0 < self.rem_fraction < 1.0:
-            raise ConfigInvalid(f"rem_fraction {self.rem_fraction!r} outside (0, 1)")
         if not self.quiet_noise_sigma >= 0.0:
             raise ConfigInvalid("quiet_noise_sigma must be non-negative")
         # Light sleep must be at least as restless as deep sleep; equal rates
@@ -129,8 +125,6 @@ class SleepModelParams:
         if not self.burst_rate_light >= self.burst_rate_deep >= 0.0:
             raise ConfigInvalid(f"burst rates must satisfy light {self.burst_rate_light!r} "
                                 f">= deep {self.burst_rate_deep!r} >= 0")
-        if not self.burst_amplitude >= 0.0:
-            raise ConfigInvalid("burst_amplitude must be non-negative")
         if self.rng_seed < 0:
             raise ConfigInvalid(f"rng_seed must be non-negative, got {self.rng_seed}")
 
@@ -334,15 +328,17 @@ def write_trace(path: str | Path, header: TraceHeader, samples: list[RawSample])
 # -- synthetic generator -----------------------------------------------------
 
 _DEEP, _LIGHT, _REM = "deep", "light", "rem"
+_REM_FRACTION = 0.20  # of each cycle
+_BURST_AMPLITUDE = 0.4  # g, the largest per-axis offset of a burst
 
 
 def stage_schedule(params: SleepModelParams, duration_ns: int) -> list[tuple[int, int, str]]:
     """Piecewise-constant stage segments (start_ns, end_ns, stage) over the night.
 
-    Each cycle runs deep -> light -> REM, with REM occupying rem_fraction of
-    the cycle and the remainder split evenly between deep and light.
+    Each cycle runs deep -> light -> REM, with REM occupying a fifth of the
+    cycle and the remainder split evenly between deep and light.
     """
-    nrem_fraction = 1.0 - params.rem_fraction
+    nrem_fraction = 1.0 - _REM_FRACTION
     cycle = params.cycle_length_ns
     deep_end = int(cycle * nrem_fraction / 2.0)
     light_end = int(cycle * nrem_fraction)
@@ -393,7 +389,7 @@ def _bursts(params: SleepModelParams, duration_ns: int,
             if t >= seg_end_s:
                 break
             duration = rng.uniform(1.0, 5.0)
-            offsets = rng.uniform(-params.burst_amplitude, params.burst_amplitude, size=3)
+            offsets = rng.uniform(-_BURST_AMPLITUDE, _BURST_AMPLITUDE, size=3)
             bursts.append((t, duration, offsets))
     return bursts
 
@@ -474,7 +470,7 @@ def _wire_blocks(conn: socket.socket) -> Iterator[str]:
     a longer terminated line is left to _rows' limit.
     """
     rest, lineno = b"", 1  # rest holds the first bytes of line lineno
-    while data := conn.recv(1 << 16):
+    while data := conn.recv(_BLOCK_BYTES):
         data = rest + data
         cut = data.rfind(b"\n") + 1
         yield data[:cut].decode("ascii", "replace")  # empty if no line ended

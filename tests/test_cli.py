@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -104,6 +105,13 @@ class TestUsage:
             assert result.returncode == 2, address
             assert "Traceback" not in result.stderr
             assert result.stderr.splitlines()[-1].startswith("lightwake run: error: argument --listen")
+
+    @pytest.mark.parametrize("port", ["\u0663", "\uff18\uff10\uff18\uff10", "\u00b2"])
+    def test_listen_port_takes_only_ascii_digits(self, port):
+        """Arabic-Indic 3 and fullwidth 8080 are digits that int() reads; superscript 2 is a digit
+        that int() refuses. Tested in process: a port they name would be bound and wait for a client."""
+        with pytest.raises(argparse.ArgumentTypeError, match="is not HOST:PORT"):
+            lightwake_cli.host_port(f"127.0.0.1:{port}")
 
     def test_run_requires_exactly_one_source(self, tiny_trace):
         assert cli("run").returncode == 2
