@@ -31,7 +31,7 @@ import numpy as np
 from .detector import ALARM_FIRED, THRESHOLDS_UPDATED, validate_session_shape
 from .engine import DELTA_COMPUTED, LOG_VERSION, NS_PER_S
 from .errors import ConfigInvalid, InvalidMelody, MalformedLog
-from .sources import _utf8_blocks, format_seconds
+from .sources import _line_blocks, _utf8_blocks, format_seconds
 
 # 0.8 of full scale: loud but clear of clipping artifacts.
 _AMPLITUDE = np.int16(26214)
@@ -175,8 +175,8 @@ def _log_records(path: Path) -> Iterator[dict | tuple[int, str, dict] | tuple[li
     read_event_log."""
     header: dict | None = None
     sleep_ns = last_t_ns = lineno = 0  # lineno: the number of the last line read
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for block in _utf8_blocks(fh, path, 1, MalformedLog):
+    with path.open("rb") as fh:
+        for _, block in _utf8_blocks(_line_blocks(fh.read), path, MalformedLog):
             for piece, text in enumerate(_DELTA_RUN.split(block)):  # text, then each run and the text after it
                 if piece % 2:  # a run; before the header, sleep_ns is 0 and it fails the checks below
                     fields = text[len('{"t_ns":'):-len("}\n")].replace('}\n{"t_ns":', _VALUE_KEY).split(_VALUE_KEY)

@@ -31,15 +31,17 @@ iter(source) is its sample stream: motion.block_rows over the wire's Blocks.
 Its close() closes the connection and ends the stream for next(source) and
 any later iter(source).
 
-Rows are decoded in blocks of whole lines, of about 64 KiB each, into the
-columns of a motion.Block, which read_trace and LiveSource give as samples.
-A block of canonical rows, as write_trace and the bench sender write them,
-is decoded in bulk; any other block row by row by _samples, the one
-row-path parser. The rows and errors are the same, and an error comes after
-the Block of every earlier row. The wire's 1,024-byte rule is enforced in
-two places: _wire_blocks refuses an unterminated line over it as it
-buffers, and _rows' row-by-row path a terminated one, which no canonical
-block holds. Trace lines have no limit.
+One cutter, _line_blocks, cuts every reader's bytes at the last newline of
+each read of about 64 KiB and numbers each block of whole lines by its
+first. A line ends at \n only: a file's \r\n reads as \n, and a lone \r
+ends no line. Trace and log blocks decode as UTF-8, wire blocks as ASCII.
+_rows decodes a block of canonical rows, as write_trace and the bench
+sender write them, in bulk into a motion.Block's columns, and any other
+row by row by _samples, the one row-path parser, with the same rows and
+errors; an error comes after the Block of every earlier row. The wire's
+1,024-byte rule is enforced in two places: _line_blocks refuses an
+unterminated line over it as it buffers, and _rows' row-by-row path a
+terminated one, which no canonical block holds. Trace lines have no limit.
 TraceHeader and SleepModelParams raise ConfigInvalid when built with a bad value.
 
 The synthetic generator is a fixture factory, not a physiological model:
@@ -63,7 +65,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -74,7 +76,7 @@ TRACE_HEADER_LINE = "t_s,ax_g,ay_g,az_g"
 MAX_LINE_BYTES = 1024
 
 _NS_QUANTUM = Decimal("1e-9")
-_BLOCK_BYTES = 1 << 16  # sizes every reader's blocks: the trace and log readlines hint, the wire recv
+_BLOCK_BYTES = 1 << 16  # the bytes _line_blocks reads at a time, from a trace, a log or the wire
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,21 +190,20 @@ def _samples(lines: Iterable[tuple[int, str]], sep: str | None, prev_t: int = -1
         yield RawSample(t_ns, *components)
 
 
-def _rows(blocks: Iterable[str], sep: str | None, lineno: int, limit: int | None = None) -> Iterator[Block]:
-    """Parse blocks of whole lines, the first one numbered lineno, as _samples does, into Blocks.
+def _rows(blocks: Iterable[tuple[int, str]], sep: str | None, limit: int | None = None) -> Iterator[Block]:
+    """Parse numbered blocks of whole lines, as _line_blocks cuts them, as _samples does, into Blocks.
 
     A block of canonical rows (a time as format_seconds writes it, then three
     short float tokens, one separator each) is decoded in bulk. Any other goes
     through _samples, the one row-path parser; on a bad row the Block of the
     rows before it comes first, and the error is raised when the reader is
-    resumed. Given a limit, the
-    first terminated line over limit bytes with its newline is a bad row,
-    whatever it holds (the blocks' source checks an unterminated one). Only
-    this path checks it: a canonical row is at most 98 bytes.
+    resumed. Given a limit, the first terminated line over limit bytes with
+    its newline is a bad row, whatever it holds (_line_blocks checks an
+    unterminated one). Only this path checks it: a canonical row is at most 98 bytes.
     """
     canonical = re.compile(rf"(?:[0-9]{{1,12}}\.[0-9]{{9}}(?:{sep or ' '}[-.0-9e]{{1,24}}){{3}}\n)+")
     prev_t = -1  # timestamps are non-negative, so the first row always passes
-    for block in blocks:
+    for lineno, block in blocks:
         columns = canonical.fullmatch(block) and _canonical_block(block, prev_t)
         if columns is None:
             lines = block.split("\n")  # the last one is unterminated, or blank
@@ -221,7 +222,6 @@ def _rows(blocks: Iterable[str], sep: str | None, lineno: int, limit: int | None
         if columns[0]:  # a block of blank rows has none
             yield columns
             prev_t = columns[0][-1]
-        lineno += block.count("\n")  # only the final block may end unterminated
 
 
 def _canonical_block(block: str, prev_t: int) -> Block | None:
@@ -239,22 +239,39 @@ def _canonical_block(block: str, prev_t: int) -> Block | None:
     return None
 
 
+def _line_blocks(read: Callable[[int], bytes], lineno: int = 1, limit: int | None = None) -> Iterator[tuple[int, bytes]]:
+    """Call read(_BLOCK_BYTES) until it gives no bytes, cut what is read at its last newline, and yield
+    each block of whole lines with its first line's number; the bytes after the newline start the next
+    block, and the final line may be unterminated. Given a limit, an unterminated line longer than limit
+    bytes raises ParseError once every line before it is yielded: a stream with no newline is not held."""
+    rest = b""  # the first bytes of line lineno
+    while data := read(_BLOCK_BYTES):
+        data = rest + data
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield lineno, data[:cut]
+            lineno += data.count(b"\n")
+        rest = data[cut:]
+        if limit and len(rest) > limit:
+            raise ParseError(f"line {lineno}: longer than {limit} bytes")
+    if rest:
+        yield lineno, rest
+
+
 # -- trace files ------------------------------------------------------------
 
-def _utf8_blocks(fh: IO[str], path: Path, lineno: int, error: type = ParseError, hint: int = 0) -> Iterator[str]:
-    """Read the rest of fh, its first line numbered lineno, in blocks of whole lines, each ending at the
-    first line end past hint (by default _BLOCK_BYTES) bytes, up to a line that is not UTF-8: error."""
-    for chunk in map("".join, iter(lambda: fh.readlines(hint or _BLOCK_BYTES), [])):
+def _utf8_blocks(blocks: Iterable[tuple[int, bytes]], path: str | Path, error=ParseError) -> Iterator[tuple[int, str]]:
+    """A file's numbered blocks of lines as text, its \\r\\n read as \\n, up to a line that is not UTF-8: error."""
+    for lineno, block in blocks:
+        # A block ends at a newline, so no \r\n spans two; the test for \r spares most blocks the replace.
+        block = block.replace(b"\r\n", b"\n") if b"\r" in block else block
         try:
-            chunk.encode("utf-8")  # a byte that is not UTF-8 was read as a lone surrogate, which this refuses
-        except UnicodeEncodeError as exc:
-            cut = chunk.rfind("\n", 0, exc.start) + 1
+            yield lineno, block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            cut = block.rfind(b"\n", 0, exc.start) + 1
             if cut:  # the lines before it go first, so that an earlier bad row is the error reported
-                yield chunk[:cut]
-            lineno += chunk.count("\n", 0, cut)
-            raise error(f"{path}: not UTF-8 text on line {lineno}") from None
-        yield chunk
-        lineno += chunk.count("\n")
+                yield lineno, block[:cut].decode("utf-8")
+            raise error("%s: not UTF-8 text on line %d" % (path, lineno + block.count(b"\n", 0, cut))) from None
 
 
 def read_trace_blocks(path: str | Path) -> tuple[TraceHeader, list[Block]]:
@@ -264,12 +281,11 @@ def read_trace_blocks(path: str | Path) -> tuple[TraceHeader, list[Block]]:
     out-of-range rows or on bytes that are not UTF-8, or OrderViolation on
     non-monotone timestamps.
     """
-    path = Path(path)
-    rate = 4.0
-    label = ""
-    with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:  # a leading BOM is skipped
-        for lineno, line in enumerate(_utf8_blocks(fh, path, 1, hint=1), start=1):  # a line a block
-            line = line.rstrip("\r\n")
+    rate, label = 4.0, ""
+    with open(path, "rb") as fh:
+        fh.seek(3 if fh.read(3) == b"\xef\xbb\xbf" else 0)  # a leading byte-order mark is skipped
+        for lineno, line in _utf8_blocks(enumerate(iter(fh.readline, b""), 1), path):  # a line a block
+            line = line.rstrip()
             if not line.startswith("#"):
                 break
             key, _, value = line[1:].strip().partition("=")
@@ -277,16 +293,17 @@ def read_trace_blocks(path: str | Path) -> tuple[TraceHeader, list[Block]]:
             if key == "rate_hz":
                 try:
                     rate = TraceHeader(float(value)).sample_rate_hz
-                except (ValueError, ConfigInvalid) as exc:
-                    raise ParseError(f"line {lineno}: bad rate_hz value {value!r}: {exc}") from None
+                except (ValueError, ConfigInvalid) as exc:  # float's message would quote the whole value
+                    reason = exc if isinstance(exc, ConfigInvalid) else "not a number"
+                    raise ParseError(f"line {lineno}: bad rate_hz value {value[:60]!r}: {reason}") from None
             elif key == "label":
                 label = value
             # Unknown keys are ignored for forward compatibility.
         else:
             raise ParseError(f"{path}: missing {TRACE_HEADER_LINE!r} header line")
         if line.strip() != TRACE_HEADER_LINE:
-            raise ParseError(f"line {lineno}: expected header {TRACE_HEADER_LINE!r}, got {line!r}")
-        blocks = list(_rows(_utf8_blocks(fh, path, lineno + 1), ",", lineno + 1))
+            raise ParseError(f"line {lineno}: expected header {TRACE_HEADER_LINE!r}, got {line[:60]!r}")
+        blocks = list(_rows(_utf8_blocks(_line_blocks(fh.read, lineno + 1), path), ","))
     return TraceHeader(rate, blocks[-1][0][-1] if blocks else 0, label), blocks
 
 
@@ -461,26 +478,6 @@ def write_generated_trace(path: str | Path, params: SleepModelParams, header: Tr
 
 # -- live listener -----------------------------------------------------------
 
-def _wire_blocks(conn: socket.socket) -> Iterator[str]:
-    """Cut a connection's bytes into blocks of whole lines, as ASCII text, at each read's last newline.
-
-    Non-ASCII bytes decode to U+FFFD, which no field accepts. An unterminated
-    line longer than MAX_LINE_BYTES raises ParseError once every line before
-    it is yielded, so a client that never sends a newline is not buffered;
-    a longer terminated line is left to _rows' limit.
-    """
-    rest, lineno = b"", 1  # rest holds the first bytes of line lineno
-    while data := conn.recv(_BLOCK_BYTES):
-        data = rest + data
-        cut = data.rfind(b"\n") + 1
-        yield data[:cut].decode("ascii", "replace")  # empty if no line ended
-        rest = data[cut:]
-        lineno += data.count(b"\n")
-        if len(rest) > MAX_LINE_BYTES:
-            raise ParseError(f"line {lineno}: longer than {MAX_LINE_BYTES} bytes")
-    yield rest.decode("ascii", "replace")  # the final line, unterminated, or nothing
-
-
 def _wire_samples(listener: socket.socket, timeout: float | None) -> Iterator[Block]:
     """Accept one client on listener, then yield its wire Blocks.
     A function, not a LiveSource method: the generator holds no reference to its source."""
@@ -493,7 +490,9 @@ def _wire_samples(listener: socket.socket, timeout: float | None) -> Iterator[Bl
     conn.settimeout(timeout)
     with conn:
         try:
-            yield from _rows(_wire_blocks(conn), None, 1, MAX_LINE_BYTES)
+            # A byte that is not ASCII reads as U+FFFD, which no field accepts.
+            blocks = ((n, block.decode("ascii", "replace")) for n, block in _line_blocks(conn.recv, 1, MAX_LINE_BYTES))
+            yield from _rows(blocks, None, MAX_LINE_BYTES)
         except socket.timeout:
             raise ParseError("timed out waiting for sample data") from None
 
@@ -506,7 +505,7 @@ class LiveSource:
     The actual bound (host, port) is exposed as .address, which is how
     tests bind port 0 and discover the ephemeral port. Closing the
     connection ends the stream; any protocol violation, a line over
-    MAX_LINE_BYTES too (refused by _wire_blocks if unterminated, else by
+    MAX_LINE_BYTES too (refused by _line_blocks if unterminated, else by
     _rows), drops the client and raises.
 
     iter(source) is the sample stream: motion.block_rows over the wire's

@@ -85,7 +85,7 @@ def seed42_night(tmp_path_factory) -> CliNight:
 
     def cli(*args):
         result = subprocess.run([sys.executable, "-m", "lightwake", *args],
-                                capture_output=True, text=True, timeout=300, env=child_env())
+                                capture_output=True, text=True, encoding="utf-8", timeout=300, env=child_env())
         assert result.returncode == 0, result.stderr
         return result.stdout
 

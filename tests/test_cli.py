@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import child_env
-from lightwake import NS_PER_S, SessionConfig, cli as lightwake_cli, run_session, sources
+from lightwake import (NS_PER_S, SessionConfig, SleepModelParams, TraceHeader, cli as lightwake_cli,
+                       generate_trace, run_session, sources)
 from lightwake.sources import MAX_LINE_BYTES, TRACE_HEADER_LINE, write_trace
 from test_sinks import BAD_HEADER_LINES, BAD_RECORD_LINES, ENGINE_LOG, log_versions
 from test_sources import PINNED_TRACES, sample_rows, wire_payloads
@@ -29,7 +30,7 @@ from trace_builders import scripted_trace
 def cli(*args, timeout=120, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "lightwake", *args],
-        capture_output=True, text=True, timeout=timeout, env=child_env(**(env_extra or {})),
+        capture_output=True, text=True, encoding="utf-8", timeout=timeout, env=child_env(**(env_extra or {})),
     )
 
 
@@ -214,6 +215,21 @@ class TestRun:
             assert result.stderr.startswith(f"lightwake: {path}: "), result.stderr
             assert len(result.stderr.splitlines()) == 1, result.stderr
 
+    def test_lone_cr_line_ends_trace_exits_1(self, tmp_path):
+        """A lone \\r ends no line, so a trace whose every line ends in one is a single line: its
+        comment or its header line is refused, quoting no more than the line's start."""
+        header = TraceHeader(4.0, 80 * NS_PER_S, label="lone cr")
+        lf, trace = tmp_path / "lf.csv", tmp_path / "cr.csv"
+        write_trace(lf, header, generate_trace(SleepModelParams(rng_seed=4), header))
+        lines = lf.read_bytes().split(b"\n")
+        for skipped in (0, 2):  # from the rate_hz comment line, or from the header line
+            trace.write_bytes(b"\r".join(lines[skipped:]))
+            assert len(trace.read_bytes()) > 20_000 and b"\n" not in trace.read_bytes()
+            result = cli("run", "--trace", str(trace), "--sleep-hours", "0.05", "--period-min", "1")
+            assert result.returncode == 1, result.stdout
+            assert result.stderr.startswith("lightwake: line 1: ") and result.stderr.endswith("\n")
+            assert len(result.stderr.splitlines()) == 1 and len(result.stderr) < 200, result.stderr
+
     def test_non_utf8_trace_exits_1(self, tiny_trace, tmp_path):
         trace = tmp_path / "latin1.csv"
         trace.write_bytes(b"t_s,ax_g,ay_g,az_g\n0.0,0,0,1\n0.25,\xff,0,1\n")
@@ -367,7 +383,7 @@ class TestListen:
         proc = subprocess.Popen(
             [sys.executable, "-m", "lightwake", "run",
              "--listen", f"127.0.0.1:{port}", *session],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, encoding="utf-8", env=child_env(),
         )
         feeder = threading.Thread(target=send_trace_lines, args=(port, trace))
         feeder.start()

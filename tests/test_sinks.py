@@ -596,6 +596,17 @@ class TestBlockReader:
                 assert read_and_chart(path, workdir / "by_block") == by_line, block_bytes
         assert by_line[1]["period_1.csv"].startswith(b"t_s,delta\n0.000000000,")
 
+    def test_crlf_log_charts_like_its_lf_copy(self, workdir):
+        """A log saved with \\r\\n line ends reads and charts byte for byte like the log, its
+        runs of deltas decoded in bulk."""
+        lf, crlf = workdir / "lf.jsonl", workdir / "crlf.jsonl"
+        lf.write_bytes(NIGHT_LOG)
+        crlf.write_bytes(NIGHT_LOG.replace(b"\n", b"\r\n"))
+        assert read_and_chart(crlf, workdir / "charts") == read_and_chart(lf, workdir / "charts")
+        records = sinks._log_records(crlf)
+        next(records)  # the header
+        assert max(len(record[0]) for record in records if type(record[0]) is list) > 40
+
     @pytest.mark.parametrize("mutation", LINE_MUTATIONS)
     def test_blocks_read_like_lines(self, workdir, mutation):
         """With one DeltaComputed line mutated, the block reader gives the events

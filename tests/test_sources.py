@@ -35,13 +35,14 @@ from lightwake.motion import raw_samples
 from lightwake.sources import (
     MAX_LINE_BYTES,
     TRACE_HEADER_LINE,
+    _line_blocks,
     _rows,
     _sample_count,
     _samples,
-    _wire_blocks,
     format_seconds,
     listen_live,
     read_trace,
+    read_trace_blocks,
     seconds_to_ns,
     stage_schedule,
     write_trace,
@@ -645,7 +646,7 @@ class TestOneRowGrammar:
         assert (err.type, str(err.value)) == (error, f"line {len(rows) + 1}: {message}")
         wire = "".join(row.replace(",", " ") + "\n" for row in rows)
         with pytest.raises(LightwakeError) as err:
-            list(_rows([wire], None, 1, MAX_LINE_BYTES))
+            list(_rows([(1, wire)], None, MAX_LINE_BYTES))
         assert (err.type, str(err.value)) == (error, f"line {len(rows)}: {message}")
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -724,6 +725,11 @@ class ChunkedConnection:
         return chunk
 
 
+def wire_blocks(conn):
+    """The connection's numbered blocks of lines as text, as LiveSource cuts and decodes them."""
+    return ((n, block.decode("ascii", "replace")) for n, block in _line_blocks(conn.recv, 1, MAX_LINE_BYTES))
+
+
 def readline_rows(payload: bytes):
     """The wire's numbered lines as readline(MAX_LINE_BYTES + 1) reads them, refusing longer ones."""
     wire = io.BytesIO(payload)
@@ -766,6 +772,16 @@ def flat(blocks):
         yield from raw_samples(t_ns, *xyz.tolist())
 
 
+def numbered_lines(blocks):
+    """The (number, line) pairs of _line_blocks' blocks, each line without its newline."""
+    lines = []
+    for lineno, block in blocks:
+        assert block, lineno  # no read that ends no line yields a block
+        pieces = block.split(b"\n")
+        lines += enumerate(pieces[:-1] if block.endswith(b"\n") else pieces, lineno)
+    return lines
+
+
 def refuse_rows(lines, sep, prev_t=-1):
     """A stand-in for sources._samples that fails on any row that is not blank."""
     for lineno, line in lines:
@@ -784,16 +800,45 @@ class TestBlockDecoding:
         wire = "".join(f"{format_seconds(s.t_ns)} {s.ax!r} {s.ay!r} {s.az!r}\n" for s in samples)
         with mock.patch("lightwake.sources._samples", refuse_rows):
             from_trace = read_trace(scratch_trace)[1]
-            from_wire = list(flat(_rows(_wire_blocks(ChunkedConnection(wire.encode("ascii"), sizes)), None, 1)))
+            from_wire = list(flat(_rows(wire_blocks(ChunkedConnection(wire.encode("ascii"), sizes)), None)))
         # repr tells -0.0 from 0.0.
         assert list(map(repr, from_trace)) == list(map(repr, from_wire)) == list(map(repr, samples))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(payload=wire_payloads(), size=st.integers(1, 4000),
+           sizes=st.lists(st.integers(1, 4000), min_size=1, max_size=6))
+    def test_line_blocks_number_lines_as_split_does(self, scratch_trace, payload, size, sizes):
+        """Over a file's read in size bytes and over a connection's recv in the sizes, cycled,
+        the blocks hold payload.split(b"\\n")'s lines with their numbers; a final newline
+        ends the last line, and no line follows it."""
+        want = list(enumerate(payload.split(b"\n"), 1))
+        if not want[-1][1]:
+            want.pop()
+        scratch_trace.write_bytes(payload)
+        with scratch_trace.open("rb") as fh, mock.patch("lightwake.sources._BLOCK_BYTES", size):
+            from_file = numbered_lines(_line_blocks(fh.read))
+        assert from_file == numbered_lines(_line_blocks(ChunkedConnection(payload, sizes).recv)) == want
+
+    def test_crlf_trace_reads_like_its_lf_copy_in_bulk(self, tmp_path):
+        """A trace with \\r\\n line ends, its comment and header lines too, gives the Blocks of
+        the \\n trace, with every row decoded in bulk."""
+        header = TraceHeader(4.0, 2 * 60 * NS_PER_S, label="crlf")
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        write_trace(lf, header, generate_trace(SleepModelParams(rng_seed=8), header))
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert crlf.read_bytes().count(b"\r\n") == 3 + 480
+        with mock.patch("lightwake.sources._samples", refuse_rows):
+            (want_header, want), (got_header, got) = read_trace_blocks(lf), read_trace_blocks(crlf)
+        assert got_header == want_header == TraceHeader(4.0, 119_750_000_000, "crlf")
+        assert len(got) == len(want) == 1
+        assert [(t, xyz.tolist()) for t, xyz in got] == [(t, xyz.tolist()) for t, xyz in want]
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(payload=wire_payloads(),
            sizes=st.lists(st.one_of(st.integers(1, 16), st.integers(1, 4000)), min_size=1, max_size=6))
     def test_wire_blocks_decode_like_the_row_reader(self, payload, sizes):
-        blocks = _wire_blocks(ChunkedConnection(payload, sizes))
-        assert drain(flat(_rows(blocks, None, 1, MAX_LINE_BYTES))) == drain(_samples(readline_rows(payload), None))
+        blocks = wire_blocks(ChunkedConnection(payload, sizes))
+        assert drain(flat(_rows(blocks, None, MAX_LINE_BYTES))) == drain(_samples(readline_rows(payload), None))
 
     @pytest.mark.parametrize("width", [MAX_LINE_BYTES + 76, MAX_LINE_BYTES + 1, MAX_LINE_BYTES])
     def test_long_line_inside_a_full_wire_block(self, width):
@@ -821,9 +866,9 @@ class TestBlockDecoding:
         path = tmp_path / "night.csv"
         write_trace(path, TraceHeader(16.0), generate_trace(SleepModelParams(rng_seed=2),
                                                             TraceHeader(16.0, 5 * 60 * NS_PER_S)))
-        with path.open(encoding="utf-8") as fh:
-            head = [fh.readline(), fh.readline()]
-            blocks = list(iter(lambda: fh.readlines(1 << 16), []))
+        with path.open("rb") as fh:
+            head = [fh.readline().decode(), fh.readline().decode()]
+            blocks = [block.decode().splitlines(keepends=True) for _, block in _line_blocks(fh.read)]
         rows = [row for block in blocks for row in block]
         edges = list(itertools.accumulate(map(len, blocks)))[:-1]
         assert len(edges) >= 3
